@@ -21,11 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import ValidationError, check_int, check_real
 from .rbm import (
+    BinaryReader,
     RbmParams,
     TrainConfig,
     free_energy_batch,
+    is_binary,
     rbm_from_bytes,
     rbm_to_bytes,
     train_rbm,
@@ -62,12 +64,9 @@ class OffsetFitConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (isinstance(self.learning_rate, (int, float)) and np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
-            raise ValidationError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not (isinstance(self.tolerance, (int, float)) and np.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance!r}")
+        check_real("learning_rate", self.learning_rate, 0.0, lo_open=True)
+        check_int("iterations", self.iterations, 1)
+        check_real("tolerance", self.tolerance, 0.0, lo_open=True)
 
 
 @dataclass
@@ -177,7 +176,7 @@ def train_ensemble(datasets, config, fit=None):
         matrix = np.asarray(datasets[c], dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ValidationError(f"class {c}: training matrix must be nonempty and 2-d")
-        if not np.all((matrix == 0.0) | (matrix == 1.0)):
+        if not is_binary(matrix):
             raise ValidationError(f"class {c}: training entries must all be 0 or 1")
         matrices.append(matrix)
     widths = {matrix.shape[1] for matrix in matrices}
@@ -269,32 +268,20 @@ def ensemble_to_bytes(ensemble):
 
 def ensemble_from_bytes(buf):
     """Parse an RBME1 block back into a ClassEnsemble."""
-    if len(buf) < len(ENSEMBLE_MAGIC) or buf[: len(ENSEMBLE_MAGIC)] != ENSEMBLE_MAGIC:
-        raise FormatError(f"bad magic: expected {ENSEMBLE_MAGIC!r}")
-    offset = len(ENSEMBLE_MAGIC)
-
-    def take(size, what):
-        nonlocal offset
-        if offset + size > len(buf):
-            raise FormatError(f"truncated RBME1 block while reading {what}")
-        piece = buf[offset : offset + size]
-        offset += size
-        return piece
-
-    (count,) = _COUNT.unpack(take(_COUNT.size, "class count"))
+    reader = BinaryReader(buf, ENSEMBLE_MAGIC)
+    (count,) = _COUNT.unpack(reader.take(_COUNT.size, "class count"))
     classes = []
     models = []
     offsets = []
     configs = []
     for _ in range(count):
-        class_id, class_offset, block_len = _ENTRY.unpack(take(_ENTRY.size, "class entry"))
-        params, cfg = rbm_from_bytes(take(block_len, f"model block for class {class_id}"))
-        classes.append(int(class_id))
+        class_id, class_offset, block_len = _ENTRY.unpack(reader.take(_ENTRY.size, "class entry"))
+        params, cfg = rbm_from_bytes(reader.take(block_len, f"model block for class {class_id}"))
+        classes.append(class_id)
         models.append(params)
         offsets.append(class_offset)
         configs.append(cfg)
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after RBME1 block")
+    reader.finish()
     return ClassEnsemble(
         classes=classes, models=models, offsets=np.array(offsets), train_configs=configs
     )

@@ -22,10 +22,12 @@ Exit codes: 0 success, 2 usage or validation problems, 3 i/o failures,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import re
 import shlex
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, s
 from .errors import ConvergenceError, FormatError, ValidationError
 from .metrics import evaluate
 from .preprocess import BinarizationRule, Scope, binarize, minmax, normalize_rows
-from .rbm import TrainConfig
+from .rbm import TrainConfig, is_binary
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,42 +57,29 @@ DEFAULT_ALPHA_GRID = ("1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4
 
 _SCOPE_CHOICES = {"per-class": Scope.PER_MATRIX, "global": Scope.GLOBAL}
 
-_TRAIN_DEFAULTS = {
-    "learning_rate": 0.1,
-    "momentum": 0.5,
-    "epochs": 50,
-    "hidden_units": 100,
-    "weight_decay": 2e-4,
-    "init_weight_scale": 1.0,
-    "seed": 0,
-    "fit_learning_rate": 1.0,
-    "fit_iterations": 1000,
-    "fit_tolerance": 1e-8,
-    "label_column": "label",
-}
-
-_SYNTH_DEFAULTS = {
-    "classes": 2,
-    "per_class": 200,
-    "dim": 100,
-    "separation": 1.0,
-    "noise": 0.05,
-    "seed": 0,
-}
-
-_PREPROCESS_DEFAULTS = {
+# Defaults of the options that belong to no config dataclass; every other
+# option takes its default from its dataclass field.
+_CLI_DEFAULTS = {
     "alpha": "1/2",
-    "scope": "per-class",
-    "label_column": "label",
-}
-
-_SWEEP_DEFAULTS = {
-    **_TRAIN_DEFAULTS,
     "alphas": ",".join(DEFAULT_ALPHA_GRID),
     "scope": "per-class",
-    "train_fraction": 0.5,
-    "split_seed": 0,
+    "label_column": "label",
 }
+
+# Option keys that differ from their dataclass field's name; None means the
+# field is not an option and keeps its default.
+_OPTION_KEYS = {
+    OffsetFitConfig: {
+        "learning_rate": "fit_learning_rate",
+        "iterations": "fit_iterations",
+        "tolerance": "fit_tolerance",
+    },
+    SynthSpec: {"samples_per_class": "per_class"},
+    SplitSpec: {"seed": "split_seed", "stratified": None},
+}
+
+# Extra flag spellings, by option key.
+_ALIASES = {"learning_rate": "--lr", "hidden_units": "--hidden"}
 
 
 def _parse_alpha(token):
@@ -126,34 +115,61 @@ def _read_kv_file(path):
     return pairs
 
 
+def _parse(kind, text, path, key):
+    """text from a key=value file as int, float or str; FormatError names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
+
+
+def _dataclass_options(cls):
+    """(option key, field, field type) for every field of cls that is an option."""
+    types = typing.get_type_hints(cls)
+    keys = _OPTION_KEYS.get(cls, {})
+    for f in dataclasses.fields(cls):
+        key = keys.get(f.name, f.name)
+        if key is not None:
+            yield key, f, types[f.name]
+
+
+def _add_dataclass_options(parser, *classes):
+    for cls in classes:
+        for key, f, kind in _dataclass_options(cls):
+            flags = [f"--{key.replace('_', '-')}"] + ([_ALIASES[key]] if key in _ALIASES else [])
+            parser.add_argument(*flags, dest=key, type=kind,
+                                help=f"{cls.__name__}.{f.name} (default {f.default!r})")
+
+
 class _Options:
     """Flag > config file > default resolution, remembering what was used."""
 
-    def __init__(self, args, defaults):
+    def __init__(self, args):
         self._args = args
-        self._defaults = defaults
-        config_path = getattr(args, "config", None)
-        self._file = _read_kv_file(config_path) if config_path else {}
+        self._config_path = getattr(args, "config", None)
+        self._file = _read_kv_file(self._config_path) if self._config_path else {}
         self.effective = {}
 
-    def get(self, name, cast):
-        flag = getattr(self._args, name, None)
-        if flag is not None:
-            value = flag if cast is None else cast(flag)
-        elif name in self._file:
-            value = cast(self._file[name]) if cast else self._file[name]
-        else:
-            value = self._defaults[name]
-        self.effective[name] = value
-        return value
+    def _resolve(self, key, kind, default):
+        value = getattr(self._args, key, None)
+        if value is None and key in self._file:
+            value = _parse(kind, self._file[key], self._config_path, key)
+        self.effective[key] = default if value is None else value
+        return self.effective[key]
+
+    def get(self, key):
+        """A string option that belongs to no config dataclass."""
+        return self._resolve(key, str, _CLI_DEFAULTS[key])
+
+    def build(self, cls):
+        """The config dataclass cls, each option resolved with its field's type and default."""
+        return cls(**{
+            f.name: self._resolve(key, kind, f.default) for key, f, kind in _dataclass_options(cls)
+        })
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Scope):
-        return value.value
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _sha256(path):
@@ -182,30 +198,10 @@ def _write_manifest(path, command, argv, effective, inputs, outputs, notes=()):
 
 
 def _require_binary_features(ds, source):
-    if ds.features.size and not np.all((ds.features == 0.0) | (ds.features == 1.0)):
+    if not is_binary(ds.features):
         raise ValidationError(
             f"{source}: features are not all 0/1; run `spectral-rbm preprocess` first"
         )
-
-
-def _train_config_from(opts):
-    return TrainConfig(
-        learning_rate=opts.get("learning_rate", float),
-        momentum=opts.get("momentum", float),
-        epochs=opts.get("epochs", int),
-        hidden_units=opts.get("hidden_units", int),
-        weight_decay=opts.get("weight_decay", float),
-        seed=opts.get("seed", int),
-        init_weight_scale=opts.get("init_weight_scale", float),
-    )
-
-
-def _fit_config_from(opts):
-    return OffsetFitConfig(
-        learning_rate=opts.get("fit_learning_rate", float),
-        iterations=opts.get("fit_iterations", int),
-        tolerance=opts.get("fit_tolerance", float),
-    )
 
 
 def _binarize_dataset(normalized, labels, rule, class_ids):
@@ -229,16 +225,8 @@ def _binarize_dataset(normalized, labels, rule, class_ids):
 
 
 def _cmd_synth(args, argv):
-    opts = _Options(args, _SYNTH_DEFAULTS)
-    spec = SynthSpec(
-        classes=opts.get("classes", int),
-        samples_per_class=opts.get("per_class", int),
-        dim=opts.get("dim", int),
-        separation=opts.get("separation", float),
-        noise=opts.get("noise", float),
-        seed=opts.get("seed", int),
-    )
-    ds = synth_generate(spec)
+    opts = _Options(args)
+    ds = synth_generate(opts.build(SynthSpec))
     save_csv(ds, args.out)
     _write_manifest(
         f"{args.out}.manifest", "synth", argv, opts.effective,
@@ -249,8 +237,8 @@ def _cmd_synth(args, argv):
 
 
 def _cmd_preprocess(args, argv):
-    opts = _Options(args, _PREPROCESS_DEFAULTS)
-    label_column = opts.get("label_column", str)
+    opts = _Options(args)
+    label_column = opts.get("label_column")
     ds = load_csv(args.input, label_column)
     if ds.sample_count == 0:
         raise ValidationError(f"{args.input}: no data rows to preprocess")
@@ -263,8 +251,14 @@ def _cmd_preprocess(args, argv):
         for key in ("sidecar_version", "alpha", "min", "max"):
             if key not in stats:
                 raise FormatError(f"{args.reuse_stats}: missing sidecar key {key!r}")
-        alpha = float(stats["alpha"])
-        lo, hi = float(stats["min"]), float(stats["max"])
+        if stats["sidecar_version"] != "1":
+            raise FormatError(
+                f"{args.reuse_stats}: sidecar_version={stats['sidecar_version']} is not supported, "
+                "expected 1"
+            )
+        alpha, lo, hi = (
+            _parse(float, stats[key], args.reuse_stats, key) for key in ("alpha", "min", "max")
+        )
         # test-time convention: pooled training statistics, whatever scope
         # produced them, applied globally to the new data
         rule = BinarizationRule(alpha, Scope.GLOBAL)
@@ -280,8 +274,8 @@ def _cmd_preprocess(args, argv):
         print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
         return EXIT_OK
 
-    alpha = _parse_alpha(opts.get("alpha", None))
-    scope_token = opts.get("scope", str)
+    alpha = _parse_alpha(opts.get("alpha"))
+    scope_token = opts.get("scope")
     scope = _parse_scope(scope_token)
     rule = BinarizationRule(alpha, scope)
     binary, stats = _binarize_dataset(normalized, ds.labels, rule, ds.class_ids())
@@ -309,12 +303,12 @@ def _cmd_preprocess(args, argv):
 
 
 def _cmd_train(args, argv):
-    opts = _Options(args, _TRAIN_DEFAULTS)
-    label_column = opts.get("label_column", str)
+    opts = _Options(args)
+    label_column = opts.get("label_column")
+    config = opts.build(TrainConfig)
+    fit = opts.build(OffsetFitConfig)
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
-    config = _train_config_from(opts)
-    fit = _fit_config_from(opts)
     ensemble = train_ensemble(ds.class_matrices(), config, fit)
     save_ensemble(args.out, ensemble)
     _write_manifest(
@@ -331,8 +325,8 @@ def _cmd_train(args, argv):
 
 
 def _cmd_evaluate(args, argv):
-    opts = _Options(args, {"label_column": "label"})
-    label_column = opts.get("label_column", str)
+    opts = _Options(args)
+    label_column = opts.get("label_column")
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test, label_column)
     if ds.sample_count == 0:
@@ -359,23 +353,19 @@ def _cmd_evaluate(args, argv):
 
 
 def _cmd_sweep_alpha(args, argv):
-    opts = _Options(args, _SWEEP_DEFAULTS)
-    label_column = opts.get("label_column", str)
+    opts = _Options(args)
+    label_column = opts.get("label_column")
+    tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
+    if not tokens:
+        raise ValidationError("no alpha values to sweep")
+    scope = _parse_scope(opts.get("scope"))
+    config = opts.build(TrainConfig)
+    fit = opts.build(OffsetFitConfig)
+    split_spec = opts.build(SplitSpec)
     ds = load_csv(args.input, label_column)
     if ds.sample_count == 0:
         raise ValidationError(f"{args.input}: no data rows to sweep")
     normalized = normalize_rows(ds.features)
-    tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas", str)) if t]
-    if not tokens:
-        raise ValidationError("no alpha values to sweep")
-    scope = _parse_scope(opts.get("scope", str))
-    config = _train_config_from(opts)
-    fit = _fit_config_from(opts)
-    split_spec = SplitSpec(
-        train_fraction=opts.get("train_fraction", float),
-        seed=opts.get("split_seed", int),
-        stratified=True,
-    )
     class_ids = ds.class_ids()
 
     results = []
@@ -421,26 +411,6 @@ def _format_sweep_table(class_ids, results):
 # --- parser -----------------------------------------------------------------
 
 
-def _add_train_options(sp):
-    sp.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float,
-                    help="CD-1 step size")
-    sp.add_argument("--momentum", type=float, help="velocity carry-over in [0, 1)")
-    sp.add_argument("--epochs", type=int, help="full passes over each class's rows")
-    sp.add_argument("--hidden-units", "--hidden", dest="hidden_units", type=int,
-                    help="hidden layer size")
-    sp.add_argument("--weight-decay", dest="weight_decay", type=float, help="L2 penalty on weights")
-    sp.add_argument("--init-weight-scale", dest="init_weight_scale", type=float,
-                    help="multiplier on the standard-normal weight init")
-    sp.add_argument("--seed", type=int, help="ensemble seed; per-class seeds derive from it")
-    sp.add_argument("--fit-learning-rate", dest="fit_learning_rate", type=float,
-                    help="offset fit step size")
-    sp.add_argument("--fit-iterations", dest="fit_iterations", type=int,
-                    help="offset fit iteration budget")
-    sp.add_argument("--fit-tolerance", dest="fit_tolerance", type=float,
-                    help="offset fit gradient tolerance")
-    sp.add_argument("--label-column", dest="label_column", help="name of the label column")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spectral-rbm",
@@ -452,63 +422,55 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying option values (flags win)")
+    labeled = argparse.ArgumentParser(add_help=False, parents=[common])
+    labeled.add_argument("--label-column", dest="label_column",
+                         help=f"name of the label column (default {_CLI_DEFAULTS['label_column']})")
 
     synth = sub.add_parser("synth", parents=[common],
                            help="generate a synthetic labeled binary dataset")
     synth.add_argument("--out", required=True, help="output CSV path")
-    synth.add_argument("--classes", type=int, help="number of classes (default 2)")
-    synth.add_argument("--per-class", dest="per_class", type=int,
-                       help="samples per class (default 200)")
-    synth.add_argument("--dim", type=int, help="feature dimensions (default 100)")
-    synth.add_argument("--separation", type=float,
-                       help="fraction of dimensions carrying class signal (default 1.0)")
-    synth.add_argument("--noise", type=float, help="per-bit flip probability (default 0.05)")
-    synth.add_argument("--seed", type=int, help="generator seed (default 0)")
+    _add_dataclass_options(synth, SynthSpec)
     synth.set_defaults(func=_cmd_synth)
 
-    pre = sub.add_parser("preprocess", parents=[common],
+    pre = sub.add_parser("preprocess", parents=[labeled],
                          help="l2-normalize rows and binarize features")
     pre.add_argument("input", help="labeled CSV of raw features")
     pre.add_argument("--out", required=True, help="output CSV path")
-    pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b (default 1/2)")
+    pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b "
+                                     f"(default {_CLI_DEFAULTS['alpha']})")
     pre.add_argument("--scope", choices=sorted(_SCOPE_CHOICES),
-                     help="matrix the min/max statistics are taken over (default per-class)")
+                     help="matrix the min/max statistics are taken over "
+                          f"(default {_CLI_DEFAULTS['scope']})")
     pre.add_argument("--sidecar", help="where to write the statistics sidecar "
                                        "(default <out>.sidecar)")
     pre.add_argument("--reuse-stats", dest="reuse_stats",
                      help="binarize with pooled statistics from an existing sidecar "
                           "instead of computing new ones (test-time mode)")
-    pre.add_argument("--label-column", dest="label_column", help="name of the label column")
     pre.set_defaults(func=_cmd_preprocess)
 
-    train = sub.add_parser("train", parents=[common],
+    train = sub.add_parser("train", parents=[labeled],
                            help="train one RBM per class plus soft-max offsets")
     train.add_argument("input", help="labeled CSV of binarized features")
     train.add_argument("--out", required=True, help="output model path")
-    _add_train_options(train)
+    _add_dataclass_options(train, TrainConfig, OffsetFitConfig)
     train.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("evaluate", parents=[common],
+    ev = sub.add_parser("evaluate", parents=[labeled],
                         help="evaluate a trained ensemble on labeled binary data")
     ev.add_argument("model", help="RBME1 model file from `train`")
     ev.add_argument("test", help="labeled CSV of binarized test features")
     ev.add_argument("--out", help="also write a machine-readable report here")
-    ev.add_argument("--label-column", dest="label_column", help="name of the label column")
     ev.set_defaults(func=_cmd_evaluate)
 
-    sweep = sub.add_parser("sweep-alpha", parents=[common],
+    sweep = sub.add_parser("sweep-alpha", parents=[labeled],
                            help="binarize, split, train, evaluate across alpha values")
     sweep.add_argument("input", help="labeled CSV of raw features")
     sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
-                                        f"(default {','.join(DEFAULT_ALPHA_GRID)})")
+                                        f"(default {_CLI_DEFAULTS['alphas']})")
     sweep.add_argument("--scope", choices=sorted(_SCOPE_CHOICES),
-                       help="binarization statistics scope (default per-class)")
-    sweep.add_argument("--train-fraction", dest="train_fraction", type=float,
-                       help="fraction of each class sent to train (default 0.5)")
-    sweep.add_argument("--split-seed", dest="split_seed", type=int,
-                       help="seed for the stratified split (default 0)")
+                       help=f"binarization statistics scope (default {_CLI_DEFAULTS['scope']})")
     sweep.add_argument("--out", help="also write the result table here")
-    _add_train_options(sweep)
+    _add_dataclass_options(sweep, SplitSpec, TrainConfig, OffsetFitConfig)
     sweep.set_defaults(func=_cmd_sweep_alpha)
 
     return parser

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, FormatError, MissingColumnError, ValidationError
-from .markov import SeededRng
+from .errors import (
+    CsvParseError,
+    FormatError,
+    MissingColumnError,
+    ValidationError,
+    check_int,
+    check_real,
+)
+from .markov import MAX_SEED, SeededRng
 
 
 @dataclass
@@ -81,12 +88,10 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.train_fraction, (int, float)) and 0.0 < self.train_fraction < 1.0):
-            raise ValidationError(
-                f"train_fraction must lie strictly inside (0, 1), got {self.train_fraction!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        check_real("train_fraction", self.train_fraction, 0.0, 1.0, lo_open=True, hi_open=True)
+        check_int("seed", self.seed, 0, MAX_SEED)
+        if self.stratified not in (True, False):
+            raise ValidationError(f"stratified must be True or False, got {self.stratified!r}")
 
 
 @dataclass(frozen=True)
@@ -100,30 +105,20 @@ class SynthSpec:
     with two classes makes the templates complementary halves.
     """
 
-    classes: int
-    samples_per_class: int
-    dim: int
+    classes: int = 2
+    samples_per_class: int = 200
+    dim: int = 100
     separation: float = 1.0
     noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.classes, bool) or not isinstance(self.classes, (int, np.integer)) or self.classes < 2:
-            raise ValidationError(f"classes must be an integer >= 2, got {self.classes!r}")
-        if (
-            isinstance(self.samples_per_class, bool)
-            or not isinstance(self.samples_per_class, (int, np.integer))
-            or self.samples_per_class < 1
-        ):
-            raise ValidationError(f"samples_per_class must be >= 1, got {self.samples_per_class!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim!r}")
-        if not (isinstance(self.separation, (int, float)) and 0.0 < self.separation <= 1.0):
-            raise ValidationError(f"separation must lie in (0, 1], got {self.separation!r}")
-        if not (isinstance(self.noise, (int, float)) and 0.0 <= self.noise <= 1.0):
-            raise ValidationError(f"noise must be a probability, got {self.noise!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        check_int("classes", self.classes, 2)
+        check_int("samples_per_class", self.samples_per_class, 1)
+        check_int("dim", self.dim, 1)
+        check_real("separation", self.separation, 0.0, 1.0, lo_open=True)
+        check_real("noise", self.noise, 0.0, 1.0)
+        check_int("seed", self.seed, 0, MAX_SEED)
         # every class needs at least one dimension of its own block
         if math.ceil(self.separation * self.dim) < self.classes:
             raise ValidationError(

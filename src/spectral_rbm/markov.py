@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check_int, check_real
 
 # Construction-time tolerance on row-stochasticity.
 ROW_SUM_TOL = 1e-12
+
+# Seeds are 64-bit unsigned integers.
+MAX_SEED = 2**64 - 1
 
 
 class SeededRng:
@@ -32,13 +35,9 @@ class SeededRng:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {type(seed).__name__}")
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        check_int("seed", seed, 0, MAX_SEED)
+        self.seed = int(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self):
         """One uniform draw from [0, 1)."""
@@ -114,19 +113,13 @@ class StateDistribution:
 
 def transition_power(t, n):
     """n-step transition matrix T^n for integer n >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"power must be an integer, got {type(n).__name__}")
-    if n < 1:
-        raise ValidationError(f"power must be >= 1, got {n}")
+    check_int("power", n, 1)
     return TransitionMatrix(np.linalg.matrix_power(t.entries, int(n)))
 
 
 def is_regular(t, max_power):
     """True iff some T^k with k <= max_power has all entries strictly positive."""
-    if isinstance(max_power, bool) or not isinstance(max_power, (int, np.integer)):
-        raise ValidationError(f"max_power must be an integer, got {type(max_power).__name__}")
-    if max_power < 1:
-        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+    check_int("max_power", max_power, 1)
     power = t.entries
     for _ in range(int(max_power)):
         if np.all(power > 0.0):
@@ -146,10 +139,8 @@ def equilibrium_vector(t, tol=1e-12, max_iters=200_000):
     Raises ConvergenceError, carrying the last iterate, if max_iters passes
     without the residual reaching tol.
     """
-    if not (isinstance(tol, (int, float)) and tol > 0.0):
-        raise ValidationError(f"tol must be a positive real, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ValidationError(f"max_iters must be a positive integer, got {max_iters!r}")
+    check_real("tol", tol, 0.0, lo_open=True)
+    check_int("max_iters", max_iters, 1)
     matrix = t.entries
     v = np.full(t.n_states, 1.0 / t.n_states)
     for _ in range(int(max_iters)):
@@ -170,7 +161,5 @@ def bernoulli(p, rng):
 
     p = 0 can never fire and p = 1 always does, since uniforms live in [0, 1).
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:  # NaN fails every comparison and lands here too
-        raise ValidationError(f"probability must lie in [0, 1], got {p}")
+    check_real("probability", p, 0.0, 1.0)
     return 1 if rng.uniform() < p else 0

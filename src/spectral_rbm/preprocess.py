@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, check_real
 
 
 class Scope(enum.Enum):
@@ -39,10 +39,7 @@ class BinarizationRule:
     scope: Scope = Scope.PER_MATRIX
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and np.isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be a finite real, got {self.alpha!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        check_real("alpha", self.alpha, 0.0, 1.0, lo_open=True, hi_open=True)
         if not isinstance(self.scope, Scope):
             raise ValidationError(f"scope must be a Scope, got {self.scope!r}")
 
@@ -101,9 +98,8 @@ def binarize(matrix, rule, lo, hi):
         raise ValidationError("cannot binarize an empty matrix")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("matrix entries must be finite")
-    for name, value in (("lo", lo), ("hi", hi)):
-        if not (isinstance(value, (int, float)) and np.isfinite(value)):
-            raise ValidationError(f"{name} must be a finite real, got {value!r}")
+    check_real("lo", lo)
+    check_real("hi", hi)
     if lo > hi:
         raise ValidationError(f"lo must not exceed hi, got ({lo}, {hi})")
     return np.where(matrix - lo < rule.alpha * (hi - lo), 0.0, 1.0)

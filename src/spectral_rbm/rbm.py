@@ -26,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError, SizeLimitError, ValidationError
-from .markov import SeededRng
+from .errors import (
+    ConvergenceError,
+    FormatError,
+    SizeLimitError,
+    ValidationError,
+    check_int,
+    check_real,
+)
+from .markov import MAX_SEED, SeededRng
 
 # Exact enumeration walks 2**(m+n) states; past this it is no longer a desk check.
 ENUMERATION_LIMIT = 24
@@ -35,16 +42,19 @@ ENUMERATION_LIMIT = 24
 # Above this the linear-domain exp would overflow; switch to the shifted form.
 _LOG1P_EXP_CUTOFF = 30.0
 
+# epochs and hidden_units are stored as uint32 in RBM1 blocks.
+UINT32_MAX = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for CD-1 training.
 
     The defaults are the reference operating point for the full-scale
-    task: learning rate 0.1, momentum 0.5, 50 epochs, 100 hidden units,
-    weight decay 2e-4, weights initialized from a standard normal.
+    task, with weights initialized from a standard normal.
     init_weight_scale multiplies that initial normal draw; small synthetic
-    problems often want 0.01 instead of 1.0.
+    problems often want 0.01 instead of 1.0. epochs and hidden_units must
+    fit the uint32 fields of the RBM1 format.
     """
 
     learning_rate: float = 0.1
@@ -56,24 +66,13 @@ class TrainConfig:
     init_weight_scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if not (np.isfinite(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ValidationError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if (
-            isinstance(self.hidden_units, bool)
-            or not isinstance(self.hidden_units, (int, np.integer))
-            or self.hidden_units < 1
-        ):
-            raise ValidationError(f"hidden_units must be a positive integer, got {self.hidden_units!r}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not (np.isfinite(self.init_weight_scale) and self.init_weight_scale > 0.0):
-            raise ValidationError(f"init_weight_scale must be positive, got {self.init_weight_scale!r}")
+        check_real("learning_rate", self.learning_rate, 0.0, lo_open=True)
+        check_real("momentum", self.momentum, 0.0, 1.0, hi_open=True)
+        check_int("epochs", self.epochs, 1, UINT32_MAX)
+        check_int("hidden_units", self.hidden_units, 1, UINT32_MAX)
+        check_real("weight_decay", self.weight_decay, 0.0)
+        check_int("seed", self.seed, 0, MAX_SEED)
+        check_real("init_weight_scale", self.init_weight_scale, 0.0, lo_open=True)
 
 
 @dataclass
@@ -130,7 +129,8 @@ def _as_vector(x, length, name):
     return v
 
 
-def _is_binary(arr):
+def is_binary(arr):
+    """True iff every entry is exactly 0.0 or 1.0 (vacuously true when empty)."""
     return bool(np.all((arr == 0.0) | (arr == 1.0)))
 
 
@@ -243,7 +243,7 @@ def train_rbm(data, config):
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] == 0:
         raise ValidationError(f"training data must be a nonempty 2-d array, got shape {data.shape}")
-    if not _is_binary(data):
+    if not is_binary(data):
         raise ValidationError("training data entries must all be 0 or 1")
 
     m = data.shape[1]
@@ -283,19 +283,18 @@ def train_rbm(data, config):
 
 
 def free_energy(v, params):
-    """Free energy F(v) = -v.visible_bias - sum_j log(1 + exp(x_j)).
+    """free_energy_batch of a single visible vector."""
+    v = _as_vector(v, params.num_visible, "visible vector")
+    return float(free_energy_batch(v[None, :], params)[0])
+
+
+def free_energy_batch(rows, params):
+    """Free energy F(v) = -v.visible_bias - sum_j log(1 + exp(x_j)) of every row.
 
     x_j = hidden_bias[j] + v.W[:, j]. Equals -log sum_h exp(-E(v, h)) with
     the hidden units marginalized analytically; the log1p branch keeps it
     finite for arbitrarily large x_j.
     """
-    v = _as_vector(v, params.num_visible, "visible vector")
-    x = params.hidden_bias + v @ params.weights
-    return float(-(v @ params.visible_bias) - _log1p_exp(x).sum())
-
-
-def free_energy_batch(rows, params):
-    """free_energy applied to every row of a 2-d array, vectorized."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != params.num_visible:
         raise ValidationError(
@@ -347,7 +346,7 @@ def exact_log_likelihood(data, params):
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValidationError(f"data must be a nonempty 2-d array, got shape {data.shape}")
-    if not _is_binary(data):
+    if not is_binary(data):
         raise ValidationError("data entries must all be 0 or 1")
     log_z = exact_log_partition_function(params)
     return float(-free_energy_batch(data, params).sum() - data.shape[0] * log_z)
@@ -382,10 +381,49 @@ _DIMS = struct.Struct("<II")
 _CONFIG = struct.Struct("<ddddIIQ")
 
 
+class BinaryReader:
+    """Sequential reader over one magic-tagged block of a binary format.
+
+    Every read is bounds-checked: running past the end, a wrong magic and
+    bytes left over at the end are FormatErrors naming the format.
+    """
+
+    def __init__(self, buf, magic):
+        if buf[: len(magic)] != magic:
+            raise FormatError(f"bad magic: expected {magic!r}")
+        self._buf = buf
+        self._pos = len(magic)
+        self._name = magic.decode("ascii")
+
+    def take(self, size, what):
+        """The next size bytes."""
+        end = self._pos + size
+        if end > len(self._buf):
+            raise FormatError(f"truncated {self._name} block while reading {what}")
+        piece = self._buf[self._pos : end]
+        self._pos = end
+        return piece
+
+    def floats(self, count, what):
+        """The next count little-endian float64 values, as a fresh array."""
+        return np.frombuffer(self.take(8 * count, what), dtype="<f8").copy()
+
+    def finish(self):
+        """Refuse bytes left over after the block."""
+        if self._pos != len(self._buf):
+            extra = len(self._buf) - self._pos
+            raise FormatError(f"{extra} trailing bytes after {self._name} block")
+
+
 def rbm_to_bytes(params, config):
     """Serialize parameters plus their training config to an RBM1 block."""
     if not isinstance(config, TrainConfig):
         raise ValidationError(f"config must be a TrainConfig, got {type(config).__name__}")
+    if config.hidden_units != params.num_hidden:
+        raise ValidationError(
+            f"config.hidden_units={config.hidden_units} does not match "
+            f"the {params.num_hidden} hidden columns of the weights"
+        )
     parts = [
         RBM_MAGIC,
         _DIMS.pack(params.num_visible, params.num_hidden),
@@ -407,34 +445,24 @@ def rbm_to_bytes(params, config):
 
 def rbm_from_bytes(buf):
     """Parse an RBM1 block back into (RbmParams, TrainConfig)."""
-    if len(buf) < len(RBM_MAGIC) or buf[: len(RBM_MAGIC)] != RBM_MAGIC:
-        raise FormatError(f"bad magic: expected {RBM_MAGIC!r}")
-    offset = len(RBM_MAGIC)
-
-    def take(size, what):
-        nonlocal offset
-        if offset + size > len(buf):
-            raise FormatError(f"truncated RBM1 block while reading {what}")
-        piece = buf[offset : offset + size]
-        offset += size
-        return piece
-
-    m, n = _DIMS.unpack(take(_DIMS.size, "dimensions"))
+    reader = BinaryReader(buf, RBM_MAGIC)
+    m, n = _DIMS.unpack(reader.take(_DIMS.size, "dimensions"))
     lr, momentum, weight_decay, init_scale, epochs, hidden_units, seed = _CONFIG.unpack(
-        take(_CONFIG.size, "training config")
+        reader.take(_CONFIG.size, "training config")
     )
-    weights = np.frombuffer(take(8 * m * n, "weights"), dtype="<f8").reshape(m, n).copy()
-    visible_bias = np.frombuffer(take(8 * m, "visible bias"), dtype="<f8").copy()
-    hidden_bias = np.frombuffer(take(8 * n, "hidden bias"), dtype="<f8").copy()
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after RBM1 block")
+    if hidden_units != n:
+        raise FormatError(f"RBM1 block stores {n} hidden columns but hidden_units={hidden_units}")
+    weights = reader.floats(m * n, "weights").reshape(m, n)
+    visible_bias = reader.floats(m, "visible bias")
+    hidden_bias = reader.floats(n, "hidden bias")
+    reader.finish()
     config = TrainConfig(
         learning_rate=lr,
         momentum=momentum,
-        epochs=int(epochs),
-        hidden_units=int(hidden_units),
+        epochs=epochs,
+        hidden_units=hidden_units,
         weight_decay=weight_decay,
-        seed=int(seed),
+        seed=seed,
         init_weight_scale=init_scale,
     )
     return RbmParams(weights=weights, visible_bias=visible_bias, hidden_bias=hidden_bias), config

@@ -1,5 +1,9 @@
 """Command-line driver: subcommands, exit codes, manifests, determinism."""
 
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,6 +191,28 @@ class TestPreprocess:
                    "--reuse-stats", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["alpha", "min", "max"])
+    def test_reuse_stats_rejects_non_numeric_value(self, tmp_path, capsys, key):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        stats = {"sidecar_version": "1", "alpha": "0.5", "min": "0.1", "max": "0.9", key: "abc"}
+        bad = tmp_path / "bad.sidecar"
+        bad.write_text("".join(f"{k}={v}\n" for k, v in stats.items()))
+        code = run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
+                   "--reuse-stats", str(bad))
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_reuse_stats_rejects_unknown_sidecar_version(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        bad = tmp_path / "future.sidecar"
+        bad.write_text("sidecar_version=99\nalpha=0.5\nmin=0.1\nmax=0.9\n")
+        code = run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
+                   "--reuse-stats", str(bad))
+        assert code == 2
+        assert "sidecar_version" in capsys.readouterr().err
+
     def test_custom_sidecar_path(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
@@ -278,6 +304,17 @@ class TestTrain:
         code = run("train", str(data), "--out", str(tmp_path / "m.rbme"),
                    "--config", str(config))
         assert code == 2
+
+
+    def test_config_value_that_does_not_parse_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        config = tmp_path / "bad.conf"
+        config.write_text("epochs=abc\n")
+        code = run("train", str(data), "--out", str(tmp_path / "m.rbme"),
+                   "--config", str(config))
+        assert code == 2
+        assert "epochs" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -391,6 +428,47 @@ class TestSweepAlpha:
         first = capsys.readouterr().out
         assert run(*args) == 0
         assert capsys.readouterr().out == first
+
+
+def readme_defaults():
+    """option key -> default, from the README's Defaults table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Defaults", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `--([a-z-]+)`[^|]*\| (.+?) \|$", table, flags=re.MULTILINE)
+    return {flag.replace("-", "_"): value for flag, value in rows}
+
+
+def same_value(a, b):
+    try:
+        return Fraction(a) == Fraction(b)
+    except ValueError:
+        return a == b
+
+
+def test_readme_defaults_table_matches_the_cli(tmp_path):
+    """Run every subcommand with no options and compare the manifests' config lines."""
+    raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
+    write_raw_csv(raw, rows=16, dim=5)
+    model = tmp_path / "model.rbme"
+    commands = [
+        ("synth", "--out", str(tmp_path / "synth.csv")),
+        ("preprocess", str(raw), "--out", str(binary)),
+        ("train", str(binary), "--out", str(model)),
+        ("evaluate", str(model), str(binary), "--out", str(tmp_path / "report.txt")),
+        ("sweep-alpha", str(raw), "--out", str(tmp_path / "table.txt")),
+    ]
+    resolved = {}
+    for argv in commands:
+        assert run(*argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        for key, value in kv(Path(f"{out}.manifest")).items():
+            if key.startswith("config."):
+                resolved.setdefault(key[len("config."):], set()).add(value)
+    documented = readme_defaults()
+    assert set(documented) == set(resolved)
+    for key, values in resolved.items():
+        assert len(values) == 1, key
+        assert same_value(documented[key], values.pop()), key
 
 
 class TestMainPlumbing:

@@ -1,5 +1,7 @@
 """Model file formats: RBM1 single models and RBME1 ensembles round-trip bit-exactly."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spectral_rbm.classifier import (
     ensemble_to_bytes,
     load_ensemble,
     save_ensemble,
+    train_ensemble,
 )
 from spectral_rbm.errors import FormatError, ValidationError
 from spectral_rbm.rbm import (
@@ -66,14 +69,27 @@ class TestRbmFormat:
     def test_rejects_truncation(self):
         params = RbmParams(np.ones((3, 3)), np.zeros(3), np.zeros(3))
         blob = rbm_to_bytes(params, TrainConfig(epochs=1, hidden_units=3))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated RBM1"):
             rbm_from_bytes(blob[:-5])
 
     def test_rejects_trailing_garbage(self):
         params = RbmParams(np.ones((2, 2)), np.zeros(2), np.zeros(2))
         blob = rbm_to_bytes(params, TrainConfig(epochs=1, hidden_units=2))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="trailing bytes after RBM1"):
             rbm_from_bytes(blob + b"x")
+
+    def test_rejects_width_that_disagrees_with_hidden_units(self):
+        params = RbmParams(np.ones((2, 3)), np.zeros(2), np.zeros(3))
+        blob = bytearray(rbm_to_bytes(params, TrainConfig(epochs=1, hidden_units=3)))
+        # hidden_units follows the magic, the two dimensions, four float64s and epochs
+        struct.pack_into("<I", blob, 4 + 8 + 32 + 4, 7)
+        with pytest.raises(FormatError, match="RBM1"):
+            rbm_from_bytes(bytes(blob))
+
+    def test_refuses_to_write_width_that_disagrees_with_hidden_units(self):
+        params = RbmParams(np.ones((2, 3)), np.zeros(2), np.zeros(3))
+        with pytest.raises(ValidationError):
+            rbm_to_bytes(params, TrainConfig(epochs=1, hidden_units=7))
 
     def test_rejects_non_config(self):
         params = RbmParams(np.ones((2, 2)), np.zeros(2), np.zeros(2))
@@ -137,8 +153,34 @@ class TestEnsembleFormat:
 
     def test_rejects_truncation(self):
         blob = ensemble_to_bytes(self._ensemble())
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated RBME1"):
             ensemble_from_bytes(blob[:-10])
+
+    def test_rejects_trailing_garbage(self):
+        blob = ensemble_to_bytes(self._ensemble())
+        with pytest.raises(FormatError, match="trailing bytes after RBME1"):
+            ensemble_from_bytes(blob + b"x")
+
+    def test_mutated_blobs_raise_only_package_errors(self):
+        rng = np.random.default_rng(20240501)
+        data = (rng.random((12, 4)) < 0.5).astype(float)
+        ensemble = train_ensemble({0: data[:6], 1: data[6:]},
+                                  TrainConfig(epochs=2, hidden_units=3, seed=1))
+        blob = ensemble_to_bytes(ensemble)
+        rejected = 0
+        for trial in range(400):
+            if trial % 2 == 0:
+                with pytest.raises(FormatError):
+                    ensemble_from_bytes(blob[: int(rng.integers(0, len(blob)))])
+                continue
+            mutated = bytearray(blob)
+            for pos in rng.integers(0, len(blob), size=int(rng.integers(1, 4))):
+                mutated[pos] ^= int(rng.integers(1, 256))
+            try:
+                ensemble_from_bytes(bytes(mutated))
+            except ValidationError:
+                rejected += 1
+        assert rejected > 0
 
     def test_requires_train_configs(self):
         ensemble = self._ensemble()
