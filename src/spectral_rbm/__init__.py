@@ -6,137 +6,44 @@ free energies through fitted soft-max offsets. Around that core it ships
 the full pipeline: row normalization and threshold binarization, labeled
 CSV handling, stratified splitting, a synthetic dataset generator,
 evaluation metrics, and a reproducible command-line driver.
+
+The top level exports the pipeline, the exact small-model oracles and the
+error types. The pieces of the sampler (cd1, sample_bits, the
+conditionals, SeededRng, the chain utilities) stay in their submodules.
 """
 
 from .classifier import (
-    ClassEnsemble,
-    OffsetFitConfig,
-    fit_offsets,
-    load_ensemble,
-    predict_label,
-    predict_label_batch,
-    predict_proba,
-    predict_proba_batch,
-    save_ensemble,
-    train_ensemble,
+    ClassEnsemble, OffsetFitConfig, fit_offsets, load_ensemble, predict_label,
+    predict_label_batch, predict_proba, predict_proba_batch, save_ensemble, train_ensemble,
 )
-from .dataset import (
-    LabeledDataset,
-    SplitSpec,
-    SynthSpec,
-    load_csv,
-    save_csv,
-    split,
-    synth_generate,
-)
+from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
 from .errors import (
-    ConvergenceError,
-    CsvParseError,
-    DegenerateInputError,
-    FormatError,
-    MissingColumnError,
-    SizeLimitError,
-    ValidationError,
-)
-from .markov import (
-    SeededRng,
-    StateDistribution,
-    TransitionMatrix,
-    bernoulli,
-    equilibrium_vector,
-    is_regular,
-    transition_power,
+    ConvergenceError, CsvParseError, DegenerateInputError, FormatError, MissingColumnError,
+    SizeLimitError, ValidationError,
 )
 from .metrics import EvalReport, evaluate
 from .preprocess import (
-    BinarizationRule,
-    Scope,
-    binarize,
-    l2_normalize,
-    minmax,
-    normalize_rows,
-    preprocess_pipeline,
+    BinarizationRule, Scope, binarize, binarize_dataset, l2_normalize, normalize_rows,
 )
 from .rbm import (
-    GradientEstimate,
-    RbmParams,
-    TrainConfig,
-    cd1,
-    energy,
-    exact_log_likelihood,
-    exact_log_partition_function,
-    exact_partition_function,
-    free_energy,
-    free_energy_batch,
-    hidden_probs,
-    load_rbm,
-    reconstruction_error,
-    sample_bits,
-    save_rbm,
-    sigmoid,
-    train_rbm,
-    visible_probs,
+    RbmParams, TrainConfig, energy, exact_gibbs_kernel, exact_log_likelihood,
+    exact_log_partition_function, exact_partition_function, free_energy_batch, train_rbm,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinarizationRule",
-    "ClassEnsemble",
-    "ConvergenceError",
-    "CsvParseError",
-    "DegenerateInputError",
-    "EvalReport",
-    "FormatError",
-    "GradientEstimate",
-    "LabeledDataset",
-    "MissingColumnError",
-    "OffsetFitConfig",
-    "RbmParams",
-    "Scope",
-    "SeededRng",
-    "SizeLimitError",
-    "SplitSpec",
-    "StateDistribution",
-    "SynthSpec",
-    "TrainConfig",
-    "TransitionMatrix",
-    "ValidationError",
-    "bernoulli",
-    "binarize",
-    "cd1",
-    "energy",
-    "equilibrium_vector",
-    "evaluate",
-    "exact_log_likelihood",
-    "exact_log_partition_function",
+    # pipeline
+    "BinarizationRule", "ClassEnsemble", "EvalReport", "LabeledDataset", "OffsetFitConfig",
+    "RbmParams", "Scope", "SplitSpec", "SynthSpec", "TrainConfig",
+    "binarize", "binarize_dataset", "evaluate", "fit_offsets", "free_energy_batch",
+    "l2_normalize", "load_csv", "load_ensemble", "normalize_rows", "predict_label",
+    "predict_label_batch", "predict_proba", "predict_proba_batch", "save_csv", "save_ensemble",
+    "split", "synth_generate", "train_ensemble", "train_rbm",
+    # exact small-model oracles
+    "energy", "exact_gibbs_kernel", "exact_log_likelihood", "exact_log_partition_function",
     "exact_partition_function",
-    "fit_offsets",
-    "free_energy",
-    "free_energy_batch",
-    "hidden_probs",
-    "is_regular",
-    "l2_normalize",
-    "load_csv",
-    "load_ensemble",
-    "load_rbm",
-    "minmax",
-    "normalize_rows",
-    "predict_label",
-    "predict_label_batch",
-    "predict_proba",
-    "predict_proba_batch",
-    "preprocess_pipeline",
-    "reconstruction_error",
-    "sample_bits",
-    "save_csv",
-    "save_ensemble",
-    "save_rbm",
-    "sigmoid",
-    "split",
-    "synth_generate",
-    "train_ensemble",
-    "train_rbm",
-    "transition_power",
-    "visible_probs",
+    # errors
+    "ConvergenceError", "CsvParseError", "DegenerateInputError", "FormatError",
+    "MissingColumnError", "SizeLimitError", "ValidationError",
 ]

@@ -215,11 +215,8 @@ def predict_proba_batch(rows, ensemble):
 
 
 def predict_proba(v, ensemble):
-    """Class posterior for a single vector, ordered like ensemble.classes."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {v.shape}")
-    return predict_proba_batch(v[None, :], ensemble)[0]
+    """predict_proba_batch of a single vector, ordered like ensemble.classes."""
+    return predict_proba_batch([v], ensemble)[0]
 
 
 def predict_label_batch(rows, ensemble):
@@ -232,11 +229,8 @@ def predict_label_batch(rows, ensemble):
 
 
 def predict_label(v, ensemble):
-    """Most probable class id for one vector; exact ties go to the lowest id."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {v.shape}")
-    return int(predict_label_batch(v[None, :], ensemble)[0])
+    """predict_label_batch of a single vector, as an int."""
+    return int(predict_label_batch([v], ensemble)[0])
 
 
 # --- serialization ---------------------------------------------------------

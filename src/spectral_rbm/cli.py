@@ -44,7 +44,7 @@ from .classifier import (
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
 from .errors import ConvergenceError, FormatError, ValidationError
 from .metrics import evaluate
-from .preprocess import BinarizationRule, Scope, binarize, minmax, normalize_rows
+from .preprocess import BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows
 from .rbm import TrainConfig, is_binary
 
 EXIT_OK = 0
@@ -204,23 +204,6 @@ def _require_binary_features(ds, source):
         )
 
 
-def _binarize_dataset(normalized, labels, rule, class_ids):
-    """Binarized matrix plus the statistics actually used, keyed for the sidecar."""
-    pooled_lo, pooled_hi = minmax(normalized)
-    stats = [("min", pooled_lo), ("max", pooled_hi)]
-    if rule.scope is Scope.PER_MATRIX:
-        binary = np.empty_like(normalized)
-        for c in class_ids:
-            idx = labels == c
-            lo, hi = minmax(normalized[idx])
-            binary[idx] = binarize(normalized[idx], rule, lo, hi)
-            stats.append((f"class.{c}.min", lo))
-            stats.append((f"class.{c}.max", hi))
-    else:
-        binary = binarize(normalized, rule, pooled_lo, pooled_hi)
-    return binary, stats
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -245,8 +228,9 @@ def _cmd_preprocess(args, argv):
     normalized = normalize_rows(ds.features)
 
     if args.reuse_stats:
-        if args.alpha is not None or args.scope is not None:
-            raise ValidationError("--alpha/--scope come from the sidecar when --reuse-stats is given")
+        if args.alpha is not None or args.scope is not None or args.sidecar is not None:
+            raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
+                                  "reads its statistics from the given sidecar and writes none")
         stats = _read_kv_file(args.reuse_stats)
         for key in ("sidecar_version", "alpha", "min", "max"):
             if key not in stats:
@@ -278,7 +262,7 @@ def _cmd_preprocess(args, argv):
     scope_token = opts.get("scope")
     scope = _parse_scope(scope_token)
     rule = BinarizationRule(alpha, scope)
-    binary, stats = _binarize_dataset(normalized, ds.labels, rule, ds.class_ids())
+    binary, stats = binarize_dataset(normalized, ds.labels, rule)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
 
     sidecar_path = args.sidecar or f"{args.out}.sidecar"
@@ -371,7 +355,7 @@ def _cmd_sweep_alpha(args, argv):
     results = []
     for token in tokens:
         rule = BinarizationRule(_parse_alpha(token), scope)
-        binary, _ = _binarize_dataset(normalized, ds.labels, rule, class_ids)
+        binary, _ = binarize_dataset(normalized, ds.labels, rule)
         binary_ds = LabeledDataset(binary, ds.labels, ds.feature_names)
         train_ds, test_ds = split(binary_ds, split_spec)
         ensemble = train_ensemble(train_ds.class_matrices(), config, fit)

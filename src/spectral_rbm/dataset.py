@@ -220,9 +220,9 @@ def split(ds, spec):
 
     Stratified mode shuffles each class with the seeded rng (classes
     visited in sorted order) and sends the first floor(count * fraction)
-    rows to train, the remainder to test; every class therefore lands on
-    both sides when it has at least 2 rows, which stratified mode requires.
-    Row order within each side follows the original dataset.
+    rows to train, the remainder to test. A class needs at least one row
+    on each side, so a share that floors to 0 is a ValidationError naming
+    the class. Row order within each side follows the original dataset.
     """
     if ds.sample_count == 0:
         raise ValidationError("cannot split an empty dataset")
@@ -235,18 +235,20 @@ def split(ds, spec):
                 raise ValidationError(
                     f"stratified split needs >= 2 samples per class, class {c} has {idx.size}"
                 )
-            shuffled = idx[rng.permutation(idx.size)]
             take = math.floor(idx.size * spec.train_fraction)
+            if take == 0:
+                raise ValidationError(f"train_fraction {spec.train_fraction} leaves class {c} "
+                                      f"no training rows (it has {idx.size})")
+            shuffled = idx[rng.permutation(idx.size)]
             picked.append(shuffled[:take])
     else:
         shuffled = rng.permutation(ds.sample_count)
         take = math.floor(ds.sample_count * spec.train_fraction)
         picked.append(shuffled[:take])
-    train_idx = np.sort(np.concatenate(picked)) if picked else np.array([], dtype=np.int64)
+    train_idx = np.sort(np.concatenate(picked))
     mask = np.zeros(ds.sample_count, dtype=bool)
-    mask[train_idx.astype(np.int64)] = True
-    test_idx = np.flatnonzero(~mask)
-    return ds.subset(train_idx.astype(np.int64)), ds.subset(test_idx)
+    mask[train_idx] = True
+    return ds.subset(train_idx), ds.subset(np.flatnonzero(~mask))
 
 
 def _templates(spec):

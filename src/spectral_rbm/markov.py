@@ -1,13 +1,13 @@
-"""Finite-state Markov chain utilities and seeded stochastic primitives.
-
-Transition matrices and state distributions are validated once, at
-construction, and treated as immutable afterwards; the operations on them
-assume validity instead of re-checking per call.
+"""Seeded random streams and the stationary distribution of a finite chain.
 
 Randomness is threaded explicitly through SeededRng so every caller owns
 its stream. Two instances built from the same seed produce identical draw
 sequences, which is what the reproducibility guarantees elsewhere in the
 package are built on.
+
+TransitionMatrix (validated once, at construction), is_regular and
+equilibrium_vector check rbm.exact_gibbs_kernel: the stationary vector of
+the sampler's exact kernel must equal the enumerated model distribution.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class SeededRng:
         check_int("seed", seed, 0, MAX_SEED)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self):
-        """One uniform draw from [0, 1)."""
-        return float(self._gen.random())
 
     def uniforms(self, n):
         """Vector of n uniform draws from [0, 1)."""
@@ -89,34 +85,6 @@ class TransitionMatrix:
         return f"TransitionMatrix(n_states={self.n_states})"
 
 
-class StateDistribution:
-    """Probability vector over the states of a chain."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs):
-        p = np.array(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValidationError(f"state distribution must be a nonempty vector, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("state probabilities must be finite")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValidationError("state probabilities must lie in [0, 1]")
-        dev = abs(float(p.sum()) - 1.0)
-        if dev > ROW_SUM_TOL:
-            raise ValidationError(f"state probabilities must sum to 1 within {ROW_SUM_TOL:g}, off by {dev:.3e}")
-        self.probs = p
-
-    def __repr__(self):
-        return f"StateDistribution({self.probs!r})"
-
-
-def transition_power(t, n):
-    """n-step transition matrix T^n for integer n >= 1."""
-    check_int("power", n, 1)
-    return TransitionMatrix(np.linalg.matrix_power(t.entries, int(n)))
-
-
 def is_regular(t, max_power):
     """True iff some T^k with k <= max_power has all entries strictly positive."""
     check_int("max_power", max_power, 1)
@@ -132,9 +100,9 @@ def equilibrium_vector(t, tol=1e-12, max_iters=200_000):
     """Stationary distribution of a regular chain by power iteration.
 
     Starts from the uniform distribution and iterates V <- V.T until the
-    residual max|V.T - V| drops to tol; the returned vector satisfies that
-    bound. Chains for which uniform is already stationary (the identity
-    matrix being the degenerate extreme) converge in zero steps.
+    residual max|V.T - V| drops to tol; the returned float64 vector
+    satisfies that bound. Chains for which uniform is already stationary
+    (the identity matrix being the degenerate extreme) converge in zero steps.
 
     Raises ConvergenceError, carrying the last iterate, if max_iters passes
     without the residual reaching tol.
@@ -146,7 +114,7 @@ def equilibrium_vector(t, tol=1e-12, max_iters=200_000):
     for _ in range(int(max_iters)):
         nxt = v @ matrix
         if float(np.abs(nxt - v).max()) <= tol:
-            return StateDistribution(v)
+            return v
         # renormalize so float drift cannot accumulate over long runs
         v = nxt / nxt.sum()
     residual = float(np.abs(v @ matrix - v).max())
@@ -155,11 +123,3 @@ def equilibrium_vector(t, tol=1e-12, max_iters=200_000):
         last_iterate=v,
     )
 
-
-def bernoulli(p, rng):
-    """One draw from Bernoulli(p): 1 iff the next uniform is strictly below p.
-
-    p = 0 can never fire and p = 1 always does, since uniforms live in [0, 1).
-    """
-    check_real("probability", p, 0.0, 1.0)
-    return 1 if rng.uniform() < p else 0

@@ -7,11 +7,10 @@ the matrix maximum. Entries strictly below the threshold become 0, the
 rest become 1, so the maximum always survives as a 1.
 
 The scope on a BinarizationRule says which matrix the (min, max) pair is
-taken over when several matrices are in play: PER_MATRIX means each class
-block supplies its own statistics, GLOBAL means one pooled pair for
-everything. A single call to preprocess_pipeline sees exactly one matrix,
-where the two scopes coincide; the distinction is consumed by the
-multi-class drivers in the CLI.
+taken over in a labeled dataset: PER_MATRIX means each class block
+supplies its own statistics, GLOBAL means one pooled pair for everything.
+binarize_dataset carries that policy out and returns the statistics it
+used; the pooled pair is what new data is binarized with at test time.
 """
 
 from __future__ import annotations
@@ -45,24 +44,16 @@ class BinarizationRule:
 
 
 def l2_normalize(row):
-    """Scale a vector to unit Euclidean length.
-
-    Raises DegenerateInputError for the all-zero row, whose direction is
-    undefined.
-    """
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or row.size == 0:
-        raise ValidationError(f"expected a nonempty vector, got shape {row.shape}")
-    if not np.all(np.isfinite(row)):
-        raise ValidationError("vector entries must be finite")
-    norm = float(np.sqrt(row @ row))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero row")
-    return row / norm
+    """normalize_rows of a single vector."""
+    return normalize_rows([row])[0]
 
 
 def normalize_rows(matrix):
-    """l2_normalize applied to every row of a 2-d array."""
+    """Scale every row of a 2-d array to unit Euclidean length.
+
+    Raises DegenerateInputError naming the first all-zero row, whose
+    direction is undefined.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
         raise ValidationError(f"expected a nonempty 2-d array, got shape {matrix.shape}")
@@ -105,12 +96,26 @@ def binarize(matrix, rule, lo, hi):
     return np.where(matrix - lo < rule.alpha * (hi - lo), 0.0, 1.0)
 
 
-def preprocess_pipeline(matrix, rule):
-    """Normalize rows, take this matrix's (min, max), binarize.
+def binarize_dataset(normalized, labels, rule):
+    """Binarize labeled rows under rule.scope; returns (binary, stats).
 
-    The single-matrix composition of the three steps above; with one
-    matrix the rule's scope has nothing to distinguish.
+    PER_MATRIX cuts each class against its own (min, max), GLOBAL every row
+    against the pooled pair. stats holds the (key, value) pairs for the
+    sidecar: pooled "min" and "max" (what test data is cut with, whatever
+    the scope), then "class.<id>.min"/"max" per ascending id under PER_MATRIX.
     """
-    normalized = normalize_rows(matrix)
-    lo, hi = minmax(normalized)
-    return binarize(normalized, rule, lo, hi)
+    normalized = np.asarray(normalized, dtype=float)
+    labels = np.asarray(labels)
+    if labels.shape != normalized.shape[:1]:
+        raise ValidationError(f"labels shape {labels.shape} does not match rows {normalized.shape}")
+    pooled_lo, pooled_hi = minmax(normalized)
+    stats = [("min", pooled_lo), ("max", pooled_hi)]
+    if rule.scope is Scope.GLOBAL:
+        return binarize(normalized, rule, pooled_lo, pooled_hi), stats
+    binary = np.empty_like(normalized)
+    for c in np.unique(labels):
+        idx = labels == c
+        lo, hi = minmax(normalized[idx])
+        binary[idx] = binarize(normalized[idx], rule, lo, hi)
+        stats += [(f"class.{int(c)}.min", lo), (f"class.{int(c)}.max", hi)]
+    return binary, stats

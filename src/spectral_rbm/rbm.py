@@ -17,6 +17,8 @@ the trained model bit for bit.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
+exact_gibbs_kernel is the oracle for the sampler itself: the exact
+transition matrix of the block-Gibbs chain CD-1 takes one step of.
 """
 
 from __future__ import annotations
@@ -310,11 +312,10 @@ def _enumerate_bits(k):
     return ((ints[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(float)
 
 
-def _check_enumerable(params):
-    total = params.num_visible + params.num_hidden
+def _check_enumerable(total, formula="m + n"):
     if total > ENUMERATION_LIMIT:
         raise SizeLimitError(
-            f"exact enumeration needs m + n <= {ENUMERATION_LIMIT}, got {total} units"
+            f"exact enumeration needs {formula} <= {ENUMERATION_LIMIT}, got {total}"
         )
 
 
@@ -325,7 +326,7 @@ def exact_log_partition_function(params):
     -E(v, h) for each pair, and log-sum-exps the lot. Deliberately does not
     reuse free_energy, so the two routes stay independent cross-checks.
     """
-    _check_enumerable(params)
+    _check_enumerable(params.num_visible + params.num_hidden)
     vis = _enumerate_bits(params.num_visible)
     hid = _enumerate_bits(params.num_hidden)
     neg_energy = (
@@ -352,17 +353,25 @@ def exact_log_likelihood(data, params):
     return float(-free_energy_batch(data, params).sum() - data.shape[0] * log_z)
 
 
-def reconstruction_error(v, params, rng):
-    """Squared distance from v to its one-step mean reconstruction.
+def _state_probs(states, probs):
+    """Probability of each row of states when bit i is 1 with probability probs[i]."""
+    return np.where(states == 1.0, probs, 1.0 - probs).prod(axis=1)
 
-    Samples h from p(h|v), then compares v with the mean-field visible
-    probabilities p(v|h). Stochastic through the single hidden draw.
+
+def exact_gibbs_kernel(params):
+    """Exact block-Gibbs transition matrix K[v, v'] = sum_h p(h|v) p(v'|h).
+
+    The chain CD-1 takes one step of; its stationary distribution is the
+    model marginal exp(-F(v)) / Z. Visible states are in ascending binary
+    order. It walks 2**(2m + n) (v, h, v') triples, so 2m + n is held to
+    the enumeration limit.
     """
-    v = _as_vector(v, params.num_visible, "visible vector")
-    h = sample_bits(hidden_probs(v, params), rng)
-    recon = visible_probs(h, params)
-    diff = v - recon
-    return float(diff @ diff)
+    _check_enumerable(2 * params.num_visible + params.num_hidden, "2m + n")
+    vis = _enumerate_bits(params.num_visible)
+    hid = _enumerate_bits(params.num_hidden)
+    h_given_v = np.array([_state_probs(hid, hidden_probs(v, params)) for v in vis])
+    v_given_h = np.array([_state_probs(vis, visible_probs(h, params)) for h in hid])
+    return h_given_v @ v_given_h
 
 
 # --- serialization ---------------------------------------------------------
@@ -467,14 +476,3 @@ def rbm_from_bytes(buf):
     )
     return RbmParams(weights=weights, visible_bias=visible_bias, hidden_bias=hidden_bias), config
 
-
-def save_rbm(path, params, config):
-    """Write an RBM1 file."""
-    with open(path, "wb") as fh:
-        fh.write(rbm_to_bytes(params, config))
-
-
-def load_rbm(path):
-    """Read an RBM1 file back into (RbmParams, TrainConfig)."""
-    with open(path, "rb") as fh:
-        return rbm_from_bytes(fh.read())

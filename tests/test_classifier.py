@@ -173,6 +173,15 @@ class TestPredictProba:
         with pytest.raises(ValidationError):
             predict_proba(np.zeros(4), ensemble)
 
+    def test_single_vector_wrappers_reject_matrices(self):
+        # the batch functions' 2-d check is the wrappers' only shape check
+        ensemble = self._two_model_ensemble()
+        for bad in (np.zeros((2, 5)), 1.0):
+            with pytest.raises(ValidationError):
+                predict_proba(bad, ensemble)
+            with pytest.raises(ValidationError):
+                predict_label(bad, ensemble)
+
 
 class TestPredictLabel:
     def test_bayes_agreement_on_enumerable_models(self):

@@ -213,6 +213,18 @@ class TestPreprocess:
         assert code == 2
         assert "sidecar_version" in capsys.readouterr().err
 
+    def test_reuse_stats_rejects_sidecar(self, tmp_path, capsys):
+        # --reuse-stats writes no sidecar, so a --sidecar path would be silently ignored
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
+        other = tmp_path / "other.sidecar"
+        code = run("preprocess", str(raw), "--out", str(tmp_path / "x.csv"),
+                   "--reuse-stats", str(tmp_path / "bin.csv.sidecar"), "--sidecar", str(other))
+        assert code == 2
+        assert "--sidecar" in capsys.readouterr().err
+        assert not other.exists() and not (tmp_path / "x.csv").exists()
+
     def test_custom_sidecar_path(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
@@ -418,6 +430,18 @@ class TestSweepAlpha:
         write_raw_csv(raw)
         assert run("sweep-alpha", str(raw), "--alphas", "1/2,banana",
                    "--hidden-units", "2", "--epochs", "1") == 2
+
+    def test_class_without_training_rows_is_usage_error(self, tmp_path, capsys):
+        # class sizes 10/10/4 at fraction 0.2: class 2 floors to 0 training rows
+        raw = tmp_path / "raw.csv"
+        rng = np.random.default_rng(6)
+        labels = np.repeat(np.array([0, 1, 2], dtype=np.int64), [10, 10, 4])
+        save_csv(LabeledDataset(rng.random((24, 5)) + 0.1, labels), raw)
+        code = run("sweep-alpha", str(raw), "--train-fraction", "0.2", "--alphas", "1/2",
+                   "--hidden-units", "2", "--epochs", "1")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "class 2" in captured.err and captured.out == ""
 
     def test_deterministic_table(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

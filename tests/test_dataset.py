@@ -215,6 +215,15 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(ds, SplitSpec(train_fraction=0.5, seed=0))
 
+    def test_class_with_no_training_rows_rejected(self):
+        # floor(4 * 0.2) = 0: class 2 would be missing from the training side
+        labels = np.repeat(np.array([0, 1, 2], dtype=np.int64), [10, 10, 4])
+        ds = LabeledDataset(np.ones((24, 1)), labels, ("a",))
+        with pytest.raises(ValidationError, match="class 2"):
+            split(ds, SplitSpec(train_fraction=0.2, seed=0))
+        train, _ = split(ds, SplitSpec(train_fraction=0.25, seed=0))
+        assert train.class_ids() == [0, 1, 2]
+
     def test_bad_fraction_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValidationError):

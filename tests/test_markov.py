@@ -1,18 +1,10 @@
-"""Markov chain utilities: validation, powers, regularity, equilibrium, Bernoulli draws."""
+"""Markov chain utilities: validation, regularity, equilibrium; the seeded stream."""
 
 import numpy as np
 import pytest
 
 from spectral_rbm.errors import ConvergenceError, ValidationError
-from spectral_rbm.markov import (
-    SeededRng,
-    StateDistribution,
-    TransitionMatrix,
-    bernoulli,
-    equilibrium_vector,
-    is_regular,
-    transition_power,
-)
+from spectral_rbm.markov import SeededRng, TransitionMatrix, equilibrium_vector, is_regular
 
 
 def random_chain(rng, n_states):
@@ -21,20 +13,13 @@ def random_chain(rng, n_states):
     return TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
 
 
-def naive_power(matrix, n):
-    """Triple-loop matrix power, deliberately independent of numpy's matmul."""
-    size = matrix.shape[0]
-    result = np.eye(size)
-    for _ in range(n):
-        nxt = np.zeros((size, size))
-        for i in range(size):
-            for j in range(size):
-                acc = 0.0
-                for k in range(size):
-                    acc += result[i, k] * matrix[k, j]
-                nxt[i, j] = acc
-        result = nxt
-    return result
+def stationary(t, tol, max_iters):
+    """equilibrium_vector, checked to be a float64 probability vector over t's states."""
+    v = equilibrium_vector(t, tol, max_iters)
+    assert v.dtype == np.float64 and v.shape == (t.n_states,)
+    assert np.all(v >= 0.0)
+    assert abs(v.sum() - 1.0) <= 1e-12
+    return v
 
 
 class TestTransitionMatrix:
@@ -72,56 +57,6 @@ class TestTransitionMatrix:
             TransitionMatrix([[0.5 + 1e-9, 0.5], [0.5, 0.5]])
 
 
-class TestStateDistribution:
-    def test_valid(self):
-        d = StateDistribution([0.25, 0.75])
-        np.testing.assert_array_equal(d.probs, [0.25, 0.75])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError):
-            StateDistribution([0.2, 0.2])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            StateDistribution([-0.25, 1.25])
-
-
-class TestTransitionPower:
-    def test_identity_stays_identity(self):
-        t = TransitionMatrix(np.eye(4))
-        got = transition_power(t, 5)
-        np.testing.assert_array_equal(got.entries, np.eye(4))
-
-    def test_two_state_swap_squares_to_identity(self):
-        t = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
-        got = transition_power(t, 2)
-        np.testing.assert_allclose(got.entries, np.eye(2), atol=1e-15)
-
-    def test_matches_naive_triple_loop(self):
-        rng = np.random.default_rng(7)
-        for n_states in (2, 3, 4):
-            t = random_chain(rng, n_states)
-            for n in (1, 2, 3, 4, 7):
-                expected = naive_power(t.entries, n)
-                got = transition_power(t, n)
-                np.testing.assert_allclose(got.entries, expected, atol=1e-12)
-
-    def test_powers_stay_stochastic(self):
-        rng = np.random.default_rng(11)
-        for trial in range(10):
-            t = random_chain(rng, int(rng.integers(2, 7)))
-            got = transition_power(t, int(rng.integers(1, 16)))
-            np.testing.assert_allclose(got.entries.sum(axis=1), 1.0, atol=1e-10)
-            assert np.all(got.entries >= 0.0)
-
-    def test_rejects_power_below_one(self):
-        t = TransitionMatrix(np.eye(2))
-        with pytest.raises(ValidationError):
-            transition_power(t, 0)
-        with pytest.raises(ValidationError):
-            transition_power(t, -3)
-
-
 class TestIsRegular:
     def test_strictly_positive_matrix_is_regular_at_one(self):
         t = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
@@ -150,33 +85,33 @@ class TestIsRegular:
 class TestEquilibriumVector:
     def test_symmetric_two_state(self):
         t = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
-        v = equilibrium_vector(t, 1e-12, 1000)
-        np.testing.assert_allclose(v.probs, [0.5, 0.5], atol=1e-12)
+        v = stationary(t, 1e-12, 1000)
+        np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-12)
 
     def test_two_state_closed_form(self):
         # for [[1-a, a], [b, 1-b]] the stationary vector is [b, a] / (a+b)
         t = TransitionMatrix([[0.9, 0.1], [0.5, 0.5]])
-        v = equilibrium_vector(t, 1e-12, 100_000)
-        np.testing.assert_allclose(v.probs, [5.0 / 6.0, 1.0 / 6.0], atol=1e-10)
+        v = stationary(t, 1e-12, 100_000)
+        np.testing.assert_allclose(v, [5.0 / 6.0, 1.0 / 6.0], atol=1e-10)
 
     def test_residual_bound_holds(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
             t = random_chain(rng, int(rng.integers(2, 8)))
-            v = equilibrium_vector(t, 1e-12, 100_000)
-            residual = np.abs(v.probs @ t.entries - v.probs).max()
+            v = stationary(t, 1e-12, 100_000)
+            residual = np.abs(v @ t.entries - v).max()
             assert residual <= 1e-12
 
     def test_identity_converges_to_uniform(self):
         # uniform is a fixed point of the identity chain, documented degenerate case
         t = TransitionMatrix(np.eye(3))
-        v = equilibrium_vector(t, 1e-12, 10)
-        np.testing.assert_allclose(v.probs, np.full(3, 1.0 / 3.0), atol=1e-15)
+        v = stationary(t, 1e-12, 10)
+        np.testing.assert_allclose(v, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_start_point_does_not_matter_for_regular_chains(self):
         rng = np.random.default_rng(19)
         t = random_chain(rng, 4)
-        v = equilibrium_vector(t, 1e-13, 100_000).probs
+        v = stationary(t, 1e-13, 100_000)
         for trial in range(5):
             raw = rng.random(4) + 0.01
             w = raw / raw.sum()
@@ -199,30 +134,6 @@ class TestEquilibriumVector:
             equilibrium_vector(t, 0.0, 100)
         with pytest.raises(ValidationError):
             equilibrium_vector(t, 1e-12, 0)
-
-
-class TestBernoulli:
-    def test_p_zero_never_fires(self):
-        rng = SeededRng(1)
-        assert all(bernoulli(0.0, rng) == 0 for _ in range(1000))
-
-    def test_p_one_always_fires(self):
-        rng = SeededRng(2)
-        assert all(bernoulli(1.0, rng) == 1 for _ in range(1000))
-
-    def test_mean_within_three_sigma(self):
-        rng = SeededRng(3)
-        n = 10_000
-        p = 0.3
-        mean = sum(bernoulli(p, rng) for _ in range(n)) / n
-        sigma = (p * (1 - p) / n) ** 0.5
-        assert abs(mean - p) <= 3 * sigma
-
-    def test_rejects_out_of_range(self):
-        rng = SeededRng(4)
-        for bad in (-0.1, 1.2, float("nan")):
-            with pytest.raises(ValidationError):
-                bernoulli(bad, rng)
 
 
 class TestSeededRng:

@@ -1,4 +1,4 @@
-"""Preprocessing: row normalization, min/max statistics, threshold binarization."""
+"""Preprocessing: row normalization, min/max statistics, threshold binarization by scope."""
 
 import numpy as np
 import pytest
@@ -8,55 +8,61 @@ from spectral_rbm.preprocess import (
     BinarizationRule,
     Scope,
     binarize,
+    binarize_dataset,
     l2_normalize,
     minmax,
     normalize_rows,
-    preprocess_pipeline,
 )
 
 
 class TestL2Normalize:
+    """normalize_rows, and l2_normalize as its single-row wrapper."""
+
     def test_three_four_five_triangle(self):
+        np.testing.assert_array_equal(normalize_rows([[3.0, 4.0], [0.0, 2.0]]), [[0.6, 0.8], [0.0, 1.0]])
         np.testing.assert_array_equal(l2_normalize([3.0, 4.0]), [0.6, 0.8])
 
     def test_unit_vector_unchanged(self):
-        v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(l2_normalize(v), v, atol=1e-15)
+        np.testing.assert_allclose(normalize_rows(np.eye(3)), np.eye(3), atol=1e-15)
 
     def test_result_has_unit_norm(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
-            v = rng.standard_normal(int(rng.integers(1, 50))) * 10.0
-            if np.all(v == 0.0):
-                continue
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-12
+            matrix = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 50)))) * 10.0
+            norms = np.linalg.norm(normalize_rows(matrix), axis=1)
+            assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        v = rng.random(30) + 0.1
-        once = l2_normalize(v)
-        np.testing.assert_allclose(l2_normalize(once), once, atol=1e-14)
+        matrix = rng.random((4, 30)) + 0.1
+        once = normalize_rows(matrix)
+        np.testing.assert_allclose(normalize_rows(once), once, atol=1e-14)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(2)
-        v = rng.standard_normal(12)
-        for k in (0.001, 3.0, 1e6):
-            np.testing.assert_allclose(l2_normalize(k * v), l2_normalize(v), atol=1e-12)
+        matrix = rng.standard_normal((3, 12))
+        scales = np.array([0.001, 3.0, 1e6])[:, None]
+        np.testing.assert_allclose(normalize_rows(scales * matrix), normalize_rows(matrix), atol=1e-12)
 
     def test_direction_preserved(self):
-        v = np.array([2.0, -1.0, 2.0])
-        out = l2_normalize(v)
-        np.testing.assert_allclose(out * np.linalg.norm(v), v, atol=1e-12)
+        matrix = np.array([[2.0, -1.0, 2.0], [0.0, -4.0, 3.0]])
+        out = normalize_rows(matrix)
+        np.testing.assert_allclose(out * np.linalg.norm(matrix, axis=1)[:, None], matrix, atol=1e-12)
 
     def test_zero_row_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            normalize_rows(np.zeros((1, 5)))
         with pytest.raises(DegenerateInputError):
             l2_normalize(np.zeros(5))
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValidationError):
-            l2_normalize(np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
-            l2_normalize(np.zeros(0))
+        for bad in (np.zeros(3), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValidationError):
+                normalize_rows(bad)
+        # the wrapper relies on the batch function's 2-d check
+        for bad in (np.zeros((2, 2)), np.zeros(0), 5.0):
+            with pytest.raises(ValidationError):
+                l2_normalize(bad)
 
 
 class TestNormalizeRows:
@@ -64,8 +70,8 @@ class TestNormalizeRows:
         rng = np.random.default_rng(3)
         matrix = rng.random((6, 8)) + 0.05
         got = normalize_rows(matrix)
-        for i in range(6):
-            np.testing.assert_allclose(got[i], l2_normalize(matrix[i]), atol=1e-15)
+        for i, row in enumerate(matrix):
+            np.testing.assert_allclose(got[i], row / np.sqrt(row @ row), atol=1e-15)
 
     def test_names_the_zero_row(self):
         matrix = np.ones((4, 3))
@@ -174,26 +180,74 @@ class TestBinarizationRule:
 
 
 class TestPreprocessPipeline:
+    """normalize_rows then binarize_dataset, the library's preprocessing pipeline."""
+
     def test_two_entry_row(self):
         # [3, 4] normalizes to [0.6, 0.8]; threshold 0.7 cuts between them
-        got = preprocess_pipeline(np.array([[3.0, 4.0]]), BinarizationRule(0.5))
+        got, stats = binarize_dataset(normalize_rows([[3.0, 4.0]]), [0], BinarizationRule(0.5))
         np.testing.assert_array_equal(got, [[0.0, 1.0]])
+        assert stats == [("min", 0.6), ("max", 0.8), ("class.0.min", 0.6), ("class.0.max", 0.8)]
 
     def test_alpha_near_one_keeps_the_maximum(self):
         rng = np.random.default_rng(9)
+        labels = np.array([0, 1, 0, 1, 0, 1])
         for trial in range(10):
             matrix = rng.random((6, 7)) + 0.01
-            got = preprocess_pipeline(matrix, BinarizationRule(0.99))
-            assert got.sum() >= 1.0
+            for scope in Scope:
+                got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(0.99, scope))
+                assert got.sum() >= 1.0
+            # per class, each class block keeps its own maximum
+            got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(0.99))
+            assert got[labels == 0].sum() >= 1.0 and got[labels == 1].sum() >= 1.0
 
     def test_propagates_zero_row_error(self):
         matrix = np.ones((3, 4))
         matrix[1] = 0.0
         with pytest.raises(DegenerateInputError):
-            preprocess_pipeline(matrix, BinarizationRule(0.5))
+            binarize_dataset(normalize_rows(matrix), [0, 1, 0], BinarizationRule(0.5))
 
     def test_output_binary(self):
         rng = np.random.default_rng(10)
         matrix = rng.random((12, 9)) + 0.01
-        got = preprocess_pipeline(matrix, BinarizationRule(2.0 / 5.0))
-        assert np.all((got == 0.0) | (got == 1.0))
+        labels = np.arange(12) % 3
+        for scope in Scope:
+            got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(2.0 / 5.0, scope))
+            assert np.all((got == 0.0) | (got == 1.0))
+
+
+class TestBinarizeDataset:
+    def test_per_matrix_cuts_each_class_against_its_own_statistics(self):
+        rng = np.random.default_rng(11)
+        matrix = rng.random((10, 4))
+        matrix[1::2] *= 3.0
+        labels = np.arange(10) % 2
+        rule = BinarizationRule(0.4)
+        got, stats = binarize_dataset(matrix, labels, rule)
+        expected_stats = [("min", minmax(matrix)[0]), ("max", minmax(matrix)[1])]
+        for c in (0, 1):
+            lo, hi = minmax(matrix[labels == c])
+            np.testing.assert_array_equal(got[labels == c], binarize(matrix[labels == c], rule, lo, hi))
+            expected_stats += [(f"class.{c}.min", lo), (f"class.{c}.max", hi)]
+        assert stats == expected_stats
+
+    def test_global_cuts_every_row_against_the_pooled_statistics(self):
+        rng = np.random.default_rng(12)
+        matrix = rng.random((9, 5))
+        labels = np.arange(9) % 3
+        rule = BinarizationRule(0.6, Scope.GLOBAL)
+        lo, hi = minmax(matrix)
+        got, stats = binarize_dataset(matrix, labels, rule)
+        np.testing.assert_array_equal(got, binarize(matrix, rule, lo, hi))
+        assert stats == [("min", lo), ("max", hi)]
+
+    def test_class_statistics_follow_ascending_class_ids(self):
+        matrix = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        _, stats = binarize_dataset(matrix, np.array([5, 2, 5, 2]), BinarizationRule(0.5))
+        assert [key for key, _ in stats] == [
+            "min", "max", "class.2.min", "class.2.max", "class.5.min", "class.5.max",
+        ]
+        assert dict(stats)["class.2.min"] == 3.0 and dict(stats)["class.5.max"] == 6.0
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValidationError):
+            binarize_dataset(np.ones((3, 2)), [0, 1], BinarizationRule(0.5))

@@ -1,4 +1,4 @@
-"""RBM core: energy model, conditionals, sampling, CD-1, free energy, exact oracles."""
+"""RBM core: energy model, conditionals, sampling, CD-1, free energy, exact oracles, Gibbs kernel."""
 
 import itertools
 
@@ -13,13 +13,13 @@ from spectral_rbm.rbm import (
     TrainConfig,
     cd1,
     energy,
+    exact_gibbs_kernel,
     exact_log_likelihood,
     exact_log_partition_function,
     exact_partition_function,
     free_energy,
     free_energy_batch,
     hidden_probs,
-    reconstruction_error,
     sample_bits,
     sigmoid,
     train_rbm,
@@ -409,26 +409,41 @@ class TestExactLogLikelihood:
             exact_log_likelihood(np.zeros((1, 20)), params)
 
 
-class TestReconstructionError:
-    def test_saturated_model_reconstructs_exactly(self):
-        m = 4
-        params = RbmParams(60.0 * np.eye(m), np.full(m, -30.0), np.full(m, -30.0))
-        v = np.array([1.0, 0.0, 1.0, 1.0])
-        err = reconstruction_error(v, params, SeededRng(19))
-        assert err <= 1e-20
+class TestExactGibbsKernel:
+    def test_matches_joint_enumeration(self):
+        # both conditionals read off the joint weights exp(-E(v, h)) by brute force
+        rng = np.random.default_rng(23)
+        for trial in range(5):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            params = random_params(rng, m, n)
+            joint = np.array([
+                [np.exp(-energy_oracle(v, h, params)) for h in all_bit_vectors(n)]
+                for v in all_bit_vectors(m)
+            ])
+            h_given_v = joint / joint.sum(axis=1, keepdims=True)
+            v_given_h = (joint / joint.sum(axis=0, keepdims=True)).T
+            np.testing.assert_allclose(exact_gibbs_kernel(params), h_given_v @ v_given_h, atol=1e-12)
 
-    def test_zero_params_give_quarter_per_unit(self):
-        params = RbmParams(np.zeros((4, 2)), np.zeros(4), np.zeros(2))
-        err = reconstruction_error(np.zeros(4), params, SeededRng(20))
-        assert err == 1.0  # four units, each (0 - 0.5)^2
+    def test_rows_are_distributions(self):
+        rng = np.random.default_rng(24)
+        kernel = exact_gibbs_kernel(random_params(rng, 4, 3, scale=3.0))
+        assert kernel.shape == (16, 16) and np.all(kernel >= 0.0)
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-12
 
-    def test_nonnegative(self):
-        rng_np = np.random.default_rng(21)
-        params = random_params(rng_np, 5, 3)
-        rng = SeededRng(22)
-        for _ in range(20):
-            v = (rng_np.random(5) < 0.5).astype(float)
-            assert reconstruction_error(v, params, rng) >= 0.0
+    def test_model_marginal_is_stationary(self):
+        rng = np.random.default_rng(25)
+        for trial in range(5):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            params = random_params(rng, m, n)
+            rows = np.array(all_bit_vectors(m))
+            marginal = np.exp(-free_energy_batch(rows, params) - exact_log_partition_function(params))
+            np.testing.assert_allclose(marginal @ exact_gibbs_kernel(params), marginal, atol=1e-12)
+
+    def test_size_guard(self):
+        # m + n = 13 is enumerable, but the kernel walks 2**(2m + n) triples
+        params = RbmParams(np.zeros((12, 1)), np.zeros(12), np.zeros(1))
+        with pytest.raises(SizeLimitError, match="2m \\+ n"):
+            exact_gibbs_kernel(params)
 
 
 class TestTrainConfig:
