@@ -220,9 +220,13 @@ def split(ds, spec):
 
     Stratified mode shuffles each class with the seeded rng (classes
     visited in sorted order) and sends the first floor(count * fraction)
-    rows to train, the remainder to test. A class needs at least one row
-    on each side, so a share that floors to 0 is a ValidationError naming
-    the class. Row order within each side follows the original dataset.
+    rows to train, the remainder to test. Unstratified mode shuffles all
+    rows at once and sends the first floor(count * fraction) to train.
+    Every class needs a training row, so a class left without one (a
+    stratified share that floors to 0, or an unstratified draw that misses
+    the class) is a ValidationError naming the class. The test side is
+    never empty: fraction < 1 gives floor(count * fraction) < count. Row
+    order within each side follows the original dataset.
     """
     if ds.sample_count == 0:
         raise ValidationError("cannot split an empty dataset")
@@ -236,9 +240,6 @@ def split(ds, spec):
                     f"stratified split needs >= 2 samples per class, class {c} has {idx.size}"
                 )
             take = math.floor(idx.size * spec.train_fraction)
-            if take == 0:
-                raise ValidationError(f"train_fraction {spec.train_fraction} leaves class {c} "
-                                      f"no training rows (it has {idx.size})")
             shuffled = idx[rng.permutation(idx.size)]
             picked.append(shuffled[:take])
     else:
@@ -246,6 +247,12 @@ def split(ds, spec):
         take = math.floor(ds.sample_count * spec.train_fraction)
         picked.append(shuffled[:take])
     train_idx = np.sort(np.concatenate(picked))
+    missing = np.setdiff1d(ds.labels, ds.labels[train_idx])
+    if missing.size:
+        c = missing[0]
+        raise ValidationError(f"train_fraction {spec.train_fraction} with seed {spec.seed} leaves "
+                              f"class {c} no training rows (it has {int((ds.labels == c).sum())}; "
+                              f"{train_idx.size} of {ds.sample_count} rows train)")
     mask = np.zeros(ds.sample_count, dtype=bool)
     mask[train_idx] = True
     return ds.subset(train_idx), ds.subset(np.flatnonzero(~mask))

@@ -13,7 +13,11 @@ Conventions used throughout:
 Training is plain online CD-1 with momentum and L2 weight decay; one
 update per data row, rows visited in order. All stochastic choices flow
 through a SeededRng created from TrainConfig.seed, so a config determines
-the trained model bit for bit.
+the trained model bit for bit. The chain itself (p1, h1, v2, p2 from given
+uniforms) is written once, in _chain_step, which both cd1 and train_rbm's
+loop call; the loop draws its uniforms a block of rows at a time, in the
+same order cd1 would, and checks that the parameters are finite after
+every update.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
@@ -23,6 +27,7 @@ transition matrix of the block-Gibbs chain CD-1 takes one step of.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -46,6 +51,10 @@ _LOG1P_EXP_CUTOFF = 30.0
 
 # epochs and hidden_units are stored as uint32 in RBM1 blocks.
 UINT32_MAX = 2**32 - 1
+
+# Most uniforms train_rbm draws in one call (512 KiB of float64); a block
+# holds as many whole rows' draws as fit, and at least one row's.
+_UNIFORM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -139,18 +148,23 @@ def is_binary(arr):
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), overflow-safe across float64.
 
-    Scalars in, float out; arrays in, array out. The two-branch form never
-    exponentiates a positive argument, so |x| in the hundreds is fine.
+    Scalars in, float out; arrays in, array out.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(np.asarray(x, dtype=float))
     if np.ndim(x) == 0:
-        return float(out[0])
+        return float(out)
     return out
+
+
+def _logistic(x):
+    """sigmoid of a float64 array.
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    below, the same operations as the two-branch form, so no positive
+    argument is exponentiated and +-inf map to exactly 1 and 0.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _log1p_exp(x):
@@ -208,6 +222,34 @@ def sample_bits(probs, rng):
     return (rng.uniforms(p.size) < p).astype(float)
 
 
+def _check_probabilities(p):
+    """sample_bits' refusal of a NaN probability, at the cost of one sum.
+
+    _logistic's outputs lie in [0, 1] or are NaN, and a sum of such values
+    is NaN exactly when one of them is.
+    """
+    if math.isnan(p.sum()):
+        raise ValidationError("probabilities must lie in [0, 1]")
+
+
+def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
+    """One CD-1 chain from data row v1, sampling with the given uniforms.
+
+    p1 = p(h|v1), h1 = [u_hidden < p1], v2 = [u_visible < p(v|h1)],
+    p2 = p(h|v2); returns (p1, v2, p2). Raises ValidationError, as
+    sample_bits would, when a probability it samples from is NaN (finite
+    parameters can still overflow a pre-activation to inf - inf).
+    """
+    p1 = _logistic(hidden_bias + v1 @ weights)
+    _check_probabilities(p1)
+    h1 = (u_hidden < p1).astype(float)
+    pv = _logistic(visible_bias + weights @ h1)
+    _check_probabilities(pv)
+    v2 = (u_visible < pv).astype(float)
+    p2 = _logistic(hidden_bias + v2 @ weights)
+    return p1, v2, p2
+
+
 def cd1(v1, params, rng):
     """Single-step contrastive divergence gradient estimate at one data row.
 
@@ -217,15 +259,45 @@ def cd1(v1, params, rng):
     applies the learning rate. Consumes n then m uniforms from rng.
     """
     v1 = _as_vector(v1, params.num_visible, "visible vector")
-    p1 = hidden_probs(v1, params)
-    h1 = sample_bits(p1, rng)
-    v2 = sample_bits(visible_probs(h1, params), rng)
-    p2 = hidden_probs(v2, params)
+    u_hidden = rng.uniforms(params.num_hidden)
+    u_visible = rng.uniforms(params.num_visible)
+    p1, v2, p2 = _chain_step(
+        v1, params.weights, params.visible_bias, params.hidden_bias, u_hidden, u_visible
+    )
     return GradientEstimate(
         d_weights=np.outer(v1, p1) - np.outer(v2, p2),
         d_visible_bias=v1 - v2,
         d_hidden_bias=p1 - p2,
     )
+
+
+def _weight_gradient(out, v1, p1, v2, p2):
+    """outer(v1, p1) - outer(v2, p2) written into out, bit for bit, for 0/1 rows.
+
+    A 1 row of the outer product is the probability vector itself and a 0
+    row is +0, so row writes give the same values without the products.
+    A NaN in p2 spreads over its whole column in the outer product but only
+    over the 1 rows here, so that case takes the outer product itself.
+    """
+    if math.isnan(p2.sum()):
+        return np.subtract(np.outer(v1, p1), np.outer(v2, p2), out=out)
+    out.fill(0.0)
+    out[v1 == 1.0] = p1
+    out[v2 == 1.0] -= p2
+    return out
+
+
+def _all_finite(weights, visible_bias, hidden_bias):
+    """True iff every entry of the three parameter arrays is finite.
+
+    A NaN or inf entry always makes the total non-finite, so a finite total
+    settles it with three sums. A non-finite total can also be an overflow
+    of finite entries, so only then are the entries scanned. Run it under
+    np.errstate(over="ignore", invalid="ignore"), as train_rbm does.
+    """
+    if math.isfinite(weights.sum() + visible_bias.sum() + hidden_bias.sum()):
+        return True
+    return all(np.all(np.isfinite(a)) for a in (weights, visible_bias, hidden_bias))
 
 
 def train_rbm(data, config):
@@ -239,8 +311,11 @@ def train_rbm(data, config):
 
     with L2 weight decay folded into the weight gradient only. The RNG is
     seeded from config.seed and consumed in a fixed order (the init draw,
-    then per row n + m uniforms), so identical inputs give bit-identical
-    parameters.
+    then per row n + m uniforms, exactly what cd1 draws), so identical
+    inputs give bit-identical parameters. The per-row uniforms are drawn a
+    block of rows at a time, which leaves the stream unchanged. Parameters
+    are checked after every update: the first one that leaves an entry
+    non-finite raises ConvergenceError with the parameters as last_iterate.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] == 0:
@@ -248,7 +323,7 @@ def train_rbm(data, config):
     if not is_binary(data):
         raise ValidationError("training data entries must all be 0 or 1")
 
-    m = data.shape[1]
+    rows, m = data.shape
     n = config.hidden_units
     rng = SeededRng(config.seed)
     params = RbmParams(
@@ -256,28 +331,38 @@ def train_rbm(data, config):
         visible_bias=np.zeros(m),
         hidden_bias=np.zeros(n),
     )
-    vel_w = np.zeros((m, n))
-    vel_c = np.zeros(m)
-    vel_b = np.zeros(n)
+    w, c, b = params.weights, params.visible_bias, params.hidden_bias
+    lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
+    vel_w, vel_c, vel_b = np.zeros((m, n)), np.zeros(m), np.zeros(n)
+    d_w, decay_w, d_c, d_b = np.empty((m, n)), np.empty((m, n)), np.empty(m), np.empty(n)
 
+    updates = config.epochs * rows
+    block_rows = max(1, _UNIFORM_BLOCK // (n + m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            for row in data:
-                grad = cd1(row, params, rng)
-                vel_w = config.momentum * vel_w + config.learning_rate * (
-                    grad.d_weights - config.weight_decay * params.weights
-                )
-                vel_c = config.momentum * vel_c + config.learning_rate * grad.d_visible_bias
-                vel_b = config.momentum * vel_b + config.learning_rate * grad.d_hidden_bias
-                params.weights += vel_w
-                params.visible_bias += vel_c
-                params.hidden_bias += vel_b
-                # parameters must stay finite after every update step
-                if not (
-                    np.all(np.isfinite(params.weights))
-                    and np.all(np.isfinite(params.visible_bias))
-                    and np.all(np.isfinite(params.hidden_bias))
-                ):
+        for start in range(0, updates, block_rows):
+            uniforms = rng.uniforms(min(block_rows, updates - start) * (n + m)).reshape(-1, n + m)
+            for t, u in enumerate(uniforms, start):
+                v1 = data[t % rows]
+                p1, v2, p2 = _chain_step(v1, w, c, b, u[:n], u[n:])
+                # the rounding steps of velocity = momentum * velocity + lr * (gradient - decay * w)
+                _weight_gradient(d_w, v1, p1, v2, p2)
+                np.multiply(decay, w, out=decay_w)
+                d_w -= decay_w
+                d_w *= lr
+                vel_w *= momentum
+                vel_w += d_w
+                np.subtract(v1, v2, out=d_c)
+                d_c *= lr
+                vel_c *= momentum
+                vel_c += d_c
+                np.subtract(p1, p2, out=d_b)
+                d_b *= lr
+                vel_b *= momentum
+                vel_b += d_b
+                w += vel_w
+                c += vel_c
+                b += vel_b
+                if not _all_finite(w, c, b):
                     raise ConvergenceError(
                         "training diverged to non-finite parameters", last_iterate=params
                     )

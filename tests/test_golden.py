@@ -41,3 +41,14 @@ def test_reference_point_ensemble_bytes():
     train_ds, _ = split(ds, SplitSpec(train_fraction=0.5, seed=0))
     ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=0), OffsetFitConfig())
     assert digest(ensemble) == REFERENCE_DIGEST
+
+
+# cli-spectra's training shape: 500 visible and 100 hidden units, 1 epoch;
+# 300 rows per class need 180 000 uniforms, several of train_rbm's draw blocks
+SPECTRA_SHAPE_DIGEST = "c6933ff1f876e81bd43e211138fa639b77b1009dabe644269c4db32a12fd1c84"
+
+
+def test_spectra_shape_ensemble_bytes():
+    ds = synth_generate(SynthSpec(classes=3, samples_per_class=300, dim=500, noise=0.1, seed=4))
+    ensemble = train_ensemble(ds.class_matrices(), TrainConfig(hidden_units=100, epochs=1, seed=4))
+    assert digest(ensemble) == SPECTRA_SHAPE_DIGEST

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from spectral_rbm.errors import SizeLimitError, ValidationError
+from spectral_rbm import rbm
+from spectral_rbm.errors import ConvergenceError, SizeLimitError, ValidationError
 from spectral_rbm.markov import SeededRng
 from spectral_rbm.rbm import (
     GradientEstimate,
@@ -77,6 +78,24 @@ class TestSigmoid:
         out = sigmoid(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert abs(out[0] + out[2] - 1.0) <= 1e-15
+
+    def test_matches_two_branch_form_bit_for_bit(self):
+        # 1 / (1 + exp(-x)) on x >= 0, exp(x) / (1 + exp(x)) below
+        x = np.concatenate([
+            np.random.default_rng(30).standard_normal(10_000) * 40.0,
+            [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf],
+        ])
+        pos = x >= 0.0
+        want = np.empty_like(x)
+        with np.errstate(over="ignore"):
+            want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        got = sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+        assert sigmoid(-np.inf) == 0.0 and sigmoid(np.inf) == 1.0
+        assert np.isnan(sigmoid(np.nan))
+        assert type(sigmoid(-0.0)) is float and sigmoid(-0.0) == 0.5
 
 
 class TestEnergy:
@@ -473,6 +492,34 @@ class TestTrainConfig:
             TrainConfig(init_weight_scale=0.0)
 
 
+def replay(data, config):
+    """Online CD-1 stepped by hand through public cd1, stopping at the first non-finite update.
+
+    Returns (weights, visible_bias, hidden_bias) after the last update made, and how
+    many updates that was.
+    """
+    twin = SeededRng(config.seed)
+    weights = twin.normals((data.shape[1], config.hidden_units)) * config.init_weight_scale
+    vbias = np.zeros(data.shape[1])
+    hbias = np.zeros(config.hidden_units)
+    vel_w, vel_c, vel_b = np.zeros_like(weights), np.zeros_like(vbias), np.zeros_like(hbias)
+    lr, mom, wd = config.learning_rate, config.momentum, config.weight_decay
+    updates = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in itertools.chain.from_iterable([data] * config.epochs):
+            grad = cd1(row, RbmParams(weights.copy(), vbias.copy(), hbias.copy()), twin)
+            vel_w = mom * vel_w + lr * (grad.d_weights - wd * weights)
+            vel_c = mom * vel_c + lr * grad.d_visible_bias
+            vel_b = mom * vel_b + lr * grad.d_hidden_bias
+            weights = weights + vel_w
+            vbias = vbias + vel_c
+            hbias = hbias + vel_b
+            updates += 1
+            if not all(np.all(np.isfinite(a)) for a in (weights, vbias, hbias)):
+                break
+    return (weights, vbias, hbias), updates
+
+
 class TestTrainRbm:
     def test_single_update_matches_hand_stepped_oracle(self):
         """One row, one epoch: replay the rng and apply the update rule by hand."""
@@ -531,9 +578,34 @@ class TestTrainRbm:
                 hbias = hbias + vel_b
 
         got = train_rbm(rows, config)
-        np.testing.assert_allclose(got.weights, weights, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(got.visible_bias, vbias, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(got.hidden_bias, hbias, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(got.weights, weights)
+        np.testing.assert_array_equal(got.visible_bias, vbias)
+        np.testing.assert_array_equal(got.hidden_bias, hbias)
+
+    def test_replay_across_uniform_blocks_is_bit_equal(self):
+        """Step cd1 by hand over more rows than one block of uniforms holds."""
+        m, n = 120, 40
+        rows = rbm._UNIFORM_BLOCK // (n + m) + 7
+        data = (np.random.default_rng(32).random((rows, m)) < 0.3).astype(float)
+        config = TrainConfig(epochs=2, hidden_units=n, seed=33, init_weight_scale=0.1)
+        (weights, vbias, hbias), _ = replay(data, config)
+        got = train_rbm(data, config)
+        assert got.weights.tobytes() == weights.tobytes()
+        assert got.visible_bias.tobytes() == vbias.tobytes()
+        assert got.hidden_bias.tobytes() == hbias.tobytes()
+
+    def test_divergence_stops_at_the_first_non_finite_update(self):
+        data = (np.random.default_rng(31).random((6, 5)) < 0.5).astype(float)
+        config = TrainConfig(learning_rate=1e100, momentum=0.9, epochs=4, hidden_units=4, seed=5)
+        (weights, vbias, hbias), updates = replay(data, config)
+        assert updates == 4  # partway through the first epoch
+        with pytest.raises(ConvergenceError) as info:
+            train_rbm(data, config)
+        got = info.value.last_iterate
+        assert np.array_equal(got.weights, weights, equal_nan=True)
+        assert np.array_equal(got.visible_bias, vbias, equal_nan=True)
+        assert np.array_equal(got.hidden_bias, hbias, equal_nan=True)
+        assert not np.all(np.isfinite(got.weights))
 
     def test_learns_the_all_ones_pattern(self):
         data = np.ones((30, 5))
@@ -574,6 +646,56 @@ class TestTrainRbm:
             train_rbm(np.array([[0.0, 0.5, 1.0]]), config)
         with pytest.raises(ValidationError):
             train_rbm(np.zeros(3), config)
+
+
+class TestTrainingInternals:
+    def test_weight_gradient_is_the_outer_product_difference_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        out = np.empty((7, 5))
+        for _ in range(200):
+            v1, v2 = (rng.random((2, 7)) < rng.random()).astype(float)
+            p1, p2 = rng.random((2, 5))
+            p1[rng.random(5) < 0.2] = 0.0
+            p2[rng.random(5) < 0.2] = 1.0
+            want = np.outer(v1, p1) - np.outer(v2, p2)
+            assert rbm._weight_gradient(out, v1, p1, v2, p2).tobytes() == want.tobytes()
+
+    def test_weight_gradient_spreads_a_nan_like_the_outer_product(self):
+        v1 = np.array([1.0, 0.0, 1.0])
+        v2 = np.array([0.0, 1.0, 0.0])
+        p1 = np.array([0.2, 0.7])
+        p2 = np.array([np.nan, 0.4])
+        with np.errstate(invalid="ignore"):
+            want = np.outer(v1, p1) - np.outer(v2, p2)
+            got = rbm._weight_gradient(np.empty((3, 2)), v1, p1, v2, p2)
+        assert np.isnan(got[:, 0]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("where", ["weights", "visible_bias", "hidden_bias"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_finite_guard_catches_every_non_finite_entry(self, where, bad):
+        arrays = {"weights": np.zeros((3, 2)), "visible_bias": np.zeros(3), "hidden_bias": np.zeros(2)}
+        arrays[where].flat[-1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not rbm._all_finite(**arrays)
+
+    def test_finite_guard_accepts_finite_entries_whose_sum_overflows(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rbm._all_finite(np.full((2, 2), 1e308), np.full(3, -1e308), np.zeros(2))
+            assert rbm._all_finite(np.zeros((2, 2)), np.full(4, 1e308), np.full(2, -1e308))
+
+    @pytest.mark.parametrize("nan_in", ["weights", "hidden_bias", "visible_bias"])
+    def test_chain_step_refuses_a_nan_probability_like_sample_bits(self, nan_in):
+        m, n = 4, 3
+        arrays = {"weights": np.zeros((m, n)), "visible_bias": np.zeros(m), "hidden_bias": np.zeros(n)}
+        if nan_in == "weights":
+            arrays["weights"][:, 1] = np.nan  # a weight column: p1[1] is NaN
+        else:
+            arrays[nan_in][2] = np.nan  # p1[2] is NaN, or p1 is finite and p(v|h1)[2] is NaN
+        with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
+            rbm._chain_step(np.ones(m), **arrays, u_hidden=np.full(n, 0.5), u_visible=np.full(m, 0.5))
+        with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
+            sample_bits(np.array([0.5, np.nan]), SeededRng(0))
 
 
 class TestRbmParamsValidation:
