@@ -4,12 +4,12 @@ The package trains one restricted Boltzmann machine per class with
 single-step contrastive divergence, then classifies by comparing class
 free energies through fitted soft-max offsets. Around that core it ships
 the full pipeline: row normalization and threshold binarization, labeled
-CSV handling, stratified splitting, a synthetic dataset generator,
-evaluation metrics, and a reproducible command-line driver.
+CSV handling, per-class (stratified) splitting, a synthetic dataset
+generator, evaluation metrics, and a reproducible command-line driver.
 
 The top level exports the pipeline, the exact small-model oracles and the
-error types. The pieces of the sampler (cd1, sample_bits, the
-conditionals, SeededRng, the chain utilities) stay in their submodules.
+error types. The pieces of the sampler (cd1, sigmoid, the conditionals,
+SeededRng, the chain utilities) stay in their submodules.
 """
 
 from .classifier import (
@@ -27,7 +27,7 @@ from .preprocess import (
 )
 from .rbm import (
     RbmParams, TrainConfig, energy, exact_gibbs_kernel, exact_log_likelihood,
-    exact_log_partition_function, exact_partition_function, free_energy_batch, train_rbm,
+    exact_log_partition_function, free_energy_batch, train_rbm,
 )
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "split", "synth_generate", "train_ensemble", "train_rbm",
     # exact small-model oracles
     "energy", "exact_gibbs_kernel", "exact_log_likelihood", "exact_log_partition_function",
-    "exact_partition_function",
     # errors
     "ConvergenceError", "CsvParseError", "DegenerateInputError", "FormatError",
     "MissingColumnError", "SizeLimitError", "ValidationError",

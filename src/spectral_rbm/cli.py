@@ -9,7 +9,8 @@ Subcommands:
 * ``sweep-alpha`` run preprocess/split/train/evaluate across alpha values
 
 Every option can also come from a ``--config`` key=value file; explicit
-flags win over the file, the file wins over built-in defaults. Commands
+flags win over the file, the file wins over built-in defaults, and a key
+the command does not read is refused like an unknown flag. Commands
 that write files also write a ``<output>.manifest`` recording the exact
 command, effective configuration, input digests, and outputs. Manifests
 carry a timestamp; all data outputs themselves are byte-deterministic
@@ -66,8 +67,7 @@ _CLI_DEFAULTS = {
     "label_column": "label",
 }
 
-# Option keys that differ from their dataclass field's name; None means the
-# field is not an option and keeps its default.
+# Option keys that differ from their dataclass field's name.
 _OPTION_KEYS = {
     OffsetFitConfig: {
         "learning_rate": "fit_learning_rate",
@@ -75,7 +75,7 @@ _OPTION_KEYS = {
         "tolerance": "fit_tolerance",
     },
     SynthSpec: {"samples_per_class": "per_class"},
-    SplitSpec: {"seed": "split_seed", "stratified": None},
+    SplitSpec: {"seed": "split_seed"},
 }
 
 # Extra flag spellings, by option key.
@@ -101,7 +101,7 @@ def _parse_scope(name):
 
 
 def _read_kv_file(path):
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored, a repeated key refused."""
     pairs = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -111,7 +111,10 @@ def _read_kv_file(path):
             if "=" not in line:
                 raise FormatError(f"{path}: line {line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in pairs:
+                raise FormatError(f"{path}: line {line_no}: key {key!r} repeated")
+            pairs[key] = value.strip()
     return pairs
 
 
@@ -124,13 +127,11 @@ def _parse(kind, text, path, key):
 
 
 def _dataclass_options(cls):
-    """(option key, field, field type) for every field of cls that is an option."""
+    """(option key, field, field type) for every field of cls."""
     types = typing.get_type_hints(cls)
     keys = _OPTION_KEYS.get(cls, {})
     for f in dataclasses.fields(cls):
-        key = keys.get(f.name, f.name)
-        if key is not None:
-            yield key, f, types[f.name]
+        yield keys.get(f.name, f.name), f, types[f.name]
 
 
 def _add_dataclass_options(parser, *classes):
@@ -166,6 +167,13 @@ class _Options:
         return cls(**{
             f.name: self._resolve(key, kind, f.default) for key, f, kind in _dataclass_options(cls)
         })
+
+    def refuse_unread(self):
+        """Refuse a config file key that no option resolved so far has read."""
+        unread = [key for key in self._file if key not in self.effective]
+        if unread:
+            raise FormatError(f"{self._config_path}: key {unread[0]!r} is not an option this "
+                              "command reads")
 
 
 def _fmt(value):
@@ -209,7 +217,9 @@ def _require_binary_features(ds, source):
 
 def _cmd_synth(args, argv):
     opts = _Options(args)
-    ds = synth_generate(opts.build(SynthSpec))
+    spec = opts.build(SynthSpec)
+    opts.refuse_unread()
+    ds = synth_generate(spec)
     save_csv(ds, args.out)
     _write_manifest(
         f"{args.out}.manifest", "synth", argv, opts.effective,
@@ -231,6 +241,7 @@ def _cmd_preprocess(args, argv):
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
             raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
                                   "reads its statistics from the given sidecar and writes none")
+        opts.refuse_unread()
         stats = _read_kv_file(args.reuse_stats)
         for key in ("sidecar_version", "alpha", "min", "max"):
             if key not in stats:
@@ -261,6 +272,7 @@ def _cmd_preprocess(args, argv):
     alpha = _parse_alpha(opts.get("alpha"))
     scope_token = opts.get("scope")
     scope = _parse_scope(scope_token)
+    opts.refuse_unread()
     rule = BinarizationRule(alpha, scope)
     binary, stats = binarize_dataset(normalized, ds.labels, rule)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
@@ -291,6 +303,7 @@ def _cmd_train(args, argv):
     label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
+    opts.refuse_unread()
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
     ensemble = train_ensemble(ds.class_matrices(), config, fit)
@@ -311,6 +324,7 @@ def _cmd_train(args, argv):
 def _cmd_evaluate(args, argv):
     opts = _Options(args)
     label_column = opts.get("label_column")
+    opts.refuse_unread()
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test, label_column)
     if ds.sample_count == 0:
@@ -346,6 +360,7 @@ def _cmd_sweep_alpha(args, argv):
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
+    opts.refuse_unread()
     ds = load_csv(args.input, label_column)
     if ds.sample_count == 0:
         raise ValidationError(f"{args.input}: no data rows to sweep")

@@ -1,10 +1,10 @@
 """Labeled datasets: CSV round trips, stratified splitting, synthetic generation.
 
-CSV layout is a header row naming every column, one column holding integer
-class labels (named "label" unless told otherwise), every other column a
-finite real feature. Values are written with shortest-round-trip float
-formatting, so save followed by load reproduces the array exactly; whole
-numbers are written without a decimal point.
+CSV layout is a header row naming every column once, one column holding
+integer class labels (named "label" unless told otherwise), every other
+column a finite real feature. Values are written with shortest-round-trip
+float formatting, so save followed by load reproduces the array exactly;
+whole numbers are written without a decimal point.
 """
 
 from __future__ import annotations
@@ -81,17 +81,14 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/test split: per-class shuffle, floor(count * fraction) to train."""
+    """Stratified train/test split: per-class shuffle, floor(count * fraction) to train."""
 
     train_fraction: float = 0.5
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         check_real("train_fraction", self.train_fraction, 0.0, 1.0, lo_open=True, hi_open=True)
         check_int("seed", self.seed, 0, MAX_SEED)
-        if self.stratified not in (True, False):
-            raise ValidationError(f"stratified must be True or False, got {self.stratified!r}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,10 @@ def _format_value(x):
 def load_csv(path, label_column="label"):
     """Read a labeled CSV.
 
-    Raises FileNotFoundError for a missing file, MissingColumnError when
-    the label column is absent, and CsvParseError (naming the 1-based file
-    line and the column) for any cell that does not parse.
+    Raises FileNotFoundError for a missing file, FormatError for a header
+    that names a column twice, MissingColumnError when the label column is
+    absent, and CsvParseError (naming the 1-based file line and the column)
+    for any cell that does not parse.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -147,6 +145,9 @@ def load_csv(path, label_column="label"):
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise FormatError(f"{path}: empty file, expected a header row") from None
+        if len(set(header)) < len(header):
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise FormatError(f"{path}: header names column {name!r} more than once")
         if label_column not in header:
             raise MissingColumnError(
                 f"{path}: label column {label_column!r} not in header {header}"
@@ -216,43 +217,32 @@ def save_csv(ds, path, label_column="label"):
 
 
 def split(ds, spec):
-    """Partition a dataset into train and test halves.
+    """Partition a dataset into train and test halves, class by class.
 
-    Stratified mode shuffles each class with the seeded rng (classes
-    visited in sorted order) and sends the first floor(count * fraction)
-    rows to train, the remainder to test. Unstratified mode shuffles all
-    rows at once and sends the first floor(count * fraction) to train.
-    Every class needs a training row, so a class left without one (a
-    stratified share that floors to 0, or an unstratified draw that misses
-    the class) is a ValidationError naming the class. The test side is
-    never empty: fraction < 1 gives floor(count * fraction) < count. Row
-    order within each side follows the original dataset.
+    Each class is shuffled with the seeded rng (classes visited in sorted
+    order) and its first floor(count * fraction) rows go to train, the
+    remainder to test. A class needs at least 2 rows, and a share that
+    floors to 0 training rows is a ValidationError naming the class. No
+    test share is empty: fraction < 1 gives floor(count * fraction) <
+    count. Row order within each side follows the original dataset.
     """
     if ds.sample_count == 0:
         raise ValidationError("cannot split an empty dataset")
     rng = SeededRng(spec.seed)
     picked = []
-    if spec.stratified:
-        for c in ds.class_ids():
-            idx = np.flatnonzero(ds.labels == c)
-            if idx.size < 2:
-                raise ValidationError(
-                    f"stratified split needs >= 2 samples per class, class {c} has {idx.size}"
-                )
-            take = math.floor(idx.size * spec.train_fraction)
-            shuffled = idx[rng.permutation(idx.size)]
-            picked.append(shuffled[:take])
-    else:
-        shuffled = rng.permutation(ds.sample_count)
-        take = math.floor(ds.sample_count * spec.train_fraction)
+    for c in ds.class_ids():
+        idx = np.flatnonzero(ds.labels == c)
+        if idx.size < 2:
+            raise ValidationError(
+                f"stratified split needs >= 2 samples per class, class {c} has {idx.size}"
+            )
+        take = math.floor(idx.size * spec.train_fraction)
+        if take == 0:
+            raise ValidationError(f"train_fraction {spec.train_fraction} leaves class {c} "
+                                  f"no training rows (it has {idx.size})")
+        shuffled = idx[rng.permutation(idx.size)]
         picked.append(shuffled[:take])
     train_idx = np.sort(np.concatenate(picked))
-    missing = np.setdiff1d(ds.labels, ds.labels[train_idx])
-    if missing.size:
-        c = missing[0]
-        raise ValidationError(f"train_fraction {spec.train_fraction} with seed {spec.seed} leaves "
-                              f"class {c} no training rows (it has {int((ds.labels == c).sum())}; "
-                              f"{train_idx.size} of {ds.sample_count} rows train)")
     mask = np.zeros(ds.sample_count, dtype=bool)
     mask[train_idx] = True
     return ds.subset(train_idx), ds.subset(np.flatnonzero(~mask))

@@ -13,7 +13,7 @@ Conventions used throughout:
 Training is plain online CD-1 with momentum and L2 weight decay; one
 update per data row, rows visited in order. All stochastic choices flow
 through a SeededRng created from TrainConfig.seed, so a config determines
-the trained model bit for bit. The chain itself (p1, h1, v2, p2 from given
+the trained model bit for bit. The chain itself (p1, v2, p2 from given
 uniforms) is written once, in _chain_step, which both cd1 and train_rbm's
 loop call; the loop draws its uniforms a block of rows at a time, in the
 same order cd1 would, and checks that the parameters are finite after
@@ -133,10 +133,12 @@ class GradientEstimate:
     d_hidden_bias: np.ndarray
 
 
-def _as_vector(x, length, name):
+def _as_vector(x, length, name, rows=False):
+    """x as a float vector of the given length; rows=True also takes a matrix of such rows."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != length:
-        raise ValidationError(f"{name} must be a vector of length {length}, got shape {v.shape}")
+    if v.ndim not in ((1, 2) if rows else (1,)) or v.shape[-1] != length:
+        kind = "a vector or rows" if rows else "a vector"
+        raise ValidationError(f"{name} must be {kind} of length {length}, got shape {v.shape}")
     return v
 
 
@@ -146,18 +148,7 @@ def is_binary(arr):
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow-safe across float64.
-
-    Scalars in, float out; arrays in, array out.
-    """
-    out = _logistic(np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _logistic(x):
-    """sigmoid of a float64 array.
+    """Logistic function 1 / (1 + exp(-x)) of a float64 array, overflow-safe.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
     below, the same operations as the two-branch form, so no positive
@@ -197,35 +188,21 @@ def energy(v, h, params):
 
 
 def hidden_probs(v, params):
-    """p(h_j = 1 | v) for every hidden unit j."""
-    v = _as_vector(v, params.num_visible, "visible vector")
+    """p(h_j = 1 | v) for every hidden unit j; v is one visible state or a row per state."""
+    v = _as_vector(v, params.num_visible, "visible states", rows=True)
     return sigmoid(params.hidden_bias + v @ params.weights)
 
 
 def visible_probs(h, params):
-    """p(v_i = 1 | h) for every visible unit i."""
-    h = _as_vector(h, params.num_hidden, "hidden vector")
-    return sigmoid(params.visible_bias + params.weights @ h)
-
-
-def sample_bits(probs, rng):
-    """Independent Bernoulli draw per component: bit i is 1 iff u_i < probs[i].
-
-    Consumes exactly len(probs) uniforms from rng, in order, regardless of
-    the probabilities. Returns a float64 0/1 vector.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ValidationError(f"probabilities must form a vector, got shape {p.shape}")
-    if p.size and (not np.all(np.isfinite(p)) or float(p.min()) < 0.0 or float(p.max()) > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    return (rng.uniforms(p.size) < p).astype(float)
+    """p(v_i = 1 | h) for every visible unit i; h is one hidden state or a row per state."""
+    h = _as_vector(h, params.num_hidden, "hidden states", rows=True)
+    return sigmoid(params.visible_bias + h @ params.weights.T)
 
 
 def _check_probabilities(p):
-    """sample_bits' refusal of a NaN probability, at the cost of one sum.
+    """Refuse a NaN probability before sampling from it, at the cost of one sum.
 
-    _logistic's outputs lie in [0, 1] or are NaN, and a sum of such values
+    sigmoid's outputs lie in [0, 1] or are NaN, and a sum of such values
     is NaN exactly when one of them is.
     """
     if math.isnan(p.sum()):
@@ -236,17 +213,17 @@ def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
     """One CD-1 chain from data row v1, sampling with the given uniforms.
 
     p1 = p(h|v1), h1 = [u_hidden < p1], v2 = [u_visible < p(v|h1)],
-    p2 = p(h|v2); returns (p1, v2, p2). Raises ValidationError, as
-    sample_bits would, when a probability it samples from is NaN (finite
-    parameters can still overflow a pre-activation to inf - inf).
+    p2 = p(h|v2); returns (p1, v2, p2). Raises ValidationError when a
+    probability it samples from is NaN (finite parameters can still
+    overflow a pre-activation to inf - inf).
     """
-    p1 = _logistic(hidden_bias + v1 @ weights)
+    p1 = sigmoid(hidden_bias + v1 @ weights)
     _check_probabilities(p1)
     h1 = (u_hidden < p1).astype(float)
-    pv = _logistic(visible_bias + weights @ h1)
+    pv = sigmoid(visible_bias + weights @ h1)
     _check_probabilities(pv)
     v2 = (u_visible < pv).astype(float)
-    p2 = _logistic(hidden_bias + v2 @ weights)
+    p2 = sigmoid(hidden_bias + v2 @ weights)
     return p1, v2, p2
 
 
@@ -369,12 +346,6 @@ def train_rbm(data, config):
     return params
 
 
-def free_energy(v, params):
-    """free_energy_batch of a single visible vector."""
-    v = _as_vector(v, params.num_visible, "visible vector")
-    return float(free_energy_batch(v[None, :], params)[0])
-
-
 def free_energy_batch(rows, params):
     """Free energy F(v) = -v.visible_bias - sum_j log(1 + exp(x_j)) of every row.
 
@@ -409,7 +380,7 @@ def exact_log_partition_function(params):
 
     Enumerates all 2**m visible times 2**n hidden configurations, forms
     -E(v, h) for each pair, and log-sum-exps the lot. Deliberately does not
-    reuse free_energy, so the two routes stay independent cross-checks.
+    reuse free_energy_batch, so the two routes stay independent cross-checks.
     """
     _check_enumerable(params.num_visible + params.num_hidden)
     vis = _enumerate_bits(params.num_visible)
@@ -420,11 +391,6 @@ def exact_log_partition_function(params):
         + (hid @ params.hidden_bias)[None, :]
     )
     return _logsumexp(neg_energy)
-
-
-def exact_partition_function(params):
-    """Partition function sum_{v,h} exp(-E(v, h)), via the log-domain form."""
-    return float(np.exp(exact_log_partition_function(params)))
 
 
 def exact_log_likelihood(data, params):
@@ -439,8 +405,14 @@ def exact_log_likelihood(data, params):
 
 
 def _state_probs(states, probs):
-    """Probability of each row of states when bit i is 1 with probability probs[i]."""
-    return np.where(states == 1.0, probs, 1.0 - probs).prod(axis=1)
+    """P[r, s]: probability of states[s] when bit i is 1 with probability probs[r, i].
+
+    Multiplies in one unit at a time, so it holds only P, not a bit table per state.
+    """
+    out = np.ones((probs.shape[0], states.shape[0]))
+    for bits, p in zip(states.T, probs.T):
+        out *= np.where(bits == 1.0, p[:, None], 1.0 - p[:, None])
+    return out
 
 
 def exact_gibbs_kernel(params):
@@ -454,9 +426,8 @@ def exact_gibbs_kernel(params):
     _check_enumerable(2 * params.num_visible + params.num_hidden, "2m + n")
     vis = _enumerate_bits(params.num_visible)
     hid = _enumerate_bits(params.num_hidden)
-    h_given_v = np.array([_state_probs(hid, hidden_probs(v, params)) for v in vis])
-    v_given_h = np.array([_state_probs(vis, visible_probs(h, params)) for h in hid])
-    return h_given_v @ v_given_h
+    h_given_v = _state_probs(hid, hidden_probs(vis, params))
+    return h_given_v @ _state_probs(vis, visible_probs(hid, params))
 
 
 # --- serialization ---------------------------------------------------------

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -28,14 +27,12 @@ from spectral_rbm.rbm import (
     exact_gibbs_kernel,
     exact_log_likelihood,
     exact_log_partition_function,
-    exact_partition_function,
     free_energy_batch,
     hidden_probs,
-    sample_bits,
     train_rbm,
     visible_probs,
 )
-from spectral_rbm import cli
+from spectral_rbm import cli, rbm
 
 
 def _criterion(num, name, passed, detail):
@@ -105,7 +102,7 @@ class TestAcceptance:
             m = int(rng.integers(1, 14))
             n = int(rng.integers(1, 15 - m))
             params = _random_params(rng, m, n)
-            lhs = math.log(exact_partition_function(params))
+            lhs = exact_log_partition_function(params)
             vis = _all_bits(m)
             rhs = _logsumexp_rows(-free_energy_batch(vis, params)[None, :])[0]
             worst = max(worst, abs(lhs - rhs))
@@ -144,23 +141,36 @@ class TestAcceptance:
         )
 
     def test_criterion_04_sampler_statistics(self):
-        draws = 10_000
-        p = np.array([0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.33])
-        rng = SeededRng(404)
-        samples = np.array([sample_bits(p, rng) for _ in range(draws)])
-        marginal_gap = np.abs(samples.mean(axis=0) - p)
-        marginal_bound = 3.0 * np.sqrt(p * (1.0 - p) / draws)
-        marginals_ok = bool(np.all(marginal_gap <= marginal_bound))
-        corr = np.corrcoef(samples, rowvar=False)
-        off_diag = corr[~np.eye(len(p), dtype=bool)]
-        corr_bound = 3.0 / math.sqrt(draws)
-        corr_ok = bool(np.all(np.abs(off_diag) <= corr_bound))
+        # the chain training runs, fed uniforms in training's order (n hidden,
+        # then m visible, per step), against the exact block-Gibbs kernel row
+        started = time.perf_counter()
+        draws, m, n = 10_000, 3, 3
+        rng = np.random.default_rng(404)
+        uniforms = SeededRng(404).uniforms(2 * draws * (n + m)).reshape(2, draws, n + m)
+        place = 2 ** np.arange(m - 1, -1, -1)  # state -> row of the kernel
+        worst_z = worst_probs = 0.0
+        for u in uniforms:
+            params = _random_params(rng, m, n, scale=2.0)
+            v1 = (rng.random(m) < 0.5).astype(float)
+            steps = [
+                rbm._chain_step(v1, params.weights, params.visible_bias, params.hidden_bias,
+                                u_step[:n], u_step[n:])
+                for u_step in u
+            ]
+            p1, v2, p2 = (np.array(column) for column in zip(*steps))
+            worst_probs = max(worst_probs,
+                              float(np.abs(p1 - hidden_probs(v1, params)).max()),
+                              float(np.abs(p2 - hidden_probs(v2, params)).max()))
+            expected = exact_gibbs_kernel(params)[int(v1 @ place)]
+            freq = np.bincount((v2 @ place).astype(int), minlength=2**m) / draws
+            sigma = np.sqrt(expected * (1.0 - expected) / draws)
+            worst_z = max(worst_z, float(np.abs((freq - expected) / sigma).max()))
+        elapsed = time.perf_counter() - started
         _criterion(
-            4, "sampler marginals and cross-correlations within 3 sigma",
-            marginals_ok and corr_ok,
-            f"max marginal gap {marginal_gap.max():.4f} "
-            f"(bound {marginal_bound.min():.4f}..{marginal_bound.max():.4f}), "
-            f"max |corr| {np.abs(off_diag).max():.4f} (bound {corr_bound:.4f})",
+            4, "training-chain statistics against the exact block-Gibbs kernel",
+            worst_z <= 3.0 and worst_probs <= 1e-12 and elapsed < 5.0,
+            f"worst z {worst_z:.2f} over 2 x 8 reconstruction states, "
+            f"max |p - hidden_probs| {worst_probs:.1e}, {elapsed:.2f}s",
         )
 
     def test_criterion_05_training_improves_exact_likelihood(self):

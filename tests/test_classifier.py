@@ -23,7 +23,7 @@ from spectral_rbm.rbm import (
     RbmParams,
     TrainConfig,
     exact_log_partition_function,
-    free_energy,
+    free_energy_batch,
     train_rbm,
 )
 
@@ -151,7 +151,7 @@ class TestPredictProba:
         log_z = np.array([exact_log_partition_function(m) for m in models])
         for bits in itertools.product((0.0, 1.0), repeat=4):
             v = np.array(bits)
-            log_like = np.array([-free_energy(v, m) for m in models]) - log_z
+            log_like = np.array([-free_energy_batch(v[None, :], m)[0] for m in models]) - log_z
             mix = np.exp(log_like + offsets + log_z)
             expected = mix / mix.sum()
             np.testing.assert_allclose(predict_proba(v, ensemble), expected, atol=1e-12)
@@ -195,7 +195,8 @@ class TestPredictLabel:
             for bits in itertools.product((0.0, 1.0), repeat=5):
                 v = np.array(bits)
                 log_like = np.array(
-                    [-free_energy(v, m) - exact_log_partition_function(m) for m in models]
+                    [-free_energy_batch(v[None, :], m)[0] - exact_log_partition_function(m)
+                     for m in models]
                 )
                 assert predict_label(v, ensemble) == int(np.argmax(log_like))
 

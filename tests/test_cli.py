@@ -1,5 +1,7 @@
 """Command-line driver: subcommands, exit codes, manifests, determinism."""
 
+import argparse
+import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -203,6 +205,35 @@ class TestPreprocess:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_reuse_stats_rejects_a_repeated_sidecar_key(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        bad = tmp_path / "twice.sidecar"
+        bad.write_text("sidecar_version=1\nalpha=0.5\nmin=0.1\nmax=0.9\nmin=0.2\n")
+        out = tmp_path / "o.csv"
+        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
+        assert "'min' repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reuse_stats_refuses_alpha_and_scope_config_keys(self, tmp_path, capsys):
+        # the same rule as the --alpha/--scope flags: the sidecar supplies the statistics
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
+        sidecar = str(tmp_path / "bin.csv.sidecar")
+        config = tmp_path / "run.conf"
+        out = tmp_path / "o.csv"
+        for line in ("alpha=1/2", "scope=global"):
+            config.write_text(f"label_column=label\n{line}\n")
+            code = run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
+                       "--config", str(config))
+            assert code == 2
+            assert f"key '{line.partition('=')[0]}'" in capsys.readouterr().err
+            assert not out.exists()
+        config.write_text("label_column=label\n")
+        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
+                   "--config", str(config)) == 0
+
     def test_reuse_stats_rejects_unknown_sidecar_version(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
@@ -327,6 +358,30 @@ class TestTrain:
                    "--config", str(config))
         assert code == 2
         assert "epochs" in capsys.readouterr().err
+
+    def test_config_key_no_option_reads_is_usage_error(self, tmp_path, capsys):
+        # "epoch" and "hidden" are misspellings; skipping them would train 50 epochs
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        config = tmp_path / "run.conf"
+        config.write_text("epoch=2\nhidden=3\nhidden_units=5\n")
+        model = tmp_path / "m.rbme"
+        code = run("train", str(data), "--out", str(model), "--config", str(config))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "key 'epoch'" in err and str(config) in err
+        assert not model.exists()
+
+    def test_config_key_repeated_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        config = tmp_path / "run.conf"
+        config.write_text("epochs=2\nhidden_units=4\nhidden_units=5\n")
+        model = tmp_path / "m.rbme"
+        code = run("train", str(data), "--out", str(model), "--config", str(config))
+        assert code == 2
+        assert "line 3: key 'hidden_units' repeated" in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestEvaluate:
@@ -493,6 +548,51 @@ def test_readme_defaults_table_matches_the_cli(tmp_path):
     for key, values in resolved.items():
         assert len(values) == 1, key
         assert same_value(documented[key], values.pop()), key
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth", "out"),
+    ("preprocess", "sidecar"),
+    ("train", "split_seed"),
+    ("evaluate", "epochs"),
+    ("sweep-alpha", "alpha"),
+])
+def test_every_command_refuses_a_config_key_it_does_not_read(tmp_path, capsys, command, key):
+    raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
+    write_raw_csv(raw, rows=16, dim=5)
+    assert run("preprocess", str(raw), "--out", str(binary)) == 0
+    model = tmp_path / "model.rbme"
+    assert run("train", str(binary), "--out", str(model), *TINY_TRAIN) == 0
+    out = tmp_path / "out.txt"
+    argv = {
+        "synth": ("synth",),
+        "preprocess": ("preprocess", str(raw)),
+        "train": ("train", str(binary), *TINY_TRAIN),
+        "evaluate": ("evaluate", str(model), str(binary)),
+        "sweep-alpha": ("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN),
+    }[command]
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key}=1\n")
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out), "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert f"key '{key}'" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_option_renaming_tables_name_live_options():
+    # a stale entry in either table would otherwise be silently dead
+    for cls, keys in cli._OPTION_KEYS.items():
+        assert set(keys) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        (flag, action.dest)
+        for sub in subparsers.choices.values() for action in sub._actions
+        for flag in action.option_strings
+    }
+    for key, alias in cli._ALIASES.items():
+        assert (alias, key) in flags, alias
 
 
 class TestMainPlumbing:

@@ -72,6 +72,14 @@ class TestLoadCsv:
         with pytest.raises(MissingColumnError, match="label"):
             load_csv(path, label_column="label")
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # a second "label" would otherwise be read as a feature column
+        path = tmp_path / "d.csv"
+        for header, name in (("a,label,label", "label"), ("a,b,a,label", "a")):
+            path.write_text(f"{header}\n" + ",".join(["0"] * header.count(",")) + ",1\n")
+            with pytest.raises(FormatError, match=f"column '{name}' more than once"):
+                load_csv(path, label_column="label")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv", label_column="label")
@@ -224,27 +232,12 @@ class TestSplit:
         train, _ = split(ds, SplitSpec(train_fraction=0.25, seed=0))
         assert train.class_ids() == [0, 1, 2]
 
-    def test_unstratified_empty_training_side_rejected(self):
-        # floor(10 * 0.05) = 0 rows train
+    def test_every_class_keeps_a_test_row(self):
+        # the largest fraction below 1 still floors to fewer rows than a class has
         ds = LabeledDataset(np.ones((10, 1)), np.tile(np.array([0, 1], dtype=np.int64), 5), ("a",))
-        with pytest.raises(ValidationError, match="class 0 no training rows"):
-            split(ds, SplitSpec(train_fraction=0.05, seed=0, stratified=False))
-
-    def test_unstratified_training_side_missing_a_class_rejected(self):
-        # the two training rows this seed draws are both class 0
-        ds = LabeledDataset(np.ones((10, 1)), np.tile(np.array([0, 1], dtype=np.int64), 5), ("a",))
-        with pytest.raises(ValidationError, match="class 1 no training rows"):
-            split(ds, SplitSpec(train_fraction=0.2, seed=1, stratified=False))
-        train, test = split(ds, SplitSpec(train_fraction=0.2, seed=3, stratified=False))
-        assert train.class_ids() == [0, 1]
-        assert test.sample_count == 8
-
-    def test_unstratified_test_side_never_empty(self):
-        # the largest fraction below 1 still floors to fewer rows than the dataset has
-        ds = LabeledDataset(np.ones((10, 1)), np.tile(np.array([0, 1], dtype=np.int64), 5), ("a",))
-        train, test = split(ds, SplitSpec(train_fraction=float(np.nextafter(1.0, 0.0)), seed=0,
-                                          stratified=False))
-        assert (train.sample_count, test.sample_count) == (9, 1)
+        train, test = split(ds, SplitSpec(train_fraction=float(np.nextafter(1.0, 0.0)), seed=0))
+        assert (train.sample_count, test.sample_count) == (8, 2)
+        assert test.class_ids() == [0, 1]
 
     def test_bad_fraction_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):

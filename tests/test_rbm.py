@@ -1,6 +1,7 @@
-"""RBM core: energy model, conditionals, sampling, CD-1, free energy, exact oracles, Gibbs kernel."""
+"""RBM core: energy model, conditionals, CD-1, free energy, exact oracles, Gibbs kernel."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,8 @@ from spectral_rbm.rbm import (
     exact_gibbs_kernel,
     exact_log_likelihood,
     exact_log_partition_function,
-    exact_partition_function,
-    free_energy,
     free_energy_batch,
     hidden_probs,
-    sample_bits,
     sigmoid,
     train_rbm,
     visible_probs,
@@ -95,7 +93,7 @@ class TestSigmoid:
         assert got.tobytes() == want.tobytes()
         assert sigmoid(-np.inf) == 0.0 and sigmoid(np.inf) == 1.0
         assert np.isnan(sigmoid(np.nan))
-        assert type(sigmoid(-0.0)) is float and sigmoid(-0.0) == 0.5
+        assert sigmoid(-0.0) == 0.5
 
 
 class TestEnergy:
@@ -181,46 +179,24 @@ class TestConditionals:
                 marginal += v * w
             np.testing.assert_allclose(visible_probs(h, params), marginal / total, atol=1e-10)
 
+    def test_rows_of_states_match_one_state_at_a_time(self):
+        rng = np.random.default_rng(26)
+        params = random_params(rng, 4, 3)
+        vis = (rng.random((6, 4)) < 0.5).astype(float)
+        hid = (rng.random((5, 3)) < 0.5).astype(float)
+        np.testing.assert_allclose(hidden_probs(vis, params),
+                                   [hidden_probs(v, params) for v in vis], atol=1e-15)
+        np.testing.assert_allclose(visible_probs(hid, params),
+                                   [visible_probs(h, params) for h in hid], atol=1e-15)
+
     def test_dimension_mismatch(self):
         params = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-        with pytest.raises(ValidationError):
-            hidden_probs(np.zeros(2), params)
-        with pytest.raises(ValidationError):
-            visible_probs(np.zeros(3), params)
-
-
-class TestSampleBits:
-    def test_degenerate_probabilities(self):
-        rng = SeededRng(0)
-        np.testing.assert_array_equal(sample_bits(np.zeros(6), rng), np.zeros(6))
-        np.testing.assert_array_equal(sample_bits(np.ones(6), rng), np.ones(6))
-
-    def test_marginals_within_three_sigma(self):
-        rng = SeededRng(1)
-        probs = np.array([0.2, 0.8])
-        draws = np.stack([sample_bits(probs, rng) for _ in range(10_000)])
-        means = draws.mean(axis=0)
-        sigma = np.sqrt(probs * (1 - probs) / 10_000)
-        assert np.all(np.abs(means - probs) <= 3 * sigma)
-
-    def test_components_uncorrelated(self):
-        rng = SeededRng(2)
-        probs = np.array([0.2, 0.8])
-        draws = np.stack([sample_bits(probs, rng) for _ in range(10_000)])
-        corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
-        assert abs(corr) <= 3.0 / np.sqrt(10_000)
-
-    def test_output_is_binary_float(self):
-        rng = SeededRng(3)
-        out = sample_bits(np.full(100, 0.5), rng)
-        assert out.dtype == np.float64
-        assert np.all((out == 0.0) | (out == 1.0))
-
-    def test_rejects_bad_probabilities(self):
-        rng = SeededRng(4)
-        for bad in ([-0.1, 0.5], [0.5, 1.1], [np.nan, 0.5]):
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((1, 1, 3)), 1.0):
             with pytest.raises(ValidationError):
-                sample_bits(np.array(bad), rng)
+                hidden_probs(bad, params)
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1, 2)), 1.0):
+            with pytest.raises(ValidationError):
+                visible_probs(bad, params)
 
 
 class TestCd1:
@@ -312,17 +288,22 @@ class TestCd1:
             cd1(np.zeros(4), params, SeededRng(11))
 
 
+def free_energy_of(v, params):
+    """free_energy_batch of one visible vector."""
+    return free_energy_batch(v[None, :], params)[0]
+
+
 class TestFreeEnergy:
     def test_zero_params_give_minus_n_log_two(self):
         params = RbmParams(np.zeros((3, 4)), np.zeros(3), np.zeros(4))
         expected = -4.0 * np.log(2.0)
-        assert abs(free_energy(np.array([1.0, 0.0, 1.0]), params) - expected) <= 1e-12
+        assert abs(free_energy_of(np.array([1.0, 0.0, 1.0]), params) - expected) <= 1e-12
 
     def test_zero_visible_reads_hidden_bias_only(self):
         rng = np.random.default_rng(12)
         params = random_params(rng, 3, 4)
         expected = -np.log1p(np.exp(params.hidden_bias)).sum()
-        assert abs(free_energy(np.zeros(3), params) - expected) <= 1e-12
+        assert abs(free_energy_of(np.zeros(3), params) - expected) <= 1e-12
 
     def test_matches_hidden_state_enumeration(self):
         rng = np.random.default_rng(13)
@@ -331,21 +312,27 @@ class TestFreeEnergy:
             params = random_params(rng, m, n)
             v = (rng.random(m) < 0.5).astype(float)
             brute = -np.log(sum(np.exp(-energy(v, h, params)) for h in all_bit_vectors(n)))
-            assert abs(free_energy(v, params) - brute) <= 1e-10
+            assert abs(free_energy_of(v, params) - brute) <= 1e-10
 
     def test_large_inputs_stay_finite(self):
         params = RbmParams(np.zeros((2, 3)), np.zeros(2), np.full(3, 500.0))
         with np.errstate(over="raise"):
-            got = free_energy(np.array([1.0, 0.0]), params)
+            got = free_energy_of(np.array([1.0, 0.0]), params)
         assert abs(got - (-1500.0)) <= 1e-9
 
     def test_batch_agrees_with_scalar(self):
+        # each row against the closed form summed unit by unit in Python floats
         rng = np.random.default_rng(14)
         params = random_params(rng, 5, 3)
         rows = (rng.random((10, 5)) < 0.5).astype(float)
-        batch = free_energy_batch(rows, params)
-        singles = np.array([free_energy(row, params) for row in rows])
-        np.testing.assert_allclose(batch, singles, atol=1e-12)
+        singles = [
+            -sum(v[i] * params.visible_bias[i] for i in range(5))
+            - sum(math.log1p(math.exp(params.hidden_bias[j]
+                                      + sum(v[i] * params.weights[i, j] for i in range(5))))
+                  for j in range(3))
+            for v in rows
+        ]
+        np.testing.assert_allclose(free_energy_batch(rows, params), singles, atol=1e-12)
 
     def test_batch_rejects_wrong_width(self):
         params = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
@@ -356,12 +343,12 @@ class TestFreeEnergy:
 class TestExactPartitionFunction:
     def test_zero_params_count_states(self):
         params = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-        assert abs(exact_partition_function(params) - 32.0) <= 1e-9
+        assert abs(exact_log_partition_function(params) - np.log(32.0)) <= 1e-12
 
     def test_no_hidden_units_closed_form(self):
         t = 0.7
         params = RbmParams(np.zeros((1, 0)), np.array([t]), np.zeros(0))
-        assert abs(exact_partition_function(params) - (1.0 + np.exp(t))) <= 1e-12
+        assert abs(exact_log_partition_function(params) - np.log1p(np.exp(t))) <= 1e-12
 
     def test_matches_pairwise_energy_enumeration(self):
         rng = np.random.default_rng(15)
@@ -375,13 +362,13 @@ class TestExactPartitionFunction:
             assert abs(exact_log_partition_function(params) - np.log(brute)) <= 1e-10
 
     def test_two_enumeration_orders_agree(self):
-        # pairwise energy sum vs analytic marginalization through free_energy
+        # pairwise energy sum vs analytic marginalization through free_energy_batch
         rng = np.random.default_rng(16)
         for trial in range(10):
             m, n = int(rng.integers(2, 6)), int(rng.integers(1, 6))
             params = random_params(rng, m, n)
             via_free_energy = np.logaddexp.reduce(
-                [-free_energy(v, params) for v in all_bit_vectors(m)]
+                -free_energy_batch(np.array(all_bit_vectors(m)), params)
             )
             assert abs(exact_log_partition_function(params) - via_free_energy) <= 1e-9
 
@@ -389,8 +376,6 @@ class TestExactPartitionFunction:
         params = RbmParams(np.zeros((13, 12)), np.zeros(13), np.zeros(12))
         with pytest.raises(SizeLimitError):
             exact_log_partition_function(params)
-        with pytest.raises(SizeLimitError):
-            exact_partition_function(params)
 
 
 class TestExactLogLikelihood:
@@ -611,7 +596,7 @@ class TestTrainRbm:
         data = np.ones((30, 5))
         config = TrainConfig(epochs=50, hidden_units=4, seed=7, init_weight_scale=0.01)
         params = train_rbm(data, config)
-        h = sample_bits(hidden_probs(np.ones(5), params), SeededRng(8))
+        h = (SeededRng(8).uniforms(4) < hidden_probs(np.ones(5), params)).astype(float)
         assert np.all(visible_probs(h, params) > 0.9)
 
     def test_deterministic_given_seed(self):
@@ -685,7 +670,7 @@ class TestTrainingInternals:
             assert rbm._all_finite(np.zeros((2, 2)), np.full(4, 1e308), np.full(2, -1e308))
 
     @pytest.mark.parametrize("nan_in", ["weights", "hidden_bias", "visible_bias"])
-    def test_chain_step_refuses_a_nan_probability_like_sample_bits(self, nan_in):
+    def test_chain_step_refuses_a_nan_probability(self, nan_in):
         m, n = 4, 3
         arrays = {"weights": np.zeros((m, n)), "visible_bias": np.zeros(m), "hidden_bias": np.zeros(n)}
         if nan_in == "weights":
@@ -694,8 +679,6 @@ class TestTrainingInternals:
             arrays[nan_in][2] = np.nan  # p1[2] is NaN, or p1 is finite and p(v|h1)[2] is NaN
         with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
             rbm._chain_step(np.ones(m), **arrays, u_hidden=np.full(n, 0.5), u_visible=np.full(m, 0.5))
-        with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
-            sample_bits(np.array([0.5, np.nan]), SeededRng(0))
 
 
 class TestRbmParamsValidation:

@@ -58,10 +58,3 @@ def test_rbm1_uint32_fields_are_bounded(name):
     assert getattr(TrainConfig(**{name: 2**32 - 1}), name) == 2**32 - 1
     with pytest.raises(ValidationError):
         TrainConfig(**{name: 2**32})
-
-
-def test_stratified_must_be_a_bool():
-    assert SplitSpec(stratified=np.False_).stratified == np.False_
-    for bad in ("yes", None, 0.5):
-        with pytest.raises(ValidationError):
-            SplitSpec(stratified=bad)
