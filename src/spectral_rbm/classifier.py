@@ -6,8 +6,8 @@ those scores is the class posterior. The offsets absorb the per-model
 normalization constants that free energies leave out: at the optimum they
 play the role of -log(partition function) up to a shared shift, and they
 are fitted by maximizing the training-set log-likelihood of the soft-max,
-a concave problem solved by full-batch gradient ascent with offset 0
-anchored at zero.
+a concave problem solved by damped Newton with offset 0 anchored at zero.
+The fit either reaches its gradient tolerance or raises ConvergenceError.
 
 Per-class training seeds derive from the ensemble seed XORed with a
 splitmix64 hash of the class id, so adding or removing one class never
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real
+from .errors import ConvergenceError, ValidationError, check_real
 from .rbm import (
     BinaryReader,
     RbmParams,
@@ -49,23 +49,28 @@ def class_seed(base_seed, class_id):
     return (int(base_seed) ^ _splitmix64(int(class_id) & _MASK64)) & _MASK64
 
 
+# Offset fit: Newton steps allowed, backtracking halvings allowed per step,
+# Armijo's sufficient-increase fraction, and the curvature ridge relative
+# to the gradient's infinity-norm.
+_NEWTON_STEPS = 100
+_HALVINGS = 30
+_ARMIJO = 1e-4
+_RIDGE = 1e-4
+
+
 @dataclass(frozen=True)
 class OffsetFitConfig:
-    """Gradient-ascent settings for fitting the soft-max offsets.
+    """Stopping rule for fitting the soft-max offsets.
 
-    The objective is the mean per-sample log-likelihood, whose gradient
-    components are bounded by 1, so the default step of 1.0 sits well
-    under the curvature limit and ascent is monotone. Iteration stops when
-    the gradient infinity-norm reaches tolerance or the budget runs out.
+    The fit returns once the infinity-norm of the mean log-likelihood's
+    gradient is at most tolerance. Newton converges quadratically, so the
+    step size and the step budget are fixed inside fit_offsets rather
+    than being options.
     """
 
-    learning_rate: float = 1.0
-    iterations: int = 1000
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        check_real("learning_rate", self.learning_rate, 0.0, lo_open=True)
-        check_int("iterations", self.iterations, 1)
         check_real("tolerance", self.tolerance, 0.0, lo_open=True)
 
 
@@ -114,15 +119,47 @@ class ClassEnsemble:
         return self.models[0].num_visible
 
 
+def _logsumexp(x):
+    """log(sum(exp(x))) of each row of x, shifted by the row maximum."""
+    top = x.max(axis=1)
+    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+
+
+def _log_likelihood_gain(log_probs, target, delta):
+    """Change of the mean log-likelihood when the offsets move by delta.
+
+    Per row the change is delta[label] - log(sum_c p_c exp(delta_c)). A
+    move within [-1, 1] goes through log1p/expm1, so a gain far below the
+    rounding of the log-likelihood itself keeps its sign; a larger move
+    goes through the log domain, where a probability that underflows to
+    0 keeps its weight.
+    """
+    if np.abs(delta).max() <= 1.0:
+        shift = np.log1p(np.exp(log_probs) @ np.expm1(delta))
+    else:
+        shift = _logsumexp(log_probs + delta)
+    return float(target @ delta - shift.mean())
+
+
 def fit_offsets(free_energy_table, labels, fit=None):
     """Fit soft-max offsets to a precomputed free-energy table.
 
     free_energy_table[s, c] holds F_c(row s); labels[s] is the column index
     of row s's true class. Maximizes the mean log soft-max likelihood of
-    the labels over the offset vector by exact-gradient ascent, keeping
-    offset 0 pinned at zero (the objective only sees offset differences).
-    Every column must be represented in labels, otherwise its offset would
-    drift off to infinity.
+    the labels over the offset vector, keeping offset 0 pinned at zero
+    (the objective only sees offset differences). Every column must be
+    represented in labels, otherwise its offset would drift off to
+    infinity.
+
+    The fit starts at zero offsets and returns them untouched when they
+    already meet the tolerance, as on a table whose classes separate.
+    Otherwise it first moves to the offsets that line up the column means
+    if that raises the likelihood. Each Newton step then solves the free
+    block of the ridged curvature diag(p) - P'P/s + 1e-4 |g|_inf I against
+    the gradient g, and halves the step until the Armijo condition holds.
+    Returns the offsets once |g|_inf <= fit.tolerance; raises
+    ConvergenceError carrying the last iterate when 100 steps, or 30
+    halvings of one step, do not get there.
     """
     fit = fit or OffsetFitConfig()
     table = np.asarray(free_energy_table, dtype=float)
@@ -147,18 +184,46 @@ def fit_offsets(free_energy_table, labels, fit=None):
 
     target = counts / samples
     scores = -table
+    # Separately trained models' free energies can sit hundreds apart. That
+    # saturates the soft-max at zero offsets and leaves Newton almost no
+    # curvature, so the first move is to the offsets that line up the
+    # column means, whenever that raises the likelihood.
+    centred = table.mean(axis=0)
+    centred = centred - centred[0]
     beta = np.zeros(k)
-    for _ in range(fit.iterations):
+    for taken in range(_NEWTON_STEPS + 1):
         logits = scores + beta
-        logits = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        grad = target - probs.mean(axis=0)
-        if float(np.abs(grad).max()) <= fit.tolerance:
+        log_probs = logits - _logsumexp(logits)[:, None]
+        probs = np.exp(log_probs)
+        mean_probs = probs.mean(axis=0)
+        grad = target - mean_probs
+        grad_max = float(np.abs(grad).max())
+        if grad_max <= fit.tolerance:
+            return beta
+        if taken == _NEWTON_STEPS:
             break
-        beta = beta + fit.learning_rate * grad
-        beta = beta - beta[0]
-    return beta
+        if taken == 0 and _log_likelihood_gain(log_probs, target, centred) > 0:
+            beta = centred
+            continue
+        curvature = np.diag(mean_probs + _RIDGE * grad_max) - probs.T @ probs / samples
+        step = np.zeros(k)
+        try:
+            step[1:] = np.linalg.solve(curvature[1:, 1:], grad[1:])
+        except np.linalg.LinAlgError:  # singular to working precision
+            break
+        rate = 1.0
+        for _ in range(_HALVINGS):
+            if _log_likelihood_gain(log_probs, target, rate * step) >= _ARMIJO * rate * (grad @ step):
+                break
+            rate /= 2
+        else:
+            break
+        beta = beta + rate * step
+    raise ConvergenceError(
+        f"offset fit stopped after {taken} steps at gradient {grad_max:.3g}, "
+        f"above tolerance {fit.tolerance:g}",
+        last_iterate=beta,
+    )
 
 
 def train_ensemble(datasets, config, fit=None):
@@ -196,11 +261,6 @@ def train_ensemble(datasets, config, fit=None):
 
 
 def _score_batch(rows, ensemble):
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != ensemble.num_visible:
-        raise ValidationError(
-            f"rows must be 2-d with {ensemble.num_visible} columns, got shape {rows.shape}"
-        )
     scores = np.column_stack([-free_energy_batch(rows, model) for model in ensemble.models])
     return scores + ensemble.offsets
 

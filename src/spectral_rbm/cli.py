@@ -69,11 +69,7 @@ _CLI_DEFAULTS = {
 
 # Option keys that differ from their dataclass field's name.
 _OPTION_KEYS = {
-    OffsetFitConfig: {
-        "learning_rate": "fit_learning_rate",
-        "iterations": "fit_iterations",
-        "tolerance": "fit_tolerance",
-    },
+    OffsetFitConfig: {"tolerance": "fit_tolerance"},
     SynthSpec: {"samples_per_class": "per_class"},
     SplitSpec: {"seed": "split_seed"},
 }
@@ -232,11 +228,6 @@ def _cmd_synth(args, argv):
 def _cmd_preprocess(args, argv):
     opts = _Options(args)
     label_column = opts.get("label_column")
-    ds = load_csv(args.input, label_column)
-    if ds.sample_count == 0:
-        raise ValidationError(f"{args.input}: no data rows to preprocess")
-    normalized = normalize_rows(ds.features)
-
     if args.reuse_stats:
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
             raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
@@ -257,6 +248,19 @@ def _cmd_preprocess(args, argv):
         # test-time convention: pooled training statistics, whatever scope
         # produced them, applied globally to the new data
         rule = BinarizationRule(alpha, Scope.GLOBAL)
+    else:
+        alpha = _parse_alpha(opts.get("alpha"))
+        scope_token = opts.get("scope")
+        scope = _parse_scope(scope_token)
+        opts.refuse_unread()
+        rule = BinarizationRule(alpha, scope)
+
+    ds = load_csv(args.input, label_column)
+    if ds.sample_count == 0:
+        raise ValidationError(f"{args.input}: no data rows to preprocess")
+    normalized = normalize_rows(ds.features)
+
+    if args.reuse_stats:
         binary = binarize(normalized, rule, lo, hi)
         save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
         opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
@@ -269,11 +273,6 @@ def _cmd_preprocess(args, argv):
         print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
         return EXIT_OK
 
-    alpha = _parse_alpha(opts.get("alpha"))
-    scope_token = opts.get("scope")
-    scope = _parse_scope(scope_token)
-    opts.refuse_unread()
-    rule = BinarizationRule(alpha, scope)
     binary, stats = binarize_dataset(normalized, ds.labels, rule)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
 

@@ -71,15 +71,12 @@ def _as_label_vector(x, name):
     if arr.size == 0:
         raise ValidationError(f"{name} must be nonempty")
     if not np.issubdtype(arr.dtype, np.integer):
-        as_float = np.asarray(arr, dtype=float)
-        if not np.all(as_float == np.floor(as_float)):
-            raise ValidationError(f"{name} must hold integer class ids")
-        arr = as_float.astype(np.int64)
+        raise ValidationError(f"{name} must hold integer class ids, got dtype {arr.dtype}")
     return arr.astype(np.int64)
 
 
 def evaluate(predicted, truth):
-    """Build an EvalReport from parallel predicted/true label vectors."""
+    """Build an EvalReport from parallel predicted/true integer label vectors."""
     pred = _as_label_vector(predicted, "predicted")
     true = _as_label_vector(truth, "truth")
     if pred.shape != true.shape:

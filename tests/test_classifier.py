@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spectral_rbm import classifier
 from spectral_rbm.classifier import (
     ClassEnsemble,
     OffsetFitConfig,
@@ -17,7 +18,7 @@ from spectral_rbm.classifier import (
     train_ensemble,
 )
 from spectral_rbm.dataset import SplitSpec, SynthSpec, split, synth_generate
-from spectral_rbm.errors import ValidationError
+from spectral_rbm.errors import ConvergenceError, ValidationError
 from spectral_rbm.metrics import evaluate
 from spectral_rbm.rbm import (
     RbmParams,
@@ -36,12 +37,21 @@ def random_params(rng, m, n):
     )
 
 
-def mean_log_likelihood(table, labels, beta):
-    """Objective that fit_offsets maximizes, recomputed independently."""
+def log_posteriors(table, beta):
     logits = beta - table
     logits = logits - logits.max(axis=1, keepdims=True)
-    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return float(log_probs[np.arange(len(labels)), labels].mean())
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+def mean_log_likelihood(table, labels, beta):
+    """Objective that fit_offsets maximizes, recomputed independently."""
+    return float(log_posteriors(table, beta)[np.arange(len(labels)), labels].mean())
+
+
+def gradient(table, labels, beta):
+    """The objective's gradient: label frequencies minus mean posteriors."""
+    target = np.bincount(labels, minlength=table.shape[1]) / len(labels)
+    return target - np.exp(log_posteriors(table, beta)).mean(axis=0)
 
 
 class TestFitOffsets:
@@ -52,17 +62,94 @@ class TestFitOffsets:
         assert abs(beta[0] - beta[1]) <= 1e-9
         assert beta[0] == 0.0  # anchored
 
-    def test_objective_increases_monotonically(self):
-        # imbalanced classes force real movement; iterate budgets give the trajectory
+    def test_objective_increases_monotonically(self, monkeypatch):
+        # imbalanced classes force real movement; capping the step budget
+        # and reading last_iterate gives the Newton trajectory
         rng = np.random.default_rng(0)
         table = rng.standard_normal((40, 3))
         labels = np.array([0] * 20 + [1] * 12 + [2] * 8)
         values = []
-        for budget in range(1, 40):
-            beta = fit_offsets(table, labels, OffsetFitConfig(
-                learning_rate=0.5, iterations=budget, tolerance=1e-12))
+        for budget in range(0, 8):
+            monkeypatch.setattr(classifier, "_NEWTON_STEPS", budget)
+            try:
+                beta = fit_offsets(table, labels, OffsetFitConfig(tolerance=1e-12))
+            except ConvergenceError as exc:
+                beta = exc.last_iterate
             values.append(mean_log_likelihood(table, labels, beta))
+        assert values[1] > values[0]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-12])
+    def test_random_tables_reach_a_maximum(self, k, tolerance):
+        rng = np.random.default_rng(k)
+        for scale in (0.1, 1.0, 3.0):
+            table = rng.standard_normal((60, k)) * scale
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, 60 - k)])
+            beta = fit_offsets(table, labels, OffsetFitConfig(tolerance=tolerance))
+            assert beta[0] == 0.0
+            assert np.abs(gradient(table, labels, beta)).max() <= tolerance
+            best = mean_log_likelihood(table, labels, beta)
+            for j, move in itertools.product(range(1, k), (1e-6, -1e-6)):
+                moved = beta.copy()
+                moved[j] += move
+                assert mean_log_likelihood(table, labels, moved) <= best
+
+    def test_saturated_table_converges(self):
+        # at zero offsets column 1 takes every row, so the curvature is
+        # nearly singular there
+        table = np.random.default_rng(3).standard_normal((80, 4)) * 3
+        table[:, 1] -= 200
+        labels = np.repeat(np.arange(4), 20)
+        beta = fit_offsets(table, labels)
+        assert np.abs(gradient(table, labels, beta)).max() <= OffsetFitConfig().tolerance
+        assert -210 < beta[1] < -190
+
+    @pytest.mark.parametrize("seed", [0, 4, 8])
+    def test_nearly_separable_tables_converge(self, seed):
+        # the curvature all but vanishes; without the ridge the line search
+        # runs out of halvings within a few Newton steps
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((24, 3)) * 300
+        labels = np.concatenate([np.arange(3), rng.integers(0, 3, 21)])
+        beta = fit_offsets(table, labels)
+        assert np.abs(gradient(table, labels, beta)).max() <= OffsetFitConfig().tolerance
+
+    def test_columns_thousands_apart_converge(self):
+        # per-model shifts dwarf the row noise; from zero offsets alone the
+        # steps zig-zag between saturated columns and use up the budget
+        rng = np.random.default_rng(3)
+        shifts = rng.uniform(-1e4, 1e4, 8)
+        table = rng.standard_normal((40, 8)) * 0.5 + shifts
+        labels = np.repeat(np.arange(8), 5)
+        beta = fit_offsets(table, labels)
+        assert np.abs(gradient(table, labels, beta)).max() <= OffsetFitConfig().tolerance
+        np.testing.assert_allclose(beta, shifts - shifts[0], atol=10)
+
+    def test_zero_gradient_at_the_start_returns_zero_offsets(self):
+        # each row's own column wins outright, so the soft-max already fits
+        # the labels exactly and the flat optimum is left where it starts
+        table = np.full((6, 3), 1000.0)
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        table[np.arange(6), labels] = 0.0
+        beta = fit_offsets(table, labels)
+        assert np.array_equal(beta, np.zeros(3))
+
+    @pytest.mark.parametrize("seed, shape, scale", [
+        (4, (50, 3), 1.0),
+        # separates so sharply that the curvature turns singular in rounding
+        (26, (12, 8), 1000.0),
+    ])
+    def test_unreachable_tolerance_raises_with_a_finite_iterate(self, seed, shape, scale):
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal(shape) * scale
+        k = shape[1]
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, shape[0] - k)])
+        with pytest.raises(ConvergenceError) as excinfo:
+            fit_offsets(table, labels, OffsetFitConfig(tolerance=1e-300))
+        beta = excinfo.value.last_iterate
+        assert beta.shape == (k,) and np.all(np.isfinite(beta)) and beta[0] == 0.0
+        assert np.abs(gradient(table, labels, beta)).max() <= 1e-8
 
     def test_gradient_reaches_tolerance(self):
         rng = np.random.default_rng(1)
@@ -70,20 +157,14 @@ class TestFitOffsets:
         labels = (rng.random(60) < 0.4).astype(np.int64)
         labels[0], labels[1] = 0, 1  # both classes present
         tol = 1e-9
-        beta = fit_offsets(table, labels, OffsetFitConfig(iterations=50_000, tolerance=tol))
-        logits = beta - table
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        target = np.bincount(labels, minlength=2) / len(labels)
-        grad = target - probs.mean(axis=0)
-        assert np.abs(grad).max() <= tol
+        beta = fit_offsets(table, labels, OffsetFitConfig(tolerance=tol))
+        assert np.abs(gradient(table, labels, beta)).max() <= tol
 
     def test_offsets_track_class_priors_for_identical_columns(self):
         # identical free energies leave only the priors to explain the labels
         table = np.zeros((100, 2))
         labels = np.array([0] * 75 + [1] * 25)
-        beta = fit_offsets(table, labels, OffsetFitConfig(iterations=20_000, tolerance=1e-12))
+        beta = fit_offsets(table, labels, OffsetFitConfig(tolerance=1e-12))
         assert abs((beta[1] - beta[0]) - np.log(25 / 75)) <= 1e-6
 
     def test_rejects_absent_class(self):
@@ -102,10 +183,6 @@ class TestFitOffsets:
             fit_offsets(np.zeros((2, 2)), np.array([0, 2]))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            OffsetFitConfig(learning_rate=0.0)
-        with pytest.raises(ValidationError):
-            OffsetFitConfig(iterations=0)
         with pytest.raises(ValidationError):
             OffsetFitConfig(tolerance=0.0)
 

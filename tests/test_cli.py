@@ -155,6 +155,17 @@ class TestPreprocess:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options", [
+        ("--alpha", "bogus"),
+        ("--reuse-stats", "side.sidecar", "--alpha", "1/2"),
+    ])
+    def test_options_are_checked_before_the_input_is_read(self, tmp_path, capsys, options):
+        # the input does not exist: reading it first would exit 3, not 2
+        code = run("preprocess", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv"),
+                   *options)
+        assert code == 2
+        assert "missing.csv" not in capsys.readouterr().err
+
     def test_reuse_stats_applies_training_minmax(self, tmp_path):
         train_raw = tmp_path / "train.csv"
         test_raw = tmp_path / "test.csv"
@@ -311,6 +322,34 @@ class TestTrain:
                    "--learning-rate", "1e300")
         assert code == 4
         assert "error" in capsys.readouterr().err
+
+    def test_unreachable_fit_tolerance_is_convergence_error(self, tmp_path, capsys):
+        data = tmp_path / "noisy.csv"
+        assert run("synth", "--out", str(data), "--per-class", "30", "--dim", "8",
+                   "--noise", "0.4", "--seed", "0") == 0
+        model = tmp_path / "m.rbme"
+        code = run("train", str(data), "--out", str(model), *TINY_TRAIN,
+                   "--fit-tolerance", "1e-300")
+        assert code == 4
+        assert "offset fit" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--fit-learning-rate", "--fit-iterations"])
+    def test_deleted_fit_flags_are_usage_errors(self, tmp_path, flag):
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), flag, "10") == 2
+
+    @pytest.mark.parametrize("key", ["fit_learning_rate", "fit_iterations"])
+    def test_deleted_fit_config_keys_are_usage_errors(self, tmp_path, capsys, key):
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key}=10\n")
+        model = tmp_path / "m.rbme"
+        assert run("train", str(data), "--out", str(model), "--config", str(config)) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_flag_aliases(self, tmp_path):
         data = tmp_path / "data.csv"

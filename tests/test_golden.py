@@ -14,10 +14,14 @@ from spectral_rbm.classifier import OffsetFitConfig, ensemble_to_bytes, train_en
 from spectral_rbm.dataset import SplitSpec, SynthSpec, split, synth_generate
 from spectral_rbm.rbm import TrainConfig
 
+# Recorded when the offset fit became damped Newton: the old fixed-step
+# ascent ran out its 1000 iterations on these three tables at gradients
+# of 5e-6 to 9e-5, and the new fit reaches the 1e-8 tolerance in 5 to 7
+# steps, moving the offsets by 4 to 6. The RBM blocks are unchanged.
 SMALL_DIGESTS = {
-    0: "63071ce14fb862330b87a13b434950f80d97c631e23027cc7ba2f7c289984136",
-    1: "35a26a42a36ced5906beb65c88b385b34df53ba6f19f683a5981259c22f4f425",
-    2: "c0dfbdd48237b5280f8ce41d5e3bfbc17c644dd381b498675d9231598f2989b7",
+    0: "bd6265f7ab539777bc71cd6286699484cb41ac0116d0718af20f751c7a1edacf",
+    1: "587331541dc4bf316ff52a33990bbdc4867d3e700fa4764666b85d5f11439615",
+    2: "53d4b7c1e071823186318f9f60635ae1f6e8d0c2f2305ebc028c4092784537cc",
 }
 
 # criterion 06's seed-0 train split at the reference point

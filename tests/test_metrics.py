@@ -87,6 +87,14 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, 1e30])
+    def test_float_labels_are_rejected_even_when_integral(self, bad):
+        # both equal their own floor; cast to int64 they became class -2**63
+        with pytest.raises(ValidationError, match="integer"):
+            evaluate(np.array([bad, 1.0]), np.array([0, 1]))
+        with pytest.raises(ValidationError, match="integer"):
+            evaluate(np.array([0, 1]), np.array([bad, 1.0]))
+
 
 class TestEvalReport:
     def make_report(self):
