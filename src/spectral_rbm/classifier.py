@@ -21,13 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, check_real
+from .errors import (
+    ConvergenceError, ValidationError, check_labels, check_real, check_rows, check_vector,
+)
 from .rbm import (
     BinaryReader,
     RbmParams,
     TrainConfig,
     free_energy_batch,
-    is_binary,
     rbm_from_bytes,
     rbm_to_bytes,
     train_rbm,
@@ -89,7 +90,7 @@ class ClassEnsemble:
     train_configs: list | None = None
 
     def __post_init__(self):
-        self.classes = [int(c) for c in self.classes]
+        self.classes = check_labels("classes", self.classes).tolist()
         if len(self.classes) < 2:
             raise ValidationError(f"an ensemble needs at least 2 classes, got {len(self.classes)}")
         if len(set(self.classes)) != len(self.classes):
@@ -102,13 +103,7 @@ class ClassEnsemble:
         widths = {model.num_visible for model in self.models}
         if len(widths) != 1:
             raise ValidationError(f"models disagree on visible width: {sorted(widths)}")
-        self.offsets = np.asarray(self.offsets, dtype=float)
-        if self.offsets.shape != (len(self.classes),):
-            raise ValidationError(
-                f"offsets shape {self.offsets.shape} does not match {len(self.classes)} classes"
-            )
-        if not np.all(np.isfinite(self.offsets)):
-            raise ValidationError("offsets must be finite")
+        self.offsets = check_vector("offsets", self.offsets, len(self.classes))
         if self.train_configs is not None and len(self.train_configs) != len(self.classes):
             raise ValidationError(
                 f"{len(self.train_configs)} train configs for {len(self.classes)} classes"
@@ -162,19 +157,11 @@ def fit_offsets(free_energy_table, labels, fit=None):
     halvings of one step, do not get there.
     """
     fit = fit or OffsetFitConfig()
-    table = np.asarray(free_energy_table, dtype=float)
-    if table.ndim != 2 or table.shape[1] < 2:
-        raise ValidationError(f"table must be 2-d with >= 2 columns, got shape {table.shape}")
-    if table.shape[0] == 0:
-        raise ValidationError("table must have at least one row")
-    if not np.all(np.isfinite(table)):
-        raise ValidationError("free energies must be finite")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != table.shape[0]:
-        raise ValidationError(f"labels shape {labels.shape} does not match {table.shape[0]} rows")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    table = check_rows("free_energy_table", free_energy_table)
     samples, k = table.shape
+    if k < 2:
+        raise ValidationError(f"free_energy_table needs >= 2 columns, got shape {table.shape}")
+    labels = check_labels("labels", labels, samples)
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"labels must index the {k} table columns")
     counts = np.bincount(labels, minlength=k)
@@ -235,15 +222,8 @@ def train_ensemble(datasets, config, fit=None):
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")
-    classes = sorted(int(c) for c in datasets)
-    matrices = []
-    for c in classes:
-        matrix = np.asarray(datasets[c], dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
-            raise ValidationError(f"class {c}: training matrix must be nonempty and 2-d")
-        if not is_binary(matrix):
-            raise ValidationError(f"class {c}: training entries must all be 0 or 1")
-        matrices.append(matrix)
+    classes = sorted(check_labels("class ids", list(datasets)).tolist())
+    matrices = [check_rows(f"class {c} training rows", datasets[c], binary=True) for c in classes]
     widths = {matrix.shape[1] for matrix in matrices}
     if len(widths) != 1:
         raise ValidationError(f"classes disagree on feature width: {sorted(widths)}")

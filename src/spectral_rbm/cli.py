@@ -43,10 +43,10 @@ from .classifier import (
     train_ensemble,
 )
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
-from .errors import ConvergenceError, FormatError, ValidationError
+from .errors import ConvergenceError, FormatError, ValidationError, is_binary
 from .metrics import evaluate
 from .preprocess import BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows
-from .rbm import TrainConfig, is_binary
+from .rbm import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -256,8 +256,6 @@ def _cmd_preprocess(args, argv):
         rule = BinarizationRule(alpha, scope)
 
     ds = load_csv(args.input, label_column)
-    if ds.sample_count == 0:
-        raise ValidationError(f"{args.input}: no data rows to preprocess")
     normalized = normalize_rows(ds.features)
 
     if args.reuse_stats:
@@ -326,8 +324,6 @@ def _cmd_evaluate(args, argv):
     opts.refuse_unread()
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test, label_column)
-    if ds.sample_count == 0:
-        raise ValidationError(f"{args.test}: no data rows to evaluate")
     _require_binary_features(ds, args.test)
     if ds.dim != ensemble.num_visible:
         raise ValidationError(
@@ -361,8 +357,6 @@ def _cmd_sweep_alpha(args, argv):
     split_spec = opts.build(SplitSpec)
     opts.refuse_unread()
     ds = load_csv(args.input, label_column)
-    if ds.sample_count == 0:
-        raise ValidationError(f"{args.input}: no data rows to sweep")
     normalized = normalize_rows(ds.features)
     class_ids = ds.class_ids()
 

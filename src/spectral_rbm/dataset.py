@@ -21,7 +21,9 @@ from .errors import (
     MissingColumnError,
     ValidationError,
     check_int,
+    check_labels,
     check_real,
+    check_rows,
 )
 from .markov import MAX_SEED, SeededRng
 
@@ -35,19 +37,8 @@ class LabeledDataset:
     feature_names: tuple | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels)
-        if self.features.ndim != 2:
-            raise ValidationError(f"features must be 2-d, got shape {self.features.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
-            raise ValidationError(
-                f"labels shape {self.labels.shape} does not match {self.features.shape[0]} rows"
-            )
-        if self.labels.size and not np.issubdtype(self.labels.dtype, np.integer):
-            raise ValidationError(f"labels must be integers, got dtype {self.labels.dtype}")
-        self.labels = self.labels.astype(np.int64)
-        if self.features.size and not np.all(np.isfinite(self.features)):
-            raise ValidationError("features must be finite")
+        self.features = check_rows("features", self.features, empty_ok=True)
+        self.labels = check_labels("labels", self.labels, self.features.shape[0], empty_ok=True)
         if self.feature_names is not None:
             self.feature_names = tuple(str(name) for name in self.feature_names)
             if len(self.feature_names) != self.features.shape[1]:
@@ -262,19 +253,14 @@ def synth_generate(spec):
     """Generate the synthetic dataset described by a SynthSpec.
 
     Rows come out class-major (all of class 0, then class 1, ...); labels
-    are 0 .. classes-1. The rng consumes dim uniforms per sample whatever
-    the noise level, so outputs are reproducible from the seed alone.
+    are 0 .. classes-1. The rng consumes dim uniforms per sample, in row
+    order, whatever the noise level, so outputs are reproducible from the
+    seed alone.
     """
     rng = SeededRng(spec.seed)
-    templates = _templates(spec)
-    rows = np.empty((spec.classes * spec.samples_per_class, spec.dim))
-    pos = 0
-    for c in range(spec.classes):
-        template = templates[c]
-        for _ in range(spec.samples_per_class):
-            flips = rng.uniforms(spec.dim) < spec.noise
-            rows[pos] = np.where(flips, 1.0 - template, template)
-            pos += 1
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.samples_per_class)
+    templates = _templates(spec)[labels]
+    flips = rng.uniforms(templates.size).reshape(templates.shape) < spec.noise
+    rows = np.where(flips, 1.0 - templates, templates)
     names = [f"f{i + 1}" for i in range(spec.dim)]
     return LabeledDataset(features=rows, labels=labels, feature_names=names)

@@ -6,10 +6,19 @@ the odd one out: the inputs were fine, the iteration just ran out of road.
 
 check_int and check_real hold the one type rule for scalar parameters: any
 Python or numpy integral or finite real counts, bool does not.
+
+check_rows, check_vector and check_labels hold the one rule for array
+arguments: the argument must convert to a rectangular array of bool,
+integer or float values (integer only for labels), with the number of
+dimensions, the shape and finite entries the caller asks for. They return
+float64 (labels: int64) arrays. A str, object, complex or ragged argument
+is a ValidationError naming it, never a numpy error or a silent cast.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -91,3 +100,76 @@ def check_real(name, value, lo=None, hi=None, lo_open=False, hi_open=False):
         raise ValidationError(
             f"{name} must lie in {_interval(lo, hi, lo_open, hi_open)}, got {value!r}"
         )
+
+
+def is_binary(arr):
+    """True iff every entry is exactly 0.0 or 1.0 (vacuously true when empty)."""
+    return bool(np.all((arr == 0.0) | (arr == 1.0)))
+
+
+def _as_array(name, x, kinds):
+    """x as an array, when it is rectangular and its dtype kind is in kinds.
+
+    An empty array holds no value of the wrong kind, so its dtype is not checked.
+    """
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    if arr.size and arr.dtype.kind not in kinds:
+        wanted = "integer" if kinds == "iu" else "bool, integer or float"
+        raise ValidationError(f"{name} must hold {wanted} values, got dtype {arr.dtype}")
+    return arr
+
+
+def _check_finite(name, arr):
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must have finite entries")
+
+
+def check_rows(name, x, cols=None, empty_ok=False, binary=False, vector_ok=False):
+    """x as a float64 matrix of finite rows, or raise ValidationError naming it.
+
+    cols fixes the column count. Unless empty_ok, the matrix needs at
+    least one row and one column. binary demands entries of exactly 0 or
+    1. vector_ok also takes a single row as a vector and returns it as one.
+    """
+    arr = _as_array(name, x, "biuf").astype(np.float64, copy=False)
+    if arr.ndim != 2 and not (vector_ok and arr.ndim == 1):
+        kind = "a 2-d array or a vector" if vector_ok else "a 2-d array"
+        raise ValidationError(f"{name} must be {kind}, got shape {arr.shape}")
+    if cols is not None and arr.shape[-1] != cols:
+        raise ValidationError(f"{name} must have {cols} columns, got shape {arr.shape}")
+    if not empty_ok and arr.size == 0:
+        raise ValidationError(f"{name} needs at least one row and column, got shape {arr.shape}")
+    if binary:
+        if not is_binary(arr):
+            raise ValidationError(f"{name} entries must all be 0 or 1")
+    else:
+        _check_finite(name, arr)
+    return arr
+
+
+def check_vector(name, x, length=None):
+    """x as a finite float64 vector, of the given length if one is given."""
+    arr = _as_array(name, x, "biuf").astype(np.float64, copy=False)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a vector, got shape {arr.shape}")
+    if length is not None and arr.shape[0] != length:
+        raise ValidationError(f"{name} must have length {length}, got {arr.shape[0]}")
+    _check_finite(name, arr)
+    return arr
+
+
+def check_labels(name, x, length=None, empty_ok=False):
+    """x as an int64 vector of class labels, of the given length if one is given."""
+    arr = _as_array(name, x, "iu")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise ValidationError(f"{name} must fit in int64, got {arr.max()}")
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a vector, got shape {arr.shape}")
+    if length is not None and arr.shape[0] != length:
+        raise ValidationError(f"{name} must have length {length}, got {arr.shape[0]}")
+    if not empty_ok and arr.size == 0:
+        raise ValidationError(f"{name} must be nonempty")
+    return arr.astype(np.int64, copy=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, check_int, check_real
+from .errors import ConvergenceError, ValidationError, check_int, check_real, check_rows
 
 # Construction-time tolerance on row-stochasticity.
 ROW_SUM_TOL = 1e-12
@@ -61,13 +61,10 @@ class TransitionMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        # a copy, so the caller cannot break the checked invariants later
+        m = check_rows("transition matrix", entries).copy()
+        if m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
-        if m.shape[0] == 0:
-            raise ValidationError("transition matrix needs at least one state")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("transition matrix entries must be finite")
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise ValidationError("transition probabilities must lie in [0, 1]")
         worst = float(np.abs(m.sum(axis=1) - 1.0).max())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_labels
 
 
 @dataclass
@@ -64,29 +64,14 @@ class EvalReport:
         return lines
 
 
-def _as_label_vector(x, name):
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{name} must be nonempty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{name} must hold integer class ids, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
-
-
 def evaluate(predicted, truth):
     """Build an EvalReport from parallel predicted/true integer label vectors."""
-    pred = _as_label_vector(predicted, "predicted")
-    true = _as_label_vector(truth, "truth")
-    if pred.shape != true.shape:
-        raise ValidationError(f"length mismatch: {pred.shape[0]} predictions for {true.shape[0]} truths")
-
-    classes = sorted(int(c) for c in np.unique(np.concatenate([pred, true])))
-    index = {c: i for i, c in enumerate(classes)}
-    k = len(classes)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, ([index[int(t)] for t in true], [index[int(p)] for p in pred]), 1)
+    pred = check_labels("predicted", predicted)
+    true = check_labels("truth", truth, pred.shape[0])
+    classes, codes = np.unique(np.concatenate([pred, true]), return_inverse=True)
+    k = classes.size
+    pred_codes, true_codes = codes[: pred.size], codes[pred.size :]
+    confusion = np.bincount(true_codes * k + pred_codes, minlength=k * k).reshape(k, k)
 
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total
@@ -96,7 +81,7 @@ def evaluate(predicted, truth):
     recall[present] = np.diag(confusion)[present] / row_sums[present]
 
     return EvalReport(
-        classes=classes,
+        classes=classes.tolist(),
         confusion=confusion,
         accuracy=accuracy,
         per_class_recall=recall,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, check_real
+from .errors import DegenerateInputError, ValidationError, check_labels, check_real, check_rows
 
 
 class Scope(enum.Enum):
@@ -54,11 +54,7 @@ def normalize_rows(matrix):
     Raises DegenerateInputError naming the first all-zero row, whose
     direction is undefined.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
-        raise ValidationError(f"expected a nonempty 2-d array, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("matrix entries must be finite")
+    matrix = check_rows("matrix", matrix)
     norms = np.sqrt((matrix * matrix).sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -68,11 +64,7 @@ def normalize_rows(matrix):
 
 def minmax(matrix):
     """(smallest entry, largest entry) of a nonempty matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        raise ValidationError("minmax of an empty matrix is undefined")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("matrix entries must be finite")
+    matrix = check_rows("matrix", matrix)
     return float(matrix.min()), float(matrix.max())
 
 
@@ -84,11 +76,7 @@ def binarize(matrix, rule, lo, hi):
     outside [lo, hi] then fall on the side the threshold puts them.
     When lo == hi the threshold offset is zero and every entry maps to 1.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        raise ValidationError("cannot binarize an empty matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("matrix entries must be finite")
+    matrix = check_rows("matrix", matrix)
     check_real("lo", lo)
     check_real("hi", hi)
     if lo > hi:
@@ -104,10 +92,8 @@ def binarize_dataset(normalized, labels, rule):
     sidecar: pooled "min" and "max" (what test data is cut with, whatever
     the scope), then "class.<id>.min"/"max" per ascending id under PER_MATRIX.
     """
-    normalized = np.asarray(normalized, dtype=float)
-    labels = np.asarray(labels)
-    if labels.shape != normalized.shape[:1]:
-        raise ValidationError(f"labels shape {labels.shape} does not match rows {normalized.shape}")
+    normalized = check_rows("normalized", normalized)
+    labels = check_labels("labels", labels, normalized.shape[0])
     pooled_lo, pooled_hi = minmax(normalized)
     stats = [("min", pooled_lo), ("max", pooled_hi)]
     if rule.scope is Scope.GLOBAL:

@@ -40,6 +40,8 @@ from .errors import (
     ValidationError,
     check_int,
     check_real,
+    check_rows,
+    check_vector,
 )
 from .markov import MAX_SEED, SeededRng
 
@@ -95,25 +97,13 @@ class RbmParams:
     hidden_bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.visible_bias = np.asarray(self.visible_bias, dtype=float)
-        self.hidden_bias = np.asarray(self.hidden_bias, dtype=float)
-        if self.weights.ndim != 2:
-            raise ValidationError(f"weights must be 2-d, got shape {self.weights.shape}")
+        # zero hidden units are allowed: the model is then independent visible units
+        self.weights = check_rows("weights", self.weights, empty_ok=True)
         m, n = self.weights.shape
         if m < 1:
             raise ValidationError("need at least one visible unit")
-        if self.visible_bias.shape != (m,):
-            raise ValidationError(
-                f"visible_bias shape {self.visible_bias.shape} does not match {m} visible units"
-            )
-        if self.hidden_bias.shape != (n,):
-            raise ValidationError(
-                f"hidden_bias shape {self.hidden_bias.shape} does not match {n} hidden units"
-            )
-        for name, arr in (("weights", self.weights), ("visible_bias", self.visible_bias), ("hidden_bias", self.hidden_bias)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
+        self.visible_bias = check_vector("visible_bias", self.visible_bias, m)
+        self.hidden_bias = check_vector("hidden_bias", self.hidden_bias, n)
 
     @property
     def num_visible(self):
@@ -131,20 +121,6 @@ class GradientEstimate:
     d_weights: np.ndarray
     d_visible_bias: np.ndarray
     d_hidden_bias: np.ndarray
-
-
-def _as_vector(x, length, name, rows=False):
-    """x as a float vector of the given length; rows=True also takes a matrix of such rows."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim not in ((1, 2) if rows else (1,)) or v.shape[-1] != length:
-        kind = "a vector or rows" if rows else "a vector"
-        raise ValidationError(f"{name} must be {kind} of length {length}, got shape {v.shape}")
-    return v
-
-
-def is_binary(arr):
-    """True iff every entry is exactly 0.0 or 1.0 (vacuously true when empty)."""
-    return bool(np.all((arr == 0.0) | (arr == 1.0)))
 
 
 def sigmoid(x):
@@ -182,20 +158,20 @@ def _logsumexp(values):
 
 def energy(v, h, params):
     """Joint energy E(v, h) = -v.W.h - v.visible_bias - h.hidden_bias."""
-    v = _as_vector(v, params.num_visible, "visible vector")
-    h = _as_vector(h, params.num_hidden, "hidden vector")
+    v = check_vector("visible vector", v, params.num_visible)
+    h = check_vector("hidden vector", h, params.num_hidden)
     return float(-(v @ params.weights @ h) - v @ params.visible_bias - h @ params.hidden_bias)
 
 
 def hidden_probs(v, params):
     """p(h_j = 1 | v) for every hidden unit j; v is one visible state or a row per state."""
-    v = _as_vector(v, params.num_visible, "visible states", rows=True)
+    v = check_rows("visible states", v, params.num_visible, empty_ok=True, vector_ok=True)
     return sigmoid(params.hidden_bias + v @ params.weights)
 
 
 def visible_probs(h, params):
     """p(v_i = 1 | h) for every visible unit i; h is one hidden state or a row per state."""
-    h = _as_vector(h, params.num_hidden, "hidden states", rows=True)
+    h = check_rows("hidden states", h, params.num_hidden, empty_ok=True, vector_ok=True)
     return sigmoid(params.visible_bias + h @ params.weights.T)
 
 
@@ -235,7 +211,7 @@ def cd1(v1, params, rng):
     term outer(v2, p2); bias gradients are v1 - v2 and p1 - p2. The caller
     applies the learning rate. Consumes n then m uniforms from rng.
     """
-    v1 = _as_vector(v1, params.num_visible, "visible vector")
+    v1 = check_vector("visible vector", v1, params.num_visible)
     u_hidden = rng.uniforms(params.num_hidden)
     u_visible = rng.uniforms(params.num_visible)
     p1, v2, p2 = _chain_step(
@@ -294,12 +270,7 @@ def train_rbm(data, config):
     are checked after every update: the first one that leaves an entry
     non-finite raises ConvergenceError with the parameters as last_iterate.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] == 0:
-        raise ValidationError(f"training data must be a nonempty 2-d array, got shape {data.shape}")
-    if not is_binary(data):
-        raise ValidationError("training data entries must all be 0 or 1")
-
+    data = check_rows("training data", data, binary=True)
     rows, m = data.shape
     n = config.hidden_units
     rng = SeededRng(config.seed)
@@ -353,11 +324,7 @@ def free_energy_batch(rows, params):
     the hidden units marginalized analytically; the log1p branch keeps it
     finite for arbitrarily large x_j.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != params.num_visible:
-        raise ValidationError(
-            f"rows must be 2-d with {params.num_visible} columns, got shape {rows.shape}"
-        )
+    rows = check_rows("rows", rows, params.num_visible, empty_ok=True)
     x = params.hidden_bias + rows @ params.weights
     return -(rows @ params.visible_bias) - _log1p_exp(x).sum(axis=1)
 
@@ -395,11 +362,7 @@ def exact_log_partition_function(params):
 
 def exact_log_likelihood(data, params):
     """Exact log-likelihood of binary rows: sum_rows [-F(row) - log Z]."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValidationError(f"data must be a nonempty 2-d array, got shape {data.shape}")
-    if not is_binary(data):
-        raise ValidationError("data entries must all be 0 or 1")
+    data = check_rows("data", data, params.num_visible, binary=True)
     log_z = exact_log_partition_function(params)
     return float(-free_energy_batch(data, params).sum() - data.shape[0] * log_z)
 

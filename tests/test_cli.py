@@ -619,6 +619,23 @@ def test_every_command_refuses_a_config_key_it_does_not_read(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "sweep-alpha"])
+def test_header_only_csv_is_usage_error_and_writes_nothing(tmp_path, capsys, command):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("f1,f2,label\n")
+    argv = (command, str(header_only))
+    if command == "evaluate":
+        data, model = tmp_path / "data.csv", tmp_path / "model.rbme"
+        synth_small(data, dim=2)
+        assert run("train", str(data), "--out", str(model), *TINY_TRAIN) == 0
+        argv = (command, str(model), str(header_only))
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_option_renaming_tables_name_live_options():
     # a stale entry in either table would otherwise be silently dead
     for cls, keys in cli._OPTION_KEYS.items():
