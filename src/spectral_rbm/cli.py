@@ -43,7 +43,7 @@ from .classifier import (
     train_ensemble,
 )
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
-from .errors import ConvergenceError, FormatError, ValidationError, is_binary
+from .errors import ConvergenceError, FormatError, ValidationError, is_binary, not_utf8
 from .metrics import evaluate
 from .preprocess import BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows
 from .rbm import TrainConfig
@@ -99,18 +99,21 @@ def _parse_scope(name):
 def _read_kv_file(path):
     """Flat key=value file; blank lines and # comments ignored, a repeated key refused."""
     pairs = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: line {line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in pairs:
-                raise FormatError(f"{path}: line {line_no}: key {key!r} repeated")
-            pairs[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise FormatError(f"{path}: line {line_no}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key in pairs:
+                    raise FormatError(f"{path}: line {line_no}: key {key!r} repeated")
+                pairs[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     return pairs
 
 

@@ -5,12 +5,19 @@ integer class labels (named "label" unless told otherwise), every other
 column a finite real feature. Values are written with shortest-round-trip
 float formatting, so save followed by load reproduces the array exactly;
 whole numbers are written without a decimal point.
+
+load_csv parses the body with np.loadtxt when its bytes and lines are ones
+that float() and int() would read to the same values; any other body goes
+through a csv.reader loop, the only code that reports a bad cell by line
+and column. save_csv writes a 0/1 matrix from a uint8 byte array and any
+other matrix row by row, to the same text either way.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,8 @@ from .errors import (
     check_labels,
     check_real,
     check_rows,
+    is_binary,
+    not_utf8,
 )
 from .markov import MAX_SEED, SeededRng
 
@@ -115,96 +124,206 @@ class SynthSpec:
             )
 
 
-def _format_value(x):
-    xf = float(x)
-    if xf.is_integer():
-        return str(int(xf))
-    return repr(xf)
+# Bytes a body may hold for the np.loadtxt path. Quotes, letters other than
+# the exponent and control characters go to the csv.reader loop: loadtxt
+# skips U+001C-U+001F as whitespace where float() refuses them.
+_FAST_BYTES = b"0123456789+-.eE, \r\n"
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _scan_body(fh):
+    """(physical lines, commas) in the rest of a binary file, or None.
+
+    \\n, \\r and \\r\\n each end a line, as they do for csv.reader over a
+    file opened with newline="". None at a byte outside _FAST_BYTES, and at
+    a run of a third of csv.field_size_limit() bytes with no comma or line
+    end: csv.reader refuses a cell longer than that limit, loadtxt does not.
+    """
+    block = csv.field_size_limit() // 3
+    lines = commas = 0
+    last = b"\n"
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        if chunk.translate(None, _FAST_BYTES):
+            return None
+        # a cell over the limit covers a whole aligned block of some chunk
+        for i in range(0, len(chunk) - block + 1, block):
+            if all(chunk.find(sep, i, i + block) < 0 for sep in b",\n\r"):
+                return None
+        commas += chunk.count(b",")
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            lines -= 1  # one \r\n split across two chunks
+        last = chunk[-1:]
+    return lines + (last not in b"\r\n"), commas
+
+
+def _loadtxt(path, header_lines, dtype, usecols, ndmin):
+    """One np.loadtxt pass over the lines of path after its first header_lines."""
+    with open(path, encoding="utf-8") as fh:
+        for _ in range(header_lines):
+            fh.readline()
+        return np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, usecols=usecols,
+                          ndmin=ndmin)
+
+
+def _fast_body(path, header_lines, label_idx, width):
+    """(features, labels) of the body by np.loadtxt, or None when the csv.reader loop must read it.
+
+    None unless the body holds only _FAST_BYTES, every physical line is a
+    row of width cells, every cell parses and every feature is finite:
+    then float() and int() would have read the same values.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        offset = sum(len(fh.readline().encode("utf-8")) for _ in range(header_lines))
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        scanned = _scan_body(fh)
+    if scanned is None:
+        return None
+    lines, commas = scanned
+    # with no quotes, a row of width cells holds width - 1 commas; loadtxt
+    # refuses a short row, so a long one shows in the count
+    if lines == 0 or commas != lines * (width - 1):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            features = _loadtxt(path, header_lines, float,
+                                [i for i in range(width) if i != label_idx], 2)
+            labels = _loadtxt(path, header_lines, np.int64, label_idx, 1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    # loadtxt skips blank lines, which csv.reader reads as short rows
+    if len(features) != lines or not np.isfinite(features).all():
+        return None
+    return features, labels
 
 
 def load_csv(path, label_column="label"):
     """Read a labeled CSV.
 
-    Raises FileNotFoundError for a missing file, FormatError for a header
-    that names a column twice, MissingColumnError when the label column is
-    absent, and CsvParseError (naming the 1-based file line and the column)
-    for any cell that does not parse.
+    Raises FileNotFoundError for a missing file, FormatError for a file
+    that is not UTF-8 or a header that names a column twice,
+    MissingColumnError when the label column is absent, and CsvParseError
+    (naming the 1-based file line and the column) for any cell that does
+    not parse, a non-finite feature or a label outside int64.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) < len(header):
-            name = next(name for i, name in enumerate(header) if name in header[:i])
-            raise FormatError(f"{path}: header names column {name!r} more than once")
-        if label_column not in header:
-            raise MissingColumnError(
-                f"{path}: label column {label_column!r} not in header {header}"
-            )
-        label_idx = header.index(label_column)
-        feature_names = [name for i, name in enumerate(header) if i != label_idx]
-
-        rows = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}",
-                    line=line_no,
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                labels.append(int(row[label_idx].strip()))
+                header = [cell.strip() for cell in next(reader)]
+            except StopIteration:
+                raise FormatError(f"{path}: empty file, expected a header row") from None
+            if len(set(header)) < len(header):
+                name = next(name for i, name in enumerate(header) if name in header[:i])
+                raise FormatError(f"{path}: header names column {name!r} more than once")
+            if label_column not in header:
+                raise MissingColumnError(
+                    f"{path}: label column {label_column!r} not in header {header}"
+                )
+            label_idx = header.index(label_column)
+            feature_names = [name for i, name in enumerate(header) if i != label_idx]
+            fast = _fast_body(path, reader.line_num, label_idx, len(header))
+            if fast is None:
+                features, labels = _read_body(path, reader, header, label_idx)
+            else:
+                features, labels = fast
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    return LabeledDataset(features=features, labels=labels, feature_names=feature_names)
+
+
+def _read_body(path, reader, header, label_idx):
+    """(features, labels) from the csv.reader loop, the one place that names a bad cell."""
+    label_column = header[label_idx]
+    rows = []
+    labels = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CsvParseError(
+                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}",
+                line=line_no,
+            )
+        try:
+            labels.append(int(row[label_idx].strip()))
+        except ValueError:
+            raise CsvParseError(
+                f"{path}: row {line_no}, column {label_column!r}: "
+                f"label {row[label_idx]!r} is not an integer",
+                line=line_no,
+                column=label_column,
+            ) from None
+        if not _INT64_MIN <= labels[-1] <= _INT64_MAX:
+            raise CsvParseError(
+                f"{path}: row {line_no}, column {label_column!r}: "
+                f"label {row[label_idx]!r} does not fit in int64",
+                line=line_no,
+                column=label_column,
+            )
+        parsed = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            name = header[i]
+            try:
+                value = float(cell)
             except ValueError:
                 raise CsvParseError(
-                    f"{path}: row {line_no}, column {label_column!r}: "
-                    f"label {row[label_idx]!r} is not an integer",
+                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not a number",
                     line=line_no,
-                    column=label_column,
+                    column=name,
                 ) from None
-            parsed = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                name = header[i]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {line_no}, column {name!r}: {cell!r} is not a number",
-                        line=line_no,
-                        column=name,
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvParseError(
-                        f"{path}: row {line_no}, column {name!r}: {cell!r} is not finite",
-                        line=line_no,
-                        column=name,
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            if not math.isfinite(value):
+                raise CsvParseError(
+                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not finite",
+                    line=line_no,
+                    column=name,
+                )
+            parsed.append(value)
+        rows.append(parsed)
 
     if not rows:
         raise FormatError(f"{path}: no data rows after the header")
-    features = np.array(rows, dtype=float).reshape(len(rows), len(feature_names))
-    return LabeledDataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        feature_names=feature_names,
-    )
+    features = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return features, np.array(labels, dtype=np.int64)
+
+
+def _binary_body(features, label_ends):
+    """Body text of a 0/1 matrix: one uint8 digit and one comma per cell, then the label."""
+    width = 2 * features.shape[1]
+    cells = np.full((features.shape[0], width), ord(","), dtype=np.uint8)
+    cells[:, ::2] = features.astype(np.uint8) + ord("0")
+    flat = cells.tobytes().decode("ascii")
+    return "".join(flat[i * width:(i + 1) * width] + end for i, end in enumerate(label_ends))
+
+
+def _real_lines(features, label_ends):
+    """Body lines of any matrix: whole values as str(int(x)), the rest as repr(x)."""
+    whole = features == np.trunc(features)
+    for row, row_whole, end in zip(features, whole, label_ends):
+        cells = [str(int(x)) if w else repr(x) for x, w in zip(row.tolist(), row_whole.tolist())]
+        yield ",".join([*cells, end])
 
 
 def save_csv(ds, path, label_column="label"):
-    """Write a labeled CSV that load_csv restores exactly."""
+    """Write a labeled CSV that load_csv restores exactly.
+
+    Whole values are written as integers (-0.0 as 0), every other value as
+    its shortest round-trip repr.
+    """
     names = ds.feature_names or [f"f{i + 1}" for i in range(ds.dim)]
     if label_column in names:
         raise ValidationError(f"label column name {label_column!r} collides with a feature name")
+    label_ends = [f"{label}\n" for label in ds.labels.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*names, label_column])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([_format_value(x) for x in row] + [str(int(label))])
+        csv.writer(fh, lineterminator="\n").writerow([*names, label_column])
+        if is_binary(ds.features):
+            fh.write(_binary_body(ds.features, label_ends))
+        else:
+            fh.writelines(_real_lines(ds.features, label_ends))
 
 
 def split(ds, spec):

@@ -102,6 +102,11 @@ def check_real(name, value, lo=None, hi=None, lo_open=False, hi_open=False):
         )
 
 
+def not_utf8(path, exc):
+    """The FormatError for a text file that holds bytes UTF-8 cannot decode."""
+    return FormatError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})")
+
+
 def is_binary(arr):
     """True iff every entry is exactly 0.0 or 1.0 (vacuously true when empty)."""
     return bool(np.all((arr == 0.0) | (arr == 1.0)))

@@ -307,6 +307,13 @@ class TestTrain:
         assert code == 2
         assert "preprocess" in capsys.readouterr().err
 
+    def test_label_outside_int64_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,label\n0,1,0\n1,0,99999999999999999999\n")
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), *TINY_TRAIN) == 2
+        err = capsys.readouterr().err
+        assert "row 3, column 'label'" in err and "does not fit in int64" in err
+
     def test_zero_epochs_is_usage_error(self, tmp_path):
         data = tmp_path / "data.csv"
         synth_small(data)
@@ -634,6 +641,26 @@ def test_header_only_csv_is_usage_error_and_writes_nothing(tmp_path, capsys, com
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     assert "no data rows" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind", ["dataset", "config", "sidecar"])
+def test_non_utf8_file_is_usage_error_naming_it(tmp_path, capsys, kind):
+    data = tmp_path / "data.csv"
+    synth_small(data)
+    bad, out = tmp_path / "bad.txt", tmp_path / "out"
+    if kind == "dataset":
+        bad.write_bytes(b"f1,label\n0.5,1\n\xe9,0\n")
+        argv = ("preprocess", str(bad))
+    elif kind == "config":
+        bad.write_bytes(b"epochs=1\n\xe9=2\n")
+        argv = ("train", str(data), *TINY_TRAIN[:2], "--config", str(bad))
+    else:
+        bad.write_bytes(b"sidecar_version=1\nalpha=0.5\nmin=0\xe9\nmax=1\n")
+        argv = ("preprocess", str(data), "--reuse-stats", str(bad))
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_option_renaming_tables_name_live_options():

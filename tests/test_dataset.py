@@ -1,10 +1,16 @@
 """Labeled CSV datasets: loading, saving, stratified splits, synthetic generation."""
 
+import io
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spectral_rbm import dataset
 from spectral_rbm.dataset import (
     LabeledDataset,
     SplitSpec,
@@ -103,6 +109,123 @@ class TestLoadCsv:
         with pytest.raises(FormatError):
             load_csv(path, label_column="label")
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "9223372036854775808",
+                                       "-9223372036854775809"])
+    def test_label_outside_int64_names_line_and_column(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n")
+        with pytest.raises(CsvParseError, match="does not fit in int64") as info:
+            load_csv(path, label_column="label")
+        assert (info.value.line, info.value.column) == (3, "label")
+
+    def test_int64_extreme_labels_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f1,label\n0.5,9223372036854775807\n0.5,-9223372036854775808\n")
+        labels = load_csv(path, label_column="label").labels
+        assert labels.tolist() == [2**63 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("content", [b"f\xe9,label\n0.5,1\n", b"f1,label\n0.5,1\n0.\xff,1\n"])
+    def test_non_utf8_bytes_are_a_format_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match="not UTF-8") as info:
+            load_csv(path, label_column="label")
+        assert str(path) in str(info.value)
+
+
+def _outcome(path):
+    """What load_csv makes of path: the arrays' bytes, or the exception's type and message."""
+    try:
+        ds = load_csv(path, label_column="label")
+    except Exception as exc:  # noqa: BLE001 - the comparison is over any outcome
+        return type(exc), str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tobytes(),
+            ds.feature_names)
+
+
+# cells and lines the fast path must send to the csv.reader loop, or read
+# as float() and int() do
+_ODD_CELLS = ["1_0", "\u0663", "1.5\x1c", "\x1f2", "inf", "-inf", "nan", "3.0", "1e3", '"1"',
+              '"1,5"', "", " ", " 2 ", "+7", "0003", "-0", "1.", ".5", ".", "1e", "--1", "1 2",
+              "1e999", "99999999999999999999", "9223372036854775808", "-9223372036854775808",
+              "1\t", "0x10", "\u00bd"]
+_ODD_LINES = ["", " ", "\t", "1", "1,2", "1,2,3,4,5", ","]
+_FEATURE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6e}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_LABEL_CELLS = st.integers(-(2**63), 2**63 - 1).map(str)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Labeled CSV text: well-formed rows, then a few odd cells, lines and line ends."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, width - 1))
+    rows = [[draw(_LABEL_CELLS if i == label_idx else _FEATURE_CELLS) for i in range(width)]
+            for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 3])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD_CELLS))
+    lines = [",".join("label" if i == label_idx else f"f{i}" for i in range(width))]
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    end = draw(ends)
+    mixed = draw(st.booleans())
+    text = "".join(line + (draw(ends) if mixed else end) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestFastLoad:
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(text=_csv_texts())
+    @example(text="f1,label\n1.5\x1c,3\n")  # loadtxt skips U+001C as whitespace
+    @example(text="label\n3\n\n4\n")  # loadtxt skips a blank line
+    @example(text="f1,label\n1e999,3\n")  # loadtxt reads inf
+    @example(text="label\n\n")  # loadtxt warns that there is no data
+    @example(text="f1,label\n1,2,3\n4\n")  # a long row and a short one
+    @example(text="f1,label\r\n0.5,1\r\r\n")  # a blank line after a lone \r
+    @example(text="f1,label\n0." + "0" * 140000 + "1,3\n")  # over csv's cell size limit
+    def test_fast_path_agrees_with_the_csv_reader_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/d.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            fast = _outcome(path)
+            with mock.patch.object(dataset, "_fast_body", return_value=None):
+                slow = _outcome(path)
+        assert fast == slow
+
+    @pytest.mark.parametrize("text, labels", [
+        ("f1,label,f2\n0.5,3,-1e-3\n1,-4,2.5E+2\n", [3, -4]),
+        ("f1,label\r\n0.5,3\r\n1,4", [3, 4]),
+        ("f1,label\r0.5,3\r1,4\r", [3, 4]),
+        ('"f\n1",label\n0.5,3\n', [3]),  # the header takes two physical lines
+        ('"f\r1",label\r\n0.5,3\r\n', [3]),
+        ("label\n3\n-4\n", [3, -4]),
+    ])
+    def test_fast_path_reads_clean_files(self, tmp_path, text, labels):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
+            ds = load_csv(path, label_column="label")
+        assert ds.labels.tolist() == labels
+
+    def test_scan_counts_physical_lines_across_read_chunks(self):
+        # 2**20 - 1 bytes, so the \r after them is the last byte of the first read,
+        # and a \r\n split across the first two reads is one line end
+        rows = b"0,1\n" * ((1 << 20) // 4 - 1) + b"0,1"
+        assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r3,4")) == (len(rows) // 4 + 3,
+                                                                        len(rows) // 4 + 3)
+        assert dataset._scan_body(io.BytesIO(rows + b"\r\n\n")) == (len(rows) // 4 + 2,
+                                                                 len(rows) // 4 + 1)
+        assert dataset._scan_body(io.BytesIO(b"")) == (0, 0)
+        assert dataset._scan_body(io.BytesIO(b"1,2\n\"x\"\n")) is None
+        assert dataset._scan_body(io.BytesIO(b"0" * 140000 + b",1\n")) is None
+
 
 class TestSaveCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -137,6 +260,44 @@ class TestSaveCsv:
         path = tmp_path / "i.csv"
         save_csv(ds, path, label_column="label")
         assert path.read_text() == "a,b,label\n0,1,0\n"
+
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "0"),
+        (5e-324, "5e-324"),
+        (1e16, "10000000000000000"),
+        (2.0**60, "1152921504606846976"),
+        (1.7976931348623157e308,
+         "17976931348623157081452742373170435679807056752584499659891747680315726078002853876"
+         "05895586327668781715404589535143824642343213268894641827684675467035375169860499105"
+         "76551282076245490090389328944075868508455133942304583236903222948165808559332123348"
+         "274797826204144723168738177180919299881250404026184124858368"),
+        (0.1 + 0.2, "0.30000000000000004"),
+    ])
+    def test_golden_value_text(self, tmp_path, value, text):
+        ds = LabeledDataset(np.array([[value], [0.5]]), np.array([1, 0]), ("a",))
+        path = tmp_path / "v.csv"
+        save_csv(ds, path, label_column="label")
+        assert path.read_text() == f"a,label\n{text},1\n0.5,0\n"
+
+    @pytest.mark.parametrize("write_path", ["binary", "real"])
+    @pytest.mark.parametrize("features, labels, text", [
+        ([[1.0, 0.0, -0.0, 1.0]], [7], "f1,f2,f3,f4,label\n1,0,0,1,7\n"),
+        (np.empty((2, 0)), [0, -5], "label\n0\n-5\n"),
+        ([[0.0, 1.0], [1.0, 1.0]], [2**63 - 1, -(2**63)],
+         "f1,f2,label\n0,1,9223372036854775807\n1,1,-9223372036854775808\n"),
+    ])
+    def test_golden_binary_matrix_text(self, tmp_path, monkeypatch, write_path, features,
+                                       labels, text):
+        # both write paths give a 0/1 matrix the same bytes
+        if write_path == "real":
+            monkeypatch.setattr(dataset, "is_binary", lambda features: False)
+        ds = LabeledDataset(np.array(features, dtype=float), np.array(labels, dtype=np.int64))
+        path = tmp_path / "b.csv"
+        save_csv(ds, path, label_column="label")
+        assert path.read_text() == text
+        back = load_csv(path, label_column="label")
+        assert back.features.tobytes() == (ds.features + 0.0).tobytes()
+        assert back.labels.tolist() == labels
 
     def test_label_name_collision_rejected(self, tmp_path):
         ds = LabeledDataset(np.array([[1.0]]), np.array([0]), ("label",))
