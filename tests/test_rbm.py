@@ -2,11 +2,17 @@
 
 import itertools
 import math
+import weakref
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_rbm import rbm
+from spectral_rbm import classifier, rbm
+from spectral_rbm.classifier import class_seed, train_ensemble
 from spectral_rbm.errors import ConvergenceError, SizeLimitError, ValidationError
 from spectral_rbm.markov import SeededRng
 from spectral_rbm.rbm import (
@@ -633,28 +639,241 @@ class TestTrainRbm:
             train_rbm(np.zeros(3), config)
 
 
-class TestTrainingInternals:
-    def test_weight_gradient_is_the_outer_product_difference_bit_for_bit(self):
-        rng = np.random.default_rng(34)
-        out = np.empty((7, 5))
-        for _ in range(200):
-            v1, v2 = (rng.random((2, 7)) < rng.random()).astype(float)
-            p1, p2 = rng.random((2, 5))
-            p1[rng.random(5) < 0.2] = 0.0
-            p2[rng.random(5) < 0.2] = 1.0
-            want = np.outer(v1, p1) - np.outer(v2, p2)
-            assert rbm._weight_gradient(out, v1, p1, v2, p2).tobytes() == want.tobytes()
+def serial_outcome(data, config):
+    """Training one class alone, by replay: ("ok" or "diverged", arrays), or the ValidationError it raises."""
+    try:
+        arrays, _ = replay(data, config)
+    except ValidationError as exc:
+        return exc
+    finite = all(np.all(np.isfinite(a)) for a in arrays)
+    return ("ok" if finite else "diverged"), arrays
 
-    def test_weight_gradient_spreads_a_nan_like_the_outer_product(self):
+
+def zero_offsets(table, labels, fit=None):
+    """Stands in for fit_offsets, so a table of diverged free energies cannot fail the fit."""
+    return np.zeros(table.shape[1])
+
+
+@st.composite
+def lockstep_cases(draw):
+    """Class datasets of uneven sizes (1-row classes too), a config that may diverge, and
+    group and uniform-block sizes small enough to split the lockstep loop."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    ids = draw(st.lists(st.integers(-3, 40), min_size=len(sizes), max_size=len(sizes), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = {c: (rng.random((r, m)) < rng.random()).astype(float) for c, r in zip(ids, sizes)}
+    config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.01, 0.1, 2.0, 1e100, 1e307, 3e307, 1e308])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        epochs=draw(st.integers(1, 3)),
+        hidden_units=n,
+        weight_decay=draw(st.sampled_from([0.0, 2e-4, 0.5])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        init_weight_scale=draw(st.sampled_from([0.01, 1.0, 1e300, 6e307, 1e308])),
+    )
+    stack_bytes = draw(st.sampled_from([1, 64 * m * n, rbm._STACK_BYTES]))
+    uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
+    return datasets, config, stack_bytes, uniform_block
+
+
+class TestLockstepTraining:
+    """train_ensemble steps the classes together; each must come out as if trained alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_cases())
+    def test_models_match_training_each_class_alone(self, case):
+        datasets, config, stack_bytes, uniform_block = case
+        with mock.patch.object(rbm, "_STACK_BYTES", stack_bytes), \
+                mock.patch.object(rbm, "_UNIFORM_BLOCK", uniform_block), \
+                mock.patch.object(classifier, "fit_offsets", zero_offsets), \
+                np.errstate(all="ignore"):
+            outcomes = [serial_outcome(datasets[c], replace(config, seed=class_seed(config.seed, c)))
+                        for c in sorted(datasets)]
+            failed = [o for o in outcomes if isinstance(o, Exception) or o[0] == "diverged"]
+            if not failed:
+                ensemble = train_ensemble(datasets, config)
+                for model, (_, arrays) in zip(ensemble.models, outcomes):
+                    got = (model.weights, model.visible_bias, model.hidden_bias)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+                return
+            first = failed[0]
+            want_type = type(first) if isinstance(first, Exception) else ConvergenceError
+            with pytest.raises(want_type) as info:
+                train_ensemble(datasets, config)
+        if isinstance(first, Exception):
+            assert str(info.value) == str(first)
+        else:
+            got = info.value.last_iterate
+            for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), first[1]):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_first_class_in_id_order_raises_though_later_ones_fail_sooner(self):
+        rng = np.random.default_rng(10)
+        datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
+        config = TrainConfig(learning_rate=1e308, momentum=0.9, epochs=4, hidden_units=4,
+                             weight_decay=0.0, seed=7)
+        replays = [replay(datasets[c], replace(config, seed=class_seed(7, c))) for c in range(3)]
+        assert [updates for _, updates in replays] == [4, 3, 2]  # every class diverges, the last first
+        with pytest.raises(ConvergenceError) as info:
+            train_ensemble(datasets, config)
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), replays[0][0]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert not np.all(np.isfinite(got.weights))
+
+    def test_a_class_that_diverges_last_in_the_stack_is_caught(self):
+        # class 1 finishes after 12 updates; class 2 then sits behind class 0 and diverges at 15
+        rng = np.random.default_rng(20)
+        datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
+        config = TrainConfig(learning_rate=1e307, momentum=0.9, epochs=4, hidden_units=4,
+                             weight_decay=0.0, seed=7)
+        with np.errstate(all="ignore"):
+            replays = [replay(datasets[c], replace(config, seed=class_seed(7, c))) for c in range(3)]
+            assert [updates for _, updates in replays] == [24, 12, 15]
+            with pytest.raises(ConvergenceError) as info:
+                train_ensemble(datasets, config)
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), replays[2][0]):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_an_init_draw_that_overflows_fails_its_class_alone(self):
+        # class 1's scaled init overflows, which training it alone refuses before any update;
+        # class 0, trained first in id order, diverges, so its error is the one raised
+        rng = np.random.default_rng(0)
+        datasets = {0: (rng.random((2, 3)) < 0.5).astype(float),
+                    1: (rng.random((1, 3)) < 0.5).astype(float)}
+        config = TrainConfig(learning_rate=1e308, momentum=0.9, epochs=2, hidden_units=2, seed=0,
+                             init_weight_scale=1e308)
+        with np.errstate(all="ignore"):
+            first, second = (serial_outcome(datasets[c], replace(config, seed=class_seed(0, c)))
+                             for c in (0, 1))
+            assert first[0] == "diverged"
+            assert str(second) == "weights must have finite entries"
+            with pytest.raises(ConvergenceError) as info:
+                train_ensemble(datasets, config)
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), first[1]):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("learning_rate", [0.1, 1e308])
+    def test_a_class_refused_mid_block_leaves_the_others_stepping(self, learning_rate):
+        # A NaN probability needs a pre-activation of inf - inf, which no small model reaches on
+        # purpose, so here the chain refuses every all-ones row: class 1's, from its first update.
+        # The chain also logs the weights that class 0 steps from: in the replay every call is
+        # class 0's, in the ensemble class 0 is the first of each stacked call.
+        original = rbm._chain_step
+
+        def refusing(log, stacked):
+            def chain(v1, weights, *rest):
+                if np.any(np.all(v1 == 1.0, axis=-1)):
+                    raise ValidationError("probabilities must lie in [0, 1]")
+                out = original(v1, weights, *rest)
+                if len(weights.shape) == 2 + stacked:
+                    log.append(weights.reshape(-1, *weights.shape[-2:])[0].tobytes())
+                return out
+            return chain
+
+        rng = np.random.default_rng(10)
+        datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
+        datasets[0][:, 0] = datasets[2][:, 0] = 0.0
+        datasets[1][:] = 1.0
+        config = TrainConfig(learning_rate=learning_rate, momentum=0.9, epochs=4, hidden_units=4,
+                             weight_decay=0.0, seed=7)
+        alone, together = [], []
+        with np.errstate(all="ignore"):
+            with mock.patch.object(rbm, "_chain_step", refusing(alone, False)):
+                arrays, updates = replay(datasets[0], replace(config, seed=class_seed(7, 0)))
+            # class 0 outlives class 2 unless it diverges, at update 3, two after class 1 left
+            assert updates == (24 if learning_rate == 0.1 else 3)
+            with mock.patch.object(rbm, "_chain_step", refusing(together, True)):
+                with pytest.raises((ValidationError, ConvergenceError)) as info:
+                    train_ensemble(datasets, config)
+        assert together[:updates] == alone
+        if learning_rate == 0.1:
+            assert type(info.value) is ValidationError
+            assert str(info.value) == "probabilities must lie in [0, 1]"
+            return
+        assert type(info.value) is ConvergenceError  # class 0 fails later, but has the lower id
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), arrays):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_classes_together_hold_at_most_one_uniform_block(self, monkeypatch):
+        draws = []  # (stream seed, size) of every uniforms call
+        live = {"now": 0, "peak": 0}
+        original = SeededRng.uniforms
+
+        def forget(size):
+            live["now"] -= size
+
+        def uniforms(rng, size):
+            out = original(rng, size)
+            draws.append((rng.seed, out.size))
+            live["now"] += out.size
+            live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(out, forget, out.size)
+            return out
+
+        monkeypatch.setattr(SeededRng, "uniforms", uniforms)
+        m, n, epochs = 60, 40, 10
+        rng = np.random.default_rng(36)
+        sizes = {0: 90, 1: 120, 2: 150, 3: 40}
+        datasets = {c: (rng.random((r, m)) < 0.4).astype(float) for c, r in sizes.items()}
+        config = TrainConfig(epochs=epochs, hidden_units=n, seed=37, init_weight_scale=0.1)
+        train_ensemble(datasets, config)
+
+        assert live["peak"] <= rbm._UNIFORM_BLOCK
+        # each class draws once per block, so a block ends where a stream draws again
+        block, in_block = 0, set()
+        for stream, size in draws:
+            if stream in in_block:
+                block, in_block = 0, set()
+            in_block.add(stream)
+            block += size
+            assert block <= rbm._UNIFORM_BLOCK
+        totals = {}
+        for stream, size in draws:
+            totals[stream] = totals.get(stream, 0) + size
+        assert totals == {class_seed(37, c): epochs * r * (n + m) for c, r in sizes.items()}
+
+
+class TestTrainingInternals:
+    def test_pair_product_is_the_outer_product_difference_bit_for_bit(self):
+        # training writes the weight gradient as [v1 v2] @ [p1; -p2], k classes at once
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            k = int(rng.integers(1, 4))
+            v1, v2 = (rng.random((2, k, 7)) < rng.random()).astype(float)
+            p1, p2 = rng.random((2, k, 5))
+            p1[rng.random((k, 5)) < 0.2] = 0.0
+            p2[rng.random((k, 5)) < 0.2] = 1.0
+            got = np.matmul(np.stack([v1, v2], axis=-1), np.stack([p1, -p2], axis=1))
+            for j in range(k):
+                want = np.outer(v1[j], p1[j]) - np.outer(v2[j], p2[j])
+                assert got[j].tobytes() == want.tobytes()
+
+    def test_pair_product_spreads_a_nan_like_the_outer_product(self):
         v1 = np.array([1.0, 0.0, 1.0])
         v2 = np.array([0.0, 1.0, 0.0])
         p1 = np.array([0.2, 0.7])
         p2 = np.array([np.nan, 0.4])
         with np.errstate(invalid="ignore"):
             want = np.outer(v1, p1) - np.outer(v2, p2)
-            got = rbm._weight_gradient(np.empty((3, 2)), v1, p1, v2, p2)
+            got = np.matmul(np.stack([v1, v2], axis=-1), np.stack([p1, -p2]))
         assert np.isnan(got[:, 0]).all()
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_stacked_chain_step_matches_each_chain_alone(self):
+        rng = np.random.default_rng(35)
+        for k, m, n in ((1, 4, 3), (3, 7, 5), (8, 100, 50), (2, 500, 100)):
+            v1 = (rng.random((k, m)) < 0.5).astype(float)
+            w, c, b = rng.standard_normal((k, m, n)), rng.standard_normal((k, m)), rng.standard_normal((k, n))
+            u_hidden, u_visible = rng.random((k, n)), rng.random((k, m))
+            stacked = rbm._chain_step(v1, w, c, b, u_hidden, u_visible)
+            for j in range(k):
+                alone = rbm._chain_step(v1[j], w[j], c[j], b[j], u_hidden[j], u_visible[j])
+                assert [a[j].tobytes() for a in stacked] == [a.tobytes() for a in alone]
 
     @pytest.mark.parametrize("where", ["weights", "visible_bias", "hidden_bias"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
