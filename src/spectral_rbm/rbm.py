@@ -19,7 +19,12 @@ _lockstep_group: the loop that trains k RBMs side by side on stacked
 (k, m, n) arrays, each with its own stream, as train_ensemble does for
 its classes; train_rbm is its k = 1 case. The loop draws its uniforms a
 block of rows at a time, in the order cd1 would, and checks that each
-RBM's parameters are finite after every update.
+RBM's parameters are finite after every update, and that no probability
+it samples from is NaN, whenever those checks could fail. It carries a
+bound on every parameter that holds a priori (each gradient entry lies
+in [-1, 1]); while the bound keeps every parameter and pre-activation far
+below overflow, no check can fire and the loop skips them, which changes
+no bit of the result.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
@@ -59,6 +64,14 @@ UINT32_MAX = 2**32 - 1
 # Most uniforms that the classes training together hold at once (512 KiB of
 # float64); a block holds as many whole rows' draws as fit, and at least one row's.
 _UNIFORM_BLOCK = 2**16
+
+# While the running bound keeps every |pre-activation| and |weight_decay * W|
+# at or below this, nothing in a CD-1 update can overflow (float64 tops out
+# near 1.8e308), so the finiteness guard and the NaN probes cannot fire.
+_CHECK_FREE_LIMIT = 1e300
+
+# Rounds a bound upward past the rounding of the few operations that formed it.
+_ROUND_UP = 1.0 + 2.0**-50
 
 # Bytes of weight-sized arrays that classes trained in lockstep may share,
 # about one core's L2 cache. On a 2-core Xeon VM with 2 MiB of L2 per core,
@@ -134,25 +147,32 @@ class GradientEstimate:
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)) of a float64 array, overflow-safe.
 
-    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
-    below, the same operations as the two-branch form, so no positive
-    argument is exponentiated and +-inf map to exactly 1 and 0.
+    Computed as exp(min(x, 0)) / (1 + exp(-|x|)): that is 1 / (1 + exp(-x))
+    for x >= 0 and exp(x) / (1 + exp(x)) below, the same operations as the
+    two-branch form and so the same bits, with no positive argument
+    exponentiated and no mask. +-inf map to exactly 1 and 0, and only a
+    NaN argument gives NaN: a finite pre-activation never yields a NaN
+    probability, which is why training may skip its NaN probes while its
+    bound keeps every pre-activation finite.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _log1p_exp(x):
     """log(1 + exp(x)) elementwise without overflow.
 
-    For x above the cutoff, uses x + log1p(exp(-x)); below it the direct
-    form is already safe (exp underflows harmlessly for very negative x).
+    Takes log1p(exp(x)) everywhere, then redoes the entries above the
+    cutoff as x + log1p(exp(-x)); below it the direct form is already
+    safe (exp underflows harmlessly for very negative x), and above it
+    the overflowed direct values are overwritten.
     """
     x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.exp(x)
+    np.log1p(out, out=out)
     big = x > _LOG1P_EXP_CUTOFF
-    out = np.empty_like(x)
-    out[big] = x[big] + np.log1p(np.exp(-x[big]))
-    out[~big] = np.log1p(np.exp(x[~big]))
+    if big.any():
+        out[big] = x[big] + np.log1p(np.exp(-x[big]))
     return out
 
 
@@ -193,7 +213,7 @@ def _check_probabilities(p):
         raise ValidationError("probabilities must lie in [0, 1]")
 
 
-def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
+def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible, probe=True):
     """One CD-1 chain from data row v1, sampling with the given uniforms.
 
     p1 = p(h|v1), h1 = [u_hidden < p1], v2 = [u_visible < p(v|h1)],
@@ -201,13 +221,17 @@ def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
     axis of k chains, one RBM each; np.matmul then steps them all at once,
     bit for bit as it steps each alone. Raises ValidationError when a
     probability it samples from is NaN (finite parameters can still
-    overflow a pre-activation to inf - inf).
+    overflow a pre-activation to inf - inf). probe=False skips those two
+    NaN probes; the training loop passes it only while its running bound
+    shows every pre-activation is finite, when no probability can be NaN.
     """
     p1 = sigmoid(hidden_bias + np.matmul(v1[..., None, :], weights)[..., 0, :])
-    _check_probabilities(p1)
+    if probe:
+        _check_probabilities(p1)
     h1 = (u_hidden < p1).astype(float)
     pv = sigmoid(visible_bias + np.matmul(weights, h1[..., None])[..., 0])
-    _check_probabilities(pv)
+    if probe:
+        _check_probabilities(pv)
     v2 = (u_visible < pv).astype(float)
     p2 = sigmoid(hidden_bias + np.matmul(v2[..., None, :], weights)[..., 0, :])
     return p1, v2, p2
@@ -247,6 +271,41 @@ def _all_finite(weights, visible_bias, hidden_bias):
     return all(np.all(np.isfinite(a)) for a in (weights, visible_bias, hidden_bias))
 
 
+def _next_bound(bound, config):
+    """The parameter bound one CD-1 update later.
+
+    bound is (W, V, B, U): upper bounds on max|weights|, max|weight
+    velocity|, max|bias| and max|bias velocity| over both biases. Every
+    entry of outer(v1, p1) - outer(v2, p2), v1 - v2 and p1 - p2 lies in
+    [-1, 1], so the update's own operations, applied to the bounds, bound
+    their results:
+
+        V' = momentum * V + learning_rate * (1 + weight_decay * W),  W' = W + V'
+        U' = momentum * U + learning_rate,                           B' = B + U'
+
+    each evaluated in that order (rounding is monotone, so the rounded
+    sums and products of bounds bound the rounded results) and then
+    rounded upward once more. The bounds only grow.
+    """
+    weights, velocity, bias, bias_velocity = bound
+    lr, momentum = config.learning_rate, config.momentum
+    velocity = (momentum * velocity + lr * (1.0 + config.weight_decay * weights)) * _ROUND_UP
+    bias_velocity = (momentum * bias_velocity + lr) * _ROUND_UP
+    return (weights + velocity) * _ROUND_UP, velocity, (bias + bias_velocity) * _ROUND_UP, bias_velocity
+
+
+def _reach(bound, config, m, n):
+    """A bound, under bound, on every |pre-activation| and |weight_decay * W| of a CD-1 step.
+
+    A pre-activation adds a bias to at most max(m, n) weights (the chain's
+    rows are 0/1), so B + (max(m, n) + weight_decay) * W bounds both. A
+    bound stepped past overflow gives inf or NaN; callers compare with <=,
+    which both fail.
+    """
+    weights, _, bias, _ = bound
+    return (bias + (max(m, n) + config.weight_decay) * weights) * _ROUND_UP
+
+
 def train_rbm(data, config):
     """Train one RBM on binary rows with online CD-1.
 
@@ -261,8 +320,11 @@ def train_rbm(data, config):
     then per row n + m uniforms, exactly what cd1 draws), so identical
     inputs give bit-identical parameters. Parameters are checked after
     every update: the first one that leaves an entry non-finite raises
-    ConvergenceError with the parameters as last_iterate. This is the
-    one-class case of the lockstep loop train_ensemble runs.
+    ConvergenceError with the parameters as last_iterate. The check runs
+    only once a running bound on the parameters no longer rules that out;
+    until then the bound proves every entry finite, so skipping it gives
+    the same result and the same error. This is the one-class case of the
+    lockstep loop train_ensemble runs.
     """
     data = check_rows("training data", data, binary=True)
     return _train_lockstep(data, [(0, data.shape[0])], config, [config.seed])[0]
@@ -303,6 +365,15 @@ def _lockstep_group(rows, spans, config, seeds):
     draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
     and the blocks grow as classes leave. A class leaves when its
     epochs * count updates are done or when it fails.
+
+    The checks (the NaN probes in _chain_step and the finiteness guard
+    after each update) run only from the first update at which they could
+    fire. The loop starts a _next_bound bound at max|W| of the init draws
+    with zero velocities and biases, and steps it with every update; while
+    _reach of it stays within _CHECK_FREE_LIMIT, every parameter and
+    pre-activation is finite, so no probability is NaN and the guard would
+    pass. The bound only grows, so once past the limit the checks run
+    every update until the group ends.
     """
     m, n = rows.shape[1], config.hidden_units
     rngs = [SeededRng(seed) for seed in seeds]
@@ -331,6 +402,8 @@ def _lockstep_group(rows, spans, config, seeds):
     vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
     d_w, decay_w = np.empty_like(w), np.empty_like(w)
     pair_v, pair_p = np.empty((active.size, m, 2)), np.empty((active.size, 2, n))
+    bound = (float(max(w.max(initial=0.0), -w.min(initial=0.0))), 0.0, 0.0, 0.0)
+    checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
     t = 0  # updates made by every class still running
     with np.errstate(over="ignore", invalid="ignore"):
         while active.size:
@@ -346,7 +419,7 @@ def _lockstep_group(rows, spans, config, seeds):
                 u_hidden, u_visible = u[:, s, :n], u[:, s, n:]
                 leaving = {}
                 try:
-                    p1, v2, p2 = _chain_step(v1, w, c, b, u_hidden, u_visible)
+                    p1, v2, p2 = _chain_step(v1, w, c, b, u_hidden, u_visible, checked)
                 except ValidationError:
                     # the chain changes no state: drop the classes that refuse, then redo it
                     for j in range(k):
@@ -374,7 +447,10 @@ def _lockstep_group(rows, spans, config, seeds):
                     w += vel_w
                     c += vel_c
                     b += vel_b
-                    if not math.isfinite(w.sum() + c.sum() + b.sum()):
+                    if not checked:
+                        bound = _next_bound(bound, config)
+                        checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
+                    if checked and not math.isfinite(w.sum() + c.sum() + b.sum()):
                         leaving = {
                             j: ConvergenceError("training diverged to non-finite parameters",
                                                 last_iterate=models[active[j]])

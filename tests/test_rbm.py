@@ -345,6 +345,23 @@ class TestFreeEnergy:
         with pytest.raises(ValidationError):
             free_energy_batch(np.zeros((4, 2)), params)
 
+    def test_log1p_exp_matches_two_mask_form_bit_for_bit(self):
+        # log1p(exp(x)) at x <= 30, x + log1p(exp(-x)) above, each computed on its own mask
+        x = np.concatenate([
+            np.random.default_rng(15).standard_normal(10_000) * 40.0,
+            [np.nextafter(30.0, 0.0), 30.0, np.nextafter(30.0, 99.0), 709.78, 710.0, -745.0,
+             np.inf, -np.inf, np.nan, 0.0, -0.0],
+        ])
+        big = x > 30.0
+        want = np.empty_like(x)
+        want[big] = x[big] + np.log1p(np.exp(-x[big]))
+        want[~big] = np.log1p(np.exp(x[~big]))
+        with np.errstate(over="raise"):  # the overflowed direct values are never seen
+            got = rbm._log1p_exp(x)
+        assert got.tobytes() == want.tobytes()
+        small = x[np.abs(x) <= 30.0]  # no entry above the cutoff: nothing to redo
+        assert rbm._log1p_exp(small).tobytes() == np.log1p(np.exp(small)).tobytes()
+
 
 class TestExactPartitionFunction:
     def test_zero_params_count_states(self):
@@ -674,7 +691,8 @@ def lockstep_cases(draw):
     )
     stack_bytes = draw(st.sampled_from([1, 64 * m * n, rbm._STACK_BYTES]))
     uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
-    return datasets, config, stack_bytes, uniform_block
+    check_free_limit = draw(st.sampled_from([0.0, 20.0, 1e200, rbm._CHECK_FREE_LIMIT]))
+    return datasets, config, stack_bytes, uniform_block, check_free_limit
 
 
 class TestLockstepTraining:
@@ -683,9 +701,10 @@ class TestLockstepTraining:
     @settings(max_examples=150, deadline=None)
     @given(lockstep_cases())
     def test_models_match_training_each_class_alone(self, case):
-        datasets, config, stack_bytes, uniform_block = case
+        datasets, config, stack_bytes, uniform_block, check_free_limit = case
         with mock.patch.object(rbm, "_STACK_BYTES", stack_bytes), \
                 mock.patch.object(rbm, "_UNIFORM_BLOCK", uniform_block), \
+                mock.patch.object(rbm, "_CHECK_FREE_LIMIT", check_free_limit), \
                 mock.patch.object(classifier, "fit_offsets", zero_offsets), \
                 np.errstate(all="ignore"):
             outcomes = [serial_outcome(datasets[c], replace(config, seed=class_seed(config.seed, c)))
@@ -836,6 +855,145 @@ class TestLockstepTraining:
         for stream, size in draws:
             totals[stream] = totals.get(stream, 0) + size
         assert totals == {class_seed(37, c): epochs * r * (n + m) for c, r in sizes.items()}
+
+
+def huge_reals(smallest):
+    """Positive reals from smallest up to the largest float64, spread over the decades."""
+    return st.one_of(st.sampled_from([smallest, 1e308, np.finfo(float).max]),
+                     st.floats(-4.0, 308.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def bound_cases(draw):
+    """One small class, with learning rate, weight decay and init scale up to 1e308."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = (rng.random((draw(st.integers(1, 5)), m)) < rng.random()).astype(float)
+    config = TrainConfig(
+        learning_rate=draw(huge_reals(1e-4)),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.999)),
+        epochs=draw(st.integers(1, 3)),
+        hidden_units=n,
+        weight_decay=draw(st.just(0.0) | huge_reals(1e-4)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        init_weight_scale=draw(huge_reals(1e-4)),
+    )
+    return data, config
+
+
+def assert_within_bound(bound, config, weights, biases, velocities):
+    """Each finite part of the bound holds for what it bounds, and _reach for the pre-activations.
+
+    A pre-activation is a bias plus a sum of weights over a 0/1 vector, so the worst over all
+    vectors, |bias| + sum of |weights| (summed exactly), is what _reach must cover.
+    """
+    weights_velocity, bias_velocities = velocities[0], velocities[1:]
+    for limit, arrays in zip(bound, ([weights], [weights_velocity], biases, bias_velocities)):
+        if math.isfinite(limit):
+            assert max(np.abs(a).max() for a in arrays) <= limit
+    reach = rbm._reach(bound, config, *weights.shape)
+    if math.isfinite(reach):
+        visible_bias, hidden_bias = biases
+        worst = [math.fsum([abs(c), *np.abs(row)]) for c, row in zip(visible_bias, weights)]
+        worst += [math.fsum([abs(b), *np.abs(col)]) for b, col in zip(hidden_bias, weights.T)]
+        assert max(worst) <= reach
+        assert config.weight_decay * np.abs(weights).max() <= reach
+
+
+class TestCheckFreeBound:
+    """The loop skips its checks while rbm._next_bound keeps rbm._reach within the limit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound_cases())
+    def test_bound_holds_along_the_replay_and_the_checks_fire_only_past_it(self, case):
+        # replay's update, with the bound stepped beside it
+        data, config = case
+        twin = SeededRng(config.seed)
+        with np.errstate(over="ignore"):
+            weights = twin.normals((data.shape[1], config.hidden_units)) * config.init_weight_scale
+        if not np.all(np.isfinite(weights)):
+            return  # the class fails at its init draw, before the loop starts a bound
+        vbias = np.zeros(data.shape[1])
+        hbias = np.zeros(config.hidden_units)
+        vel_w, vel_c, vel_b = np.zeros_like(weights), np.zeros_like(vbias), np.zeros_like(hbias)
+        lr, mom, wd = config.learning_rate, config.momentum, config.weight_decay
+        bound = (float(np.abs(weights).max()), 0.0, 0.0, 0.0)
+        skipping = True  # training skips its checks until the bound first fails the limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in itertools.chain.from_iterable([data] * config.epochs):
+                assert_within_bound(bound, config, weights, (vbias, hbias), (vel_w, vel_c, vel_b))
+                skipping &= rbm._reach(bound, config, *weights.shape) <= rbm._CHECK_FREE_LIMIT
+                try:
+                    grad = cd1(row, RbmParams(weights.copy(), vbias.copy(), hbias.copy()), twin)
+                except ValidationError:
+                    assert not skipping  # a NaN probe fired
+                    return
+                vel_w = mom * vel_w + lr * (grad.d_weights - wd * weights)
+                vel_c = mom * vel_c + lr * grad.d_visible_bias
+                vel_b = mom * vel_b + lr * grad.d_hidden_bias
+                weights = weights + vel_w
+                vbias = vbias + vel_c
+                hbias = hbias + vel_b
+                bound = rbm._next_bound(bound, config)
+                if not all(np.all(np.isfinite(a)) for a in (weights, vbias, hbias)):
+                    assert not rbm._reach(bound, config, *weights.shape) <= rbm._CHECK_FREE_LIMIT
+                    return
+            assert_within_bound(bound, config, weights, (vbias, hbias), (vel_w, vel_c, vel_b))
+
+    @pytest.mark.parametrize("learning_rate, weight_decay, limit", [(1e30, 0.5, 1e200), (0.1, 2e-4, 20.0)])
+    def test_checks_switch_on_mid_block_with_the_always_checked_result(
+            self, learning_rate, weight_decay, limit):
+        rng = np.random.default_rng(10)
+        datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
+        config = TrainConfig(learning_rate=learning_rate, momentum=0.9, epochs=4, hidden_units=4,
+                             weight_decay=weight_decay, seed=7, init_weight_scale=0.01)
+        original = rbm._chain_step
+
+        def outcome(check_free_limit):
+            """What training gives, and the probe flag of every stacked chain step."""
+            probed = []
+
+            def spy(v1, weights, *rest):
+                if weights.ndim == 3:
+                    probed.append(rest[4])
+                return original(v1, weights, *rest)
+
+            with mock.patch.object(rbm, "_CHECK_FREE_LIMIT", check_free_limit), \
+                    mock.patch.object(rbm, "_chain_step", spy), \
+                    mock.patch.object(classifier, "fit_offsets", zero_offsets):
+                try:
+                    ensemble = train_ensemble(datasets, config)
+                except ConvergenceError as exc:
+                    got = exc.last_iterate
+                    arrays = [got]
+                    result = str(exc)
+                else:
+                    arrays = ensemble.models
+                    result = "ok"
+            return result, [a.tobytes() for x in arrays
+                            for a in (x.weights, x.visible_bias, x.hidden_bias)], probed
+
+        with np.errstate(all="ignore"):
+            *crossing, probed = outcome(limit)
+            *always_checked, probed_always = outcome(0.0)
+        switch = probed.index(True)
+        assert 0 < switch < len(probed) and all(probed[switch:])  # one block, checked from mid-way on
+        assert all(probed_always)  # from the first step
+        assert crossing == always_checked
+        assert crossing[0] == ("ok" if learning_rate == 0.1 else "training diverged to non-finite parameters")
+
+    def test_a_group_whose_every_init_draw_overflows(self):
+        rng = np.random.default_rng(0)
+        datasets = {c: (rng.random((2, 10)) < 0.5).astype(float) for c in (3, 5)}
+        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
+        with np.errstate(all="ignore"):
+            for c in datasets:
+                assert str(serial_outcome(datasets[c], replace(config, seed=class_seed(0, c)))) \
+                    == "weights must have finite entries"
+            with pytest.raises(ValidationError, match="weights must have finite entries"):
+                train_ensemble(datasets, config)
+            with pytest.raises(ValidationError, match="weights must have finite entries"):
+                train_rbm(datasets[3], config)
 
 
 class TestTrainingInternals:
