@@ -6,10 +6,15 @@ column a finite real feature. Values are written with shortest-round-trip
 float formatting, so save followed by load reproduces the array exactly;
 whole numbers are written without a decimal point.
 
-load_csv parses the body with np.loadtxt when its bytes and lines are ones
-that float() and int() would read to the same values; any other body goes
-through a csv.reader loop, the only code that reports a bad cell by line
-and column. save_csv writes a 0/1 matrix from a uint8 byte array and any
+load_csv scans the body's bytes once, 1 MB at a time, and reads it on a
+fast path when its bytes and lines are ones that float() and int() would
+read to the same values. The scan checks every physical line's cell count
+and collects its label cell, which int() then reads. A 0/1 body with the
+label last, one digit and one comma per feature cell as save_csv writes
+it, decodes its features from the scanned digits; any other such body
+reads them in one float np.loadtxt pass. Every other body goes through a
+csv.reader loop, the only code that reports a bad cell by line and
+column. save_csv writes a 0/1 matrix from a uint8 byte array and any
 other matrix row by row, to the same text either way.
 """
 
@@ -124,79 +129,129 @@ class SynthSpec:
             )
 
 
-# Bytes a body may hold for the np.loadtxt path. Quotes, letters other than
-# the exponent and control characters go to the csv.reader loop: loadtxt
-# skips U+001C-U+001F as whitespace where float() refuses them.
+# Bytes a body may hold for a fast path. Quotes, letters other than the
+# exponent and control characters go to the csv.reader loop: loadtxt skips
+# U+001C-U+001F as whitespace where float() refuses them.
 _FAST_BYTES = b"0123456789+-.eE, \r\n"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _scan_body(fh):
-    """(physical lines, commas) in the rest of a binary file, or None.
+def _physical_lines(fh):
+    """Each physical line in the rest of a binary file, without its end, read 1 MB at a time.
 
     \\n, \\r and \\r\\n each end a line, as they do for csv.reader over a
-    file opened with newline="". None at a byte outside _FAST_BYTES, and at
-    a run of a third of csv.field_size_limit() bytes with no comma or line
-    end: csv.reader refuses a cell longer than that limit, loadtxt does not.
+    file opened with newline="". Yields None and stops at a byte outside
+    _FAST_BYTES, and at a run of a third of csv.field_size_limit() bytes
+    with no comma or line end: csv.reader refuses a cell longer than that
+    limit, loadtxt does not.
     """
     block = csv.field_size_limit() // 3
-    lines = commas = 0
-    last = b"\n"
+    held = []  # the bytes read since the last line end
+    cr = False  # the last read ended with \r
     for chunk in iter(lambda: fh.read(1 << 20), b""):
         if chunk.translate(None, _FAST_BYTES):
-            return None
+            yield None
+            return
         # a cell over the limit covers a whole aligned block of some chunk
         for i in range(0, len(chunk) - block + 1, block):
             if all(chunk.find(sep, i, i + block) < 0 for sep in b",\n\r"):
-                return None
-        commas += chunk.count(b",")
-        lines += chunk.count(b"\n")
+                yield None
+                return
+        if cr and chunk.startswith(b"\n"):
+            chunk = chunk[1:]  # the \n of a \r\n split across two reads
+        cr = chunk.endswith(b"\r")
         if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if last == b"\r" and chunk.startswith(b"\n"):
-            lines -= 1  # one \r\n split across two chunks
-        last = chunk[-1:]
-    return lines + (last not in b"\r\n"), commas
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        *lines, rest = chunk.split(b"\n")
+        if lines:
+            lines[0] = b"".join([*held, lines[0]])  # a line's pieces are joined once
+            held = []
+            yield from lines
+        held.append(rest)
+    last = b"".join(held)
+    if last:
+        yield last
 
 
-def _loadtxt(path, header_lines, dtype, usecols, ndmin):
-    """One np.loadtxt pass over the lines of path after its first header_lines."""
+def _scan_body(fh, label_idx, width):
+    """(label cells, feature digits) of the rest of a binary file, or None.
+
+    The label cells are the bytes of each physical line's cell label_idx.
+    The feature digits are the 0/1 bytes of every line's cells before the
+    label, row after row, when the label is last and every line starts
+    with width - 1 one-digit cells of 0 or 1: each cell then sits at a
+    fixed offset. Otherwise the digits are None.
+
+    None at a line that _physical_lines refuses or that does not hold
+    exactly width - 1 commas: with no quotes, a row of width cells.
+    """
+    commas = width - 1
+    fixed = b"," * commas  # the odd bytes of a 0/1 line's features
+    digits = [] if label_idx == commas else None
+    cells = []
+    for line in _physical_lines(fh):
+        if line is None or line.count(b",") != commas:
+            return None
+        if label_idx < commas:
+            cells.append(line.split(b",", label_idx + 1)[label_idx])
+            continue
+        cells.append(line.rpartition(b",")[2])
+        if digits is not None:
+            # width - 1 commas at the odd offsets leave none in the label cell
+            bits = line[:2 * commas:2]
+            if line[1:2 * commas:2] == fixed and not bits.translate(None, b"01"):
+                digits.append(bits)
+            else:
+                digits = None
+    return cells, None if digits is None else b"".join(digits)
+
+
+def _loadtxt(path, header_lines, usecols):
+    """The float columns usecols of the lines of path after its first header_lines, by np.loadtxt."""
     with open(path, encoding="utf-8") as fh:
         for _ in range(header_lines):
             fh.readline()
-        return np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, usecols=usecols,
-                          ndmin=ndmin)
+        return np.loadtxt(fh, delimiter=",", comments=None, dtype=float, usecols=usecols,
+                          ndmin=2)
 
 
 def _fast_body(path, header_lines, label_idx, width):
-    """(features, labels) of the body by np.loadtxt, or None when the csv.reader loop must read it.
+    """(features, labels) of the body, or None when the csv.reader loop must read it.
 
-    None unless the body holds only _FAST_BYTES, every physical line is a
-    row of width cells, every cell parses and every feature is finite:
-    then float() and int() would have read the same values.
+    One byte scan (_scan_body) checks every line and yields the label
+    cells, which int() reads as the loop does. A 0/1 body with the label
+    last, as save_csv writes one, decodes its features from the scan's
+    digits; any other body reads them in one np.loadtxt pass. None unless
+    the body holds only _FAST_BYTES, every physical line is a row of width
+    cells, every cell parses, every label fits in int64 and every feature
+    is finite: then float() and int() would have read the same values.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         offset = sum(len(fh.readline().encode("utf-8")) for _ in range(header_lines))
     with open(path, "rb") as fh:
         fh.seek(offset)
-        scanned = _scan_body(fh)
-    if scanned is None:
+        scanned = _scan_body(fh, label_idx, width)
+    if scanned is None or not scanned[0]:
         return None
-    lines, commas = scanned
-    # with no quotes, a row of width cells holds width - 1 commas; loadtxt
-    # refuses a short row, so a long one shows in the count
-    if lines == 0 or commas != lines * (width - 1):
+    cells, digits = scanned
+    try:
+        labels = [int(cell) for cell in cells]  # int() strips the spaces that cell.strip() would
+    except ValueError:
         return None
+    if min(labels) < _INT64_MIN or max(labels) > _INT64_MAX:
+        return None
+    labels = np.array(labels, dtype=np.int64)
+    if digits is not None:
+        bits = np.frombuffer(digits, dtype=np.uint8).reshape(len(labels), width - 1)
+        return (bits - ord("0")).astype(float), labels
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            features = _loadtxt(path, header_lines, float,
-                                [i for i in range(width) if i != label_idx], 2)
-            labels = _loadtxt(path, header_lines, np.int64, label_idx, 1)
-    except (ValueError, OverflowError, Warning):
+            features = _loadtxt(path, header_lines, [i for i in range(width) if i != label_idx])
+    except (ValueError, Warning):
         return None
-    # loadtxt skips blank lines, which csv.reader reads as short rows
-    if len(features) != lines or not np.isfinite(features).all():
+    # loadtxt skips a blank line, but with width > 1 every line holds a comma
+    if not np.isfinite(features).all():
         return None
     return features, labels
 

@@ -72,33 +72,43 @@ def _interval(lo, hi, lo_open=False, hi_open=False):
     return f"{left}, {right}"
 
 
+def _shown(value):
+    """repr(value), or the bit length of an int too long for Python to write in decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
 def check_int(name, value, lo=None, hi=None):
     """Raise ValidationError unless value is an integer, not a bool, in [lo, hi].
 
     A bound of None leaves that side unbounded.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if (lo is not None and int(value) < lo) or (hi is not None and int(value) > hi):
-        raise ValidationError(f"{name} must lie in {_interval(lo, hi)}, got {value!r}")
+        raise ValidationError(f"{name} must lie in {_interval(lo, hi)}, got {_shown(value)}")
 
 
 def check_real(name, value, lo=None, hi=None, lo_open=False, hi_open=False):
     """Raise ValidationError unless value is a finite real, not a bool, in the interval.
 
     The interval is [lo, hi] with each end excluded when its *_open flag
-    is set; a bound of None leaves that side unbounded.
+    is set; a bound of None leaves that side unbounded. An integer too
+    large for float() is not finite.
     """
-    finite = isinstance(value, numbers.Real) and (
-        isinstance(value, numbers.Integral) or math.isfinite(value)
-    )
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
     if isinstance(value, bool) or not finite:
-        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+        raise ValidationError(f"{name} must be a finite real number, got {_shown(value)}")
     below = lo is not None and (value <= lo if lo_open else value < lo)
     above = hi is not None and (value >= hi if hi_open else value > hi)
     if below or above:
         raise ValidationError(
-            f"{name} must lie in {_interval(lo, hi, lo_open, hi_open)}, got {value!r}"
+            f"{name} must lie in {_interval(lo, hi, lo_open, hi_open)}, got {_shown(value)}"
         )
 
 

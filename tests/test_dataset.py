@@ -178,20 +178,15 @@ _FEATURE_CELLS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
 )
 _LABEL_CELLS = st.integers(-(2**63), 2**63 - 1).map(str)
+# short labels as save_csv writes them, and as a hand-edited file may hold them
+_SHORT_LABEL_CELLS = st.one_of(st.text("0123456789", min_size=1, max_size=3),
+                               st.text("0123456789", min_size=1, max_size=2).map("-".__add__))
+# cells that end the fixed offsets of a 0/1 body, or read to other values
+_ODD_BINARY_CELLS = ["2", "00", " 1", "", "-0", "+"]
 
 
-@st.composite
-def _csv_texts(draw):
-    """Labeled CSV text: well-formed rows, then a few odd cells, lines and line ends."""
-    width = draw(st.integers(1, 4))
-    label_idx = draw(st.integers(0, width - 1))
-    rows = [[draw(_LABEL_CELLS if i == label_idx else _FEATURE_CELLS) for i in range(width)]
-            for _ in range(draw(st.integers(0, 5)))]
-    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 3])) if rows else 0):
-        row = draw(st.sampled_from(rows))
-        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD_CELLS))
-    lines = [",".join("label" if i == label_idx else f"f{i}" for i in range(width))]
-    lines += [",".join(row) for row in rows]
+def _text(draw, lines):
+    """lines, with maybe an odd line among them, joined by \\n, \\r\\n or \\r line ends."""
     for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_ODD_LINES)))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
@@ -201,9 +196,48 @@ def _csv_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+def _mutate(draw, rows, width, cells):
+    """Set a few cells of rows to odd ones drawn from cells."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 3])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(cells))
+
+
+@st.composite
+def _csv_texts(draw):
+    """Labeled CSV text: well-formed rows, then a few odd cells, lines and line ends."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, width - 1))
+    rows = [[draw(_LABEL_CELLS if i == label_idx else _FEATURE_CELLS) for i in range(width)]
+            for _ in range(draw(st.integers(0, 5)))]
+    _mutate(draw, rows, width, _ODD_CELLS)
+    lines = [",".join("label" if i == label_idx else f"f{i}" for i in range(width))]
+    return _text(draw, lines + [",".join(row) for row in rows])
+
+
+@st.composite
+def _binary_texts(draw):
+    """A 0/1 body with the label last, as save_csv writes one, then a few odd cells and lines."""
+    width = draw(st.integers(1, 5))
+    rows = [[*(draw(st.sampled_from("01")) for _ in range(width - 1)), draw(_SHORT_LABEL_CELLS)]
+            for _ in range(draw(st.integers(0, 5)))]
+    _mutate(draw, rows, width, _ODD_BINARY_CELLS)
+    lines = [",".join([*(f"f{i}" for i in range(1, width)), "label"])]
+    return _text(draw, lines + [",".join(row) for row in rows])
+
+
+_SCAN_BODY = dataset._scan_body
+
+
+def _without_digits(fh, label_idx, width):
+    """_scan_body, but never offering feature digits: the body takes the np.loadtxt pass."""
+    scanned = _SCAN_BODY(fh, label_idx, width)
+    return scanned and (scanned[0], None)
+
+
 class TestFastLoad:
-    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
-    @given(text=_csv_texts())
+    @settings(derandomize=True, deadline=None, max_examples=600, database=None)
+    @given(text=st.one_of(_csv_texts(), _binary_texts()))
     @example(text="f1,label\n1.5\x1c,3\n")  # loadtxt skips U+001C as whitespace
     @example(text="label\n3\n\n4\n")  # loadtxt skips a blank line
     @example(text="f1,label\n1e999,3\n")  # loadtxt reads inf
@@ -212,14 +246,17 @@ class TestFastLoad:
     @example(text="f1,label\r\n0.5,1\r\r\n")  # a blank line after a lone \r
     @example(text="f1,label\n0." + "0" * 140000 + "1,3\n")  # over csv's cell size limit
     def test_fast_path_agrees_with_the_csv_reader_loop(self, text):
+        # the 0/1 decode, a forced np.loadtxt pass and the csv.reader loop
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/d.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
             fast = _outcome(path)
+            with mock.patch.object(dataset, "_scan_body", _without_digits):
+                forced = _outcome(path)
             with mock.patch.object(dataset, "_fast_body", return_value=None):
                 slow = _outcome(path)
-        assert fast == slow
+        assert fast == forced == slow
 
     @pytest.mark.parametrize("text, labels", [
         ("f1,label,f2\n0.5,3,-1e-3\n1,-4,2.5E+2\n", [3, -4]),
@@ -236,17 +273,58 @@ class TestFastLoad:
             ds = load_csv(path, label_column="label")
         assert ds.labels.tolist() == labels
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_binary_file_is_decoded_without_loadtxt(self, tmp_path, end):
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset((rng.random((40, 7)) < 0.5).astype(float), rng.integers(-3, 300, 40))
+        path = tmp_path / "b.csv"
+        save_csv(ds, path, label_column="label")
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        with mock.patch.object(dataset, "_loadtxt", side_effect=AssertionError("loadtxt")), \
+                mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
+            back = load_csv(path, label_column="label")
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tolist() == ds.labels.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "f1,f2,label\n0.5,1,3\n0.25,0,-4\n",  # real-valued
+        "label,f1,f2\n3,0,1\n-4,1,0\n",  # 0/1 features, but the label is not last
+    ], ids=["real-valued", "label-not-last"])
+    def test_other_clean_files_take_one_loadtxt_pass(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with mock.patch.object(dataset, "_loadtxt", wraps=dataset._loadtxt) as loadtxt, \
+                mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
+            ds = load_csv(path, label_column="label")
+        assert loadtxt.call_count == 1
+        assert ds.labels.tolist() == [3, -4]
+
     def test_scan_counts_physical_lines_across_read_chunks(self):
         # 2**20 - 1 bytes, so the \r after them is the last byte of the first read,
         # and a \r\n split across the first two reads is one line end
         rows = b"0,1\n" * ((1 << 20) // 4 - 1) + b"0,1"
-        assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r3,4")) == (len(rows) // 4 + 3,
-                                                                        len(rows) // 4 + 3)
-        assert dataset._scan_body(io.BytesIO(rows + b"\r\n\n")) == (len(rows) // 4 + 2,
-                                                                 len(rows) // 4 + 1)
-        assert dataset._scan_body(io.BytesIO(b"")) == (0, 0)
-        assert dataset._scan_body(io.BytesIO(b"1,2\n\"x\"\n")) is None
-        assert dataset._scan_body(io.BytesIO(b"0" * 140000 + b",1\n")) is None
+        count = len(rows) // 4 + 1
+        assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r0,-4"), 1, 2) == (
+            [b"1"] * count + [b"2", b"-4"], b"0" * count + b"10")
+        assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r3,4"), 1, 2) == (
+            [b"1"] * count + [b"2", b"4"], None)
+        # a blank line is a row of one empty cell
+        assert dataset._scan_body(io.BytesIO(rows + b"\r\n\n"), 1, 2) is None
+        assert dataset._scan_body(io.BytesIO(b"3\r\n\n4"), 0, 1) == ([b"3", b"", b"4"], b"")
+        assert dataset._scan_body(io.BytesIO(b""), 1, 2) == ([], b"")
+        assert dataset._scan_body(io.BytesIO(b"1,2\n\"x\"\n"), 1, 2) is None
+        assert dataset._scan_body(io.BytesIO(b"0" * 140000 + b",1\n"), 1, 2) is None
+        # a label cell, and then a 0/1 line, cut by the end of the first read
+        count = (1 << 20) // 6 - 1
+        for line, cut in ((b"1,0,-123", 6), (b"1,1,7", 2)):
+            lead = b"0,1,5\n" * (count - 1) + b"0,1," + b"5" * (11 - cut) + b"\n"
+            assert len(lead) + cut == 1 << 20
+            body = lead + line + b"\n0,1,0\n"
+            assert dataset._scan_body(io.BytesIO(body), 2, 3) == (
+                [b"5"] * (count - 1) + [b"5" * (11 - cut), line[4:], b"0"],
+                b"01" * count + line[:3:2] + b"01")
+            assert dataset._scan_body(io.BytesIO(body), 0, 3) == (
+                [b"0"] * count + [line[:1], b"0"], None)
 
 
 class TestSaveCsv:

@@ -60,6 +60,16 @@ def test_non_numbers_are_rejected(cls, required, name, kind, valid, bad):
         cls(**{**required, name: bad})
 
 
+@pytest.mark.parametrize("cls, required, name, kind, valid",
+                         [param for param in FIELDS if param.values[3] is float])
+@pytest.mark.parametrize("bad", [10**400, -(10**400), 10**5000],
+                         ids=["big", "big-negative", "past-str-digits"])
+def test_reals_refuse_ints_past_float_range(cls, required, name, kind, valid, bad):
+    # float() of such an int raises OverflowError, so training could not use it
+    with pytest.raises(ValidationError, match=name):
+        cls(**{**required, name: bad})
+
+
 @pytest.mark.parametrize("cls, required, name, kind, valid", FIELDS)
 def test_numpy_scalars_are_accepted(cls, required, name, kind, valid):
     value = np.int64(valid) if kind is int else np.float32(valid)
@@ -69,8 +79,9 @@ def test_numpy_scalars_are_accepted(cls, required, name, kind, valid):
 @pytest.mark.parametrize("name", ["epochs", "hidden_units"])
 def test_rbm1_uint32_fields_are_bounded(name):
     assert getattr(TrainConfig(**{name: 2**32 - 1}), name) == 2**32 - 1
-    with pytest.raises(ValidationError):
-        TrainConfig(**{name: 2**32})
+    for bad in (2**32, 10**5000):  # the second has too many digits for repr()
+        with pytest.raises(ValidationError, match=name):
+            TrainConfig(**{name: bad})
 
 
 PARAMS = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
