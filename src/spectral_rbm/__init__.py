@@ -9,7 +9,7 @@ generator, evaluation metrics, and a reproducible command-line driver.
 
 The top level exports the pipeline, the exact small-model oracles and the
 error types. The pieces of the sampler (cd1, sigmoid, the conditionals,
-SeededRng, the chain utilities) stay in their submodules.
+SeededRng) stay in their submodules.
 """
 
 from .classifier import (

@@ -322,12 +322,17 @@ def _read_body(path, records, header, label_idx):
                 f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}",
                 line=line_no,
             )
+        cell = row[label_idx].strip()
         try:
-            labels.append(int(row[label_idx].strip()))
+            labels.append(int(cell))
         except ValueError:
+            # int() also refuses a digit string past sys.get_int_max_str_digits(),
+            # a number far outside int64
+            unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
+            all_digits = unsigned.isascii() and unsigned.isdigit()
             raise CsvParseError(
-                f"{path}: row {line_no}, column {label_column!r}: "
-                f"label {row[label_idx]!r} is not an integer",
+                f"{path}: row {line_no}, column {label_column!r}: label {row[label_idx]!r} "
+                + ("does not fit in int64" if all_digits else "is not an integer"),
                 line=line_no,
                 column=label_column,
             ) from None

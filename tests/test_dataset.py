@@ -132,7 +132,9 @@ class TestLoadCsv:
             load_csv(path, label_column="label")
 
     @pytest.mark.parametrize("label", ["99999999999999999999", "9223372036854775808",
-                                       "-9223372036854775809"])
+                                       "-9223372036854775809",
+                                       pytest.param("9" * 5000, id="5000-nines"),
+                                       pytest.param("-" + "9" * 5000, id="minus-5000-nines")])
     def test_label_outside_int64_names_line_and_column(self, tmp_path, label):
         path = tmp_path / "d.csv"
         path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n")

@@ -1,6 +1,9 @@
-"""Package surface: __all__ matches the top-level names, and README's library example runs."""
+"""Package surface: __all__ matches the top-level names, README's library example runs,
+and numpy is the only third-party import."""
 
+import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -23,3 +26,21 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     assert "accuracy:" in capsys.readouterr().out
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    package = Path(spectral_rbm.__file__).parent
+    third_party = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        # relative imports (level > 0) stay inside the package
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] not in allowed
+    ]
+    assert third_party == []

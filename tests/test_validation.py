@@ -15,7 +15,7 @@ from spectral_rbm.classifier import (
 )
 from spectral_rbm.dataset import LabeledDataset, SplitSpec, SynthSpec
 from spectral_rbm.errors import ValidationError
-from spectral_rbm.markov import SeededRng, TransitionMatrix
+from spectral_rbm.markov import SeededRng
 from spectral_rbm.metrics import evaluate
 from spectral_rbm.preprocess import (
     BinarizationRule, binarize, binarize_dataset, l2_normalize, minmax, normalize_rows,
@@ -125,7 +125,6 @@ ARRAY_ARGUMENTS = {
     "binarize_dataset.labels": (LABELS, lambda x: binarize_dataset(ROWS, x, RULE)),
     "evaluate.predicted": (LABELS, lambda x: evaluate(x, LABELS)),
     "evaluate.truth": (LABELS, lambda x: evaluate(LABELS, x)),
-    "TransitionMatrix": (np.full((2, 2), 0.5), TransitionMatrix),
 }
 
 
