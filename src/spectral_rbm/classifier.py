@@ -67,7 +67,10 @@ class OffsetFitConfig:
     The fit returns once the infinity-norm of the mean log-likelihood's
     gradient is at most tolerance. Newton converges quadratically, so the
     step size and the step budget are fixed inside fit_offsets rather
-    than being options.
+    than being options. The gradient is only computed to its rounding
+    floor (about 1e-16 on small tables), so a tolerance near machine
+    epsilon is met or missed by rounding: the same kind of data can then
+    converge or raise ConvergenceError.
     """
 
     tolerance: float = 1e-8
@@ -221,12 +224,13 @@ def train_ensemble(datasets, config, fit=None):
     trained with seed class_seed(config.seed, id), and the classes train
     side by side: in groups sized to the model, the classes of a group
     make each update together, and every model comes out bit for bit as
-    if trained alone. The error raised when classes fail is the one
-    training them alone in id order would raise first: ValidationError
-    for an init draw that overflows or a NaN probability, or
-    ConvergenceError carrying that class's last_iterate for non-finite
-    parameters. The offsets are then fitted
-    on the pooled training rows.
+    if trained alone. A group stops at its first failure and is trained
+    again one class at a time, so the error raised is the one training
+    the classes alone in id order would raise first: ValidationError for
+    an init draw that overflows or a NaN probability, or ConvergenceError
+    carrying that class's last_iterate for non-finite parameters. A
+    failing group costs up to twice its training work. The offsets are
+    then fitted on the pooled training rows.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")

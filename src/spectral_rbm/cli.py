@@ -355,6 +355,7 @@ def _cmd_sweep_alpha(args, argv):
     if not tokens:
         raise ValidationError("no alpha values to sweep")
     scope = _parse_scope(opts.get("scope"))
+    rules = [BinarizationRule(_parse_alpha(token), scope) for token in tokens]
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
@@ -364,8 +365,7 @@ def _cmd_sweep_alpha(args, argv):
     class_ids = ds.class_ids()
 
     results = []
-    for token in tokens:
-        rule = BinarizationRule(_parse_alpha(token), scope)
+    for token, rule in zip(tokens, rules):
         binary, _ = binarize_dataset(normalized, ds.labels, rule)
         binary_ds = LabeledDataset(binary, ds.labels, ds.feature_names)
         train_ds, test_ds = split(binary_ds, split_spec)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -327,9 +328,10 @@ def _read_body(path, records, header, label_idx):
             labels.append(int(cell))
         except ValueError:
             # int() also refuses a digit string past sys.get_int_max_str_digits(),
-            # a number far outside int64
+            # a number far outside int64; int() reads any Unicode decimal digits (\d),
+            # with single underscores between them
             unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
-            all_digits = unsigned.isascii() and unsigned.isdigit()
+            all_digits = re.fullmatch(r"\d+(_\d+)*", unsigned) is not None
             raise CsvParseError(
                 f"{path}: row {line_no}, column {label_column!r}: label {row[label_idx]!r} "
                 + ("does not fit in int64" if all_digits else "is not an integer"),

@@ -20,7 +20,10 @@ _lockstep_group: the loop that trains k RBMs side by side on stacked
 its classes; train_rbm is its k = 1 case. The loop draws its uniforms a
 block of rows at a time, in the order cd1 would, and checks that each
 RBM's parameters are finite after every update, and that no probability
-it samples from is NaN, whenever those checks could fail. It carries a
+it samples from is NaN, whenever those checks could fail. A group stops
+at its first failure and is trained again class by class, so the error
+raised is the one training the classes alone in order raises, at the
+cost of up to twice a failing group's work. It carries a
 bound on every parameter that holds a priori (each gradient entry lies
 in [-1, 1]); while the bound keeps every parameter and pre-activation far
 below overflow, no check can fire and the loop skips them, which changes
@@ -324,7 +327,8 @@ def train_rbm(data, config):
     only once a running bound on the parameters no longer rules that out;
     until then the bound proves every entry finite, so skipping it gives
     the same result and the same error. This is the one-class case of the
-    lockstep loop train_ensemble runs.
+    lockstep loop train_ensemble runs, and the run that loop falls back
+    on, class by class, when a group of classes fails.
     """
     data = check_rows("training data", data, binary=True)
     return _train_lockstep(data, [(0, data.shape[0])], config, [config.seed])[0]
@@ -343,28 +347,38 @@ def _train_lockstep(rows, spans, config, seeds):
     _STACK_BYTES: past that, each elementwise weight pass streams from a
     slower cache and costs more than the calls it saves.
 
-    A failing class leaves its group at the update where it fails:
-    ValidationError for an init draw that overflows (before any update)
-    or a NaN probability, ConvergenceError with its parameters as
-    last_iterate when they turn non-finite. The rest of the group keeps
-    stepping; at the group's end the failure of its first failing class
-    is raised and later groups never start, so the error is the one
-    training the classes one after another would raise.
+    A group stops at its first failure: ValidationError for an init draw
+    that overflows (before any update) or a NaN probability,
+    ConvergenceError when parameters turn non-finite. A failed group of
+    two or more classes is then trained again one class at a time, so the
+    first class in id order to fail raises the error training it alone
+    raises, with its own parameters as last_iterate, and later groups
+    never start. A failing group thus costs up to twice its work; a
+    group that succeeds is trained once.
     """
     group = max(1, _STACK_BYTES // (32 * rows.shape[1] * config.hidden_units))
     models = []
     for lo in range(0, len(seeds), group):
-        models += _lockstep_group(rows, spans[lo:lo + group], config, seeds[lo:lo + group])
+        group_spans, group_seeds = spans[lo:lo + group], seeds[lo:lo + group]
+        try:
+            models += _lockstep_group(rows, group_spans, group_seeds, config)
+            continue
+        except (ValidationError, ConvergenceError):
+            if len(group_seeds) == 1:
+                raise
+        for span, seed in zip(group_spans, group_seeds):
+            models += _lockstep_group(rows, [span], [seed], config)
     return models
 
 
-def _lockstep_group(rows, spans, config, seeds):
+def _lockstep_group(rows, spans, seeds, config):
     """_train_lockstep for one group of k classes: the CD-1 update loop.
 
-    The k classes hold at most _UNIFORM_BLOCK uniforms between them: each
-    draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
-    and the blocks grow as classes leave. A class leaves when its
-    epochs * count updates are done or when it fails.
+    Raises at the group's first failure, whichever class it is in. The k
+    classes hold at most _UNIFORM_BLOCK uniforms between them: each draws
+    blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth, and the
+    blocks grow as classes leave. A class leaves at the end of the block
+    in which its epochs * count updates are done.
 
     The checks (the NaN probes in _chain_step and the finiteness guard
     after each update) run only from the first update at which they could
@@ -377,31 +391,23 @@ def _lockstep_group(rows, spans, config, seeds):
     """
     m, n = rows.shape[1], config.hidden_units
     rngs = [SeededRng(seed) for seed in seeds]
-    weights = np.empty((len(seeds), m, n))
-    for w, rng in zip(weights, rngs):
-        np.multiply(rng.normals((m, n)), config.init_weight_scale, out=w)
-    visible_bias, hidden_bias = np.zeros((len(seeds), m)), np.zeros((len(seeds), n))
-    models, errors = [], {}
-    for i, arrays in enumerate(zip(weights, visible_bias, hidden_bias)):
-        try:
-            models.append(RbmParams(*arrays))
-        except ValidationError as exc:  # the scaled init draw overflowed: class i fails at once
-            models.append(None)
-            errors[i] = exc
+    w = np.empty((len(seeds), m, n))
+    for w_i, rng in zip(w, rngs):
+        np.multiply(rng.normals((m, n)), config.init_weight_scale, out=w_i)
+    c, b = np.zeros((len(seeds), m)), np.zeros((len(seeds), n))
+    # refuses an init draw that overflowed; each model views its class's slice of w, c and b
+    models = [RbmParams(*arrays) for arrays in zip(w, c, b)]
     first, count = (np.array(column, dtype=np.int64) for column in zip(*spans))
     ends = config.epochs * count
     lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
 
-    # the classes still running and their state, class along axis 0; a
-    # class's model gets its state back when it leaves (until a class
-    # leaves, w, c and b are the arrays the models view)
-    active = np.array([i for i in range(len(seeds)) if i not in errors], dtype=np.int64)
-    w, c, b = weights, visible_bias, hidden_bias
-    if errors:
-        w, c, b = w[active], c[active], b[active]
+    # the classes still running and their state, class along axis 0; the
+    # arrays are compacted only when a class leaves, so until then (and in
+    # a one-class group, always) they are the arrays the models view
+    active = np.arange(len(seeds))
     vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
     d_w, decay_w = np.empty_like(w), np.empty_like(w)
-    pair_v, pair_p = np.empty((active.size, m, 2)), np.empty((active.size, 2, n))
+    pair_v, pair_p = np.empty((len(seeds), m, 2)), np.empty((len(seeds), 2, n))
     bound = (float(max(w.max(initial=0.0), -w.min(initial=0.0))), 0.0, 0.0, 0.0)
     checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
     t = 0  # updates made by every class still running
@@ -413,73 +419,45 @@ def _lockstep_group(rows, spans, config, seeds):
             for block, i in zip(u, active):
                 block[...] = rngs[i].uniforms(steps * (n + m)).reshape(steps, n + m)
             row_at = first[active, None] + (t + np.arange(steps)) % count[active, None]
-            s = 0
-            while s < steps:
+            for s in range(steps):
                 v1 = rows[row_at[:, s]]
-                u_hidden, u_visible = u[:, s, :n], u[:, s, n:]
-                leaving = {}
-                try:
-                    p1, v2, p2 = _chain_step(v1, w, c, b, u_hidden, u_visible, checked)
-                except ValidationError:
-                    # the chain changes no state: drop the classes that refuse, then redo it
-                    for j in range(k):
-                        try:
-                            _chain_step(v1[j], w[j], c[j], b[j], u_hidden[j], u_visible[j])
-                        except ValidationError as exc:
-                            leaving[j] = exc
-                else:
-                    # velocity = momentum * velocity + lr * (gradient - decay * w), rounded
-                    # step by step as one class alone; [v1 v2] @ [p1; -p2] is
-                    # outer(v1, p1) - outer(v2, p2) bit for bit for 0/1 rows
-                    pair_v[:, :, 0], pair_v[:, :, 1] = v1, v2
-                    pair_p[:, 0] = p1
-                    np.negative(p2, out=pair_p[:, 1])
-                    np.matmul(pair_v, pair_p, out=d_w)
-                    np.multiply(decay, w, out=decay_w)
-                    d_w -= decay_w
-                    d_w *= lr
-                    vel_w *= momentum
-                    vel_w += d_w
-                    vel_c *= momentum
-                    vel_c += (v1 - v2) * lr
-                    vel_b *= momentum
-                    vel_b += (p1 - p2) * lr
-                    w += vel_w
-                    c += vel_c
-                    b += vel_b
-                    if not checked:
-                        bound = _next_bound(bound, config)
-                        checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
-                    if checked and not math.isfinite(w.sum() + c.sum() + b.sum()):
-                        leaving = {
-                            j: ConvergenceError("training diverged to non-finite parameters",
-                                                last_iterate=models[active[j]])
-                            for j in range(k) if not _all_finite(w[j], c[j], b[j])
-                        }
-                    s += 1
-                    t += 1
-                    if s == steps:
-                        leaving.update({j: None for j in np.flatnonzero(ends[active] == t)
-                                        if j not in leaving})
-                if not leaving:
-                    continue
-                for j, error in leaving.items():
-                    model = models[active[j]]
-                    model.weights[...], model.visible_bias[...] = w[j], c[j]
-                    model.hidden_bias[...] = b[j]
-                    if error is not None:
-                        errors[active[j]] = error
-                keep = np.ones(k, dtype=bool)
-                keep[list(leaving)] = False
-                (active, w, c, b, vel_w, vel_c, vel_b, u, row_at, d_w, decay_w, pair_v, pair_p) = (
-                    a[keep] for a in
-                    (active, w, c, b, vel_w, vel_c, vel_b, u, row_at, d_w, decay_w, pair_v, pair_p)
-                )
-                k = active.size
-                if not k:
-                    break
-    if errors:
-        raise errors[min(errors)]
+                p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:], checked)
+                # velocity = momentum * velocity + lr * (gradient - decay * w), rounded
+                # step by step as one class alone; [v1 v2] @ [p1; -p2] is
+                # outer(v1, p1) - outer(v2, p2) bit for bit for 0/1 rows
+                pair_v[:, :, 0], pair_v[:, :, 1] = v1, v2
+                pair_p[:, 0] = p1
+                np.negative(p2, out=pair_p[:, 1])
+                np.matmul(pair_v, pair_p, out=d_w)
+                np.multiply(decay, w, out=decay_w)
+                d_w -= decay_w
+                d_w *= lr
+                vel_w *= momentum
+                vel_w += d_w
+                vel_c *= momentum
+                vel_c += (v1 - v2) * lr
+                vel_b *= momentum
+                vel_b += (p1 - p2) * lr
+                w += vel_w
+                c += vel_c
+                b += vel_b
+                if not checked:
+                    bound = _next_bound(bound, config)
+                    checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
+                if checked and not _all_finite(w, c, b):
+                    raise ConvergenceError("training diverged to non-finite parameters",
+                                           last_iterate=models[active[0]])
+            t += steps
+            done = ends[active] == t
+            if not done.any():
+                continue
+            for j in np.flatnonzero(done):
+                model = models[active[j]]
+                model.weights[...], model.visible_bias[...] = w[j], c[j]
+                model.hidden_bias[...] = b[j]
+            (active, w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p) = (
+                a[~done] for a in (active, w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p)
+            )
     return models
 
 

@@ -532,11 +532,17 @@ class TestSweepAlpha:
         assert manifest["command"] == "sweep-alpha"
         assert manifest["config.alphas"] == "1/2"
 
-    def test_bad_alpha_token_is_usage_error(self, tmp_path):
+    def test_bad_alpha_token_is_usage_error(self, tmp_path, monkeypatch):
+        # every token is checked before the CSV is read: a bad later one trains nothing
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        assert run("sweep-alpha", str(raw), "--alphas", "1/2,banana",
-                   "--hidden-units", "2", "--epochs", "1") == 2
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        monkeypatch.setattr(cli, "train_ensemble", lambda *a: called.append("train_ensemble"))
+        for alphas in ("1/2,banana", "1/5,1/4,bogus", "1/5,1.5"):
+            assert run("sweep-alpha", str(raw), "--alphas", alphas,
+                       "--hidden-units", "2", "--epochs", "1") == 2
+        assert called == []
 
     def test_class_without_training_rows_is_usage_error(self, tmp_path, capsys):
         # class sizes 10/10/4 at fraction 0.2: class 2 floors to 0 training rows

@@ -134,10 +134,12 @@ class TestLoadCsv:
     @pytest.mark.parametrize("label", ["99999999999999999999", "9223372036854775808",
                                        "-9223372036854775809",
                                        pytest.param("9" * 5000, id="5000-nines"),
-                                       pytest.param("-" + "9" * 5000, id="minus-5000-nines")])
+                                       pytest.param("-" + "9" * 5000, id="minus-5000-nines"),
+                                       pytest.param("1_0" + "0" * 5000, id="underscored-5002-digits"),
+                                       pytest.param("\u0663" * 5000, id="5000-arabic-indic-threes")])
     def test_label_outside_int64_names_line_and_column(self, tmp_path, label):
         path = tmp_path / "d.csv"
-        path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n")
+        path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="does not fit in int64") as info:
             load_csv(path, label_column="label")
         assert (info.value.line, info.value.column) == (3, "label")

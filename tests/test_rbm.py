@@ -689,7 +689,7 @@ def lockstep_cases(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         init_weight_scale=draw(st.sampled_from([0.01, 1.0, 1e300, 6e307, 1e308])),
     )
-    stack_bytes = draw(st.sampled_from([1, 64 * m * n, rbm._STACK_BYTES]))
+    stack_bytes = draw(st.sampled_from([1, 64 * m * n, 96 * m * n, rbm._STACK_BYTES]))
     uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
     check_free_limit = draw(st.sampled_from([0.0, 20.0, 1e200, rbm._CHECK_FREE_LIMIT]))
     return datasets, config, stack_bytes, uniform_block, check_free_limit
@@ -711,10 +711,15 @@ class TestLockstepTraining:
                         for c in sorted(datasets)]
             failed = [o for o in outcomes if isinstance(o, Exception) or o[0] == "diverged"]
             if not failed:
-                ensemble = train_ensemble(datasets, config)
+                with mock.patch.object(rbm, "_lockstep_group", wraps=rbm._lockstep_group) as group:
+                    ensemble = train_ensemble(datasets, config)
                 for model, (_, arrays) in zip(ensemble.models, outcomes):
                     got = (model.weights, model.visible_bias, model.hidden_bias)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+                # a run that succeeds trains each group once: no class is replayed
+                m = next(iter(datasets.values())).shape[1]
+                size = max(1, stack_bytes // (32 * m * config.hidden_units))
+                assert group.call_count == -(-len(datasets) // size)
                 return
             first = failed[0]
             want_type = type(first) if isinstance(first, Exception) else ConvergenceError
@@ -776,11 +781,12 @@ class TestLockstepTraining:
             assert np.array_equal(a, b, equal_nan=True)
 
     @pytest.mark.parametrize("learning_rate", [0.1, 1e308])
-    def test_a_class_refused_mid_block_leaves_the_others_stepping(self, learning_rate):
+    def test_class_0_replayed_alone_steps_from_the_same_weights(self, learning_rate):
         # A NaN probability needs a pre-activation of inf - inf, which no small model reaches on
         # purpose, so here the chain refuses every all-ones row: class 1's, from its first update.
-        # The chain also logs the weights that class 0 steps from: in the replay every call is
-        # class 0's, in the ensemble class 0 is the first of each stacked call.
+        # That stops the stacked group at once, and the group is trained again class by class.
+        # The chain logs the weights that class 0 steps from: in the replay every call is class
+        # 0's, in the ensemble every call that is not refused is a one-class call of class 0.
         original = rbm._chain_step
 
         def refusing(log, stacked):
@@ -789,6 +795,7 @@ class TestLockstepTraining:
                     raise ValidationError("probabilities must lie in [0, 1]")
                 out = original(v1, weights, *rest)
                 if len(weights.shape) == 2 + stacked:
+                    assert weights.shape[:-2] == (1,) * stacked
                     log.append(weights.reshape(-1, *weights.shape[-2:])[0].tobytes())
                 return out
             return chain
@@ -803,12 +810,12 @@ class TestLockstepTraining:
         with np.errstate(all="ignore"):
             with mock.patch.object(rbm, "_chain_step", refusing(alone, False)):
                 arrays, updates = replay(datasets[0], replace(config, seed=class_seed(7, 0)))
-            # class 0 outlives class 2 unless it diverges, at update 3, two after class 1 left
+            # class 0 runs all its updates unless it diverges, at update 3
             assert updates == (24 if learning_rate == 0.1 else 3)
             with mock.patch.object(rbm, "_chain_step", refusing(together, True)):
                 with pytest.raises((ValidationError, ConvergenceError)) as info:
                     train_ensemble(datasets, config)
-        assert together[:updates] == alone
+        assert together == alone  # class 1, replayed next, is refused before it steps
         if learning_rate == 0.1:
             assert type(info.value) is ValidationError
             assert str(info.value) == "probabilities must lie in [0, 1]"
@@ -947,18 +954,26 @@ class TestCheckFreeBound:
         datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
         config = TrainConfig(learning_rate=learning_rate, momentum=0.9, epochs=4, hidden_units=4,
                              weight_decay=weight_decay, seed=7, init_weight_scale=0.01)
-        original = rbm._chain_step
+        original, original_group = rbm._chain_step, rbm._lockstep_group
 
         def outcome(check_free_limit):
-            """What training gives, and the probe flag of every stacked chain step."""
-            probed = []
+            """What training gives, and the probe flag of every chain step of the stacked group.
+
+            A group that fails is trained again class by class, and each of those runs starts
+            a fresh bound, so only the first group's flags are kept.
+            """
+            calls = []
+
+            def group(*args):
+                calls.append([])
+                return original_group(*args)
 
             def spy(v1, weights, *rest):
-                if weights.ndim == 3:
-                    probed.append(rest[4])
+                calls[-1].append(rest[4])
                 return original(v1, weights, *rest)
 
             with mock.patch.object(rbm, "_CHECK_FREE_LIMIT", check_free_limit), \
+                    mock.patch.object(rbm, "_lockstep_group", group), \
                     mock.patch.object(rbm, "_chain_step", spy), \
                     mock.patch.object(classifier, "fit_offsets", zero_offsets):
                 try:
@@ -971,7 +986,7 @@ class TestCheckFreeBound:
                     arrays = ensemble.models
                     result = "ok"
             return result, [a.tobytes() for x in arrays
-                            for a in (x.weights, x.visible_bias, x.hidden_bias)], probed
+                            for a in (x.weights, x.visible_bias, x.hidden_bias)], calls[0]
 
         with np.errstate(all="ignore"):
             *crossing, probed = outcome(limit)
