@@ -228,9 +228,10 @@ def train_ensemble(datasets, config, fit=None):
     again one class at a time, so the error raised is the one training
     the classes alone in id order would raise first: ValidationError for
     an init draw that overflows or a NaN probability, or ConvergenceError
-    carrying that class's last_iterate for non-finite parameters. A
-    failing group costs up to twice its training work. The offsets are
-    then fitted on the pooled training rows.
+    carrying that class's last_iterate for non-finite parameters; its
+    message starts with "class <id>: ". A failing group costs up to twice
+    its training work. The offsets are then fitted on the pooled training
+    rows.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")
@@ -245,7 +246,7 @@ def train_ensemble(datasets, config, fit=None):
     counts = [matrix.shape[0] for matrix in matrices]
     starts = np.cumsum([0, *counts[:-1]]).tolist()
     models = _train_lockstep(pooled, list(zip(starts, counts)), config,
-                             [cfg.seed for cfg in configs])
+                             [cfg.seed for cfg in configs], classes)
 
     column_labels = np.repeat(np.arange(len(classes), dtype=np.int64), counts)
     table = np.column_stack([free_energy_batch(pooled, model) for model in models])

@@ -17,17 +17,19 @@ the trained model bit for bit. The chain itself (p1, v2, p2 from given
 uniforms) is written once, in _chain_step, and the update once, in
 _lockstep_group: the loop that trains k RBMs side by side on stacked
 (k, m, n) arrays, each with its own stream, as train_ensemble does for
-its classes; train_rbm is its k = 1 case. The loop draws its uniforms a
-block of rows at a time, in the order cd1 would, and checks that each
-RBM's parameters are finite after every update, and that no probability
-it samples from is NaN, whenever those checks could fail. A group stops
-at its first failure and is trained again class by class, so the error
-raised is the one training the classes alone in order raises, at the
-cost of up to twice a failing group's work. It carries a
-bound on every parameter that holds a priori (each gradient entry lies
-in [-1, 1]); while the bound keeps every parameter and pre-activation far
-below overflow, no check can fire and the loop skips them, which changes
-no bit of the result.
+its classes; train_rbm is its k = 1 case. The RBMs are stacked
+longest-running first, so one that finishes leaves by slicing every
+array to the rows still running, a view of the models' own storage.
+The loop draws its uniforms a block of rows at a time, in the order cd1
+would, and checks that each RBM's parameters are finite after every
+update, and that no probability it samples from is NaN, whenever those
+checks could fail. A group stops at its first failure and is trained
+again class by class, so the error raised is the one training the
+classes alone in order raises, at the cost of up to twice a failing
+group's work. It carries a bound on every parameter that holds a priori
+(each gradient entry lies in [-1, 1]); while the bound keeps every
+parameter and pre-activation far below overflow, no check can fire and
+the loop skips them, which changes no bit of the result.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
@@ -334,7 +336,7 @@ def train_rbm(data, config):
     return _train_lockstep(data, [(0, data.shape[0])], config, [config.seed])[0]
 
 
-def _train_lockstep(rows, spans, config, seeds):
+def _train_lockstep(rows, spans, config, seeds, classes=None):
     """Train one RBM per (start, count) span of rows, in lockstep; a list of RbmParams.
 
     RBM i learns rows[start:start + count] for config.epochs epochs with
@@ -354,31 +356,43 @@ def _train_lockstep(rows, spans, config, seeds):
     first class in id order to fail raises the error training it alone
     raises, with its own parameters as last_iterate, and later groups
     never start. A failing group thus costs up to twice its work; a
-    group that succeeds is trained once.
+    group that succeeds is trained once. Given classes (the class id of
+    each span), the error raised names its class: "class <id>: " leads
+    its message.
     """
     group = max(1, _STACK_BYTES // (32 * rows.shape[1] * config.hidden_units))
     models = []
     for lo in range(0, len(seeds), group):
-        group_spans, group_seeds = spans[lo:lo + group], seeds[lo:lo + group]
-        try:
-            models += _lockstep_group(rows, group_spans, group_seeds, config)
-            continue
-        except (ValidationError, ConvergenceError):
-            if len(group_seeds) == 1:
+        members = range(lo, min(lo + group, len(seeds)))
+        if len(members) > 1:
+            try:
+                models += _lockstep_group(rows, spans[lo:lo + group], seeds[lo:lo + group], config)
+                continue
+            except (ValidationError, ConvergenceError):
+                pass
+        for i in members:
+            try:
+                models += _lockstep_group(rows, [spans[i]], [seeds[i]], config)
+            except (ValidationError, ConvergenceError) as exc:
+                if classes is not None:
+                    exc.args = (f"class {classes[i]}: {exc}",)
                 raise
-        for span, seed in zip(group_spans, group_seeds):
-            models += _lockstep_group(rows, [span], [seed], config)
     return models
 
 
 def _lockstep_group(rows, spans, seeds, config):
-    """_train_lockstep for one group of k classes: the CD-1 update loop.
+    """_train_lockstep for one group of k classes: the CD-1 update loop; models in span order.
 
-    Raises at the group's first failure, whichever class it is in. The k
-    classes hold at most _UNIFORM_BLOCK uniforms between them: each draws
-    blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth, and the
-    blocks grow as classes leave. A class leaves at the end of the block
-    in which its epochs * count updates are done.
+    Raises at the group's first failure, whichever class it is in, with
+    the first stacked class as a ConvergenceError's last_iterate. The
+    classes are stacked by update count, longest first (a stable sort),
+    so the classes still running are always the first k: a class leaves
+    at the end of the block in which its epochs * count updates are done,
+    when every state array is sliced to its first k rows, a view. So the
+    models view live parameters from the init draw to the last update.
+    The k classes hold at most _UNIFORM_BLOCK uniforms between them: each
+    draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
+    and the blocks grow as classes leave.
 
     The checks (the NaN probes in _chain_step and the finiteness guard
     after each update) run only from the first update at which they could
@@ -389,36 +403,34 @@ def _lockstep_group(rows, spans, seeds, config):
     pass. The bound only grows, so once past the limit the checks run
     every update until the group ends.
     """
-    m, n = rows.shape[1], config.hidden_units
-    rngs = [SeededRng(seed) for seed in seeds]
-    w = np.empty((len(seeds), m, n))
-    for w_i, rng in zip(w, rngs):
-        np.multiply(rng.normals((m, n)), config.init_weight_scale, out=w_i)
-    c, b = np.zeros((len(seeds), m)), np.zeros((len(seeds), n))
-    # refuses an init draw that overflowed; each model views its class's slice of w, c and b
-    models = [RbmParams(*arrays) for arrays in zip(w, c, b)]
+    m, n, k = rows.shape[1], config.hidden_units, len(seeds)
     first, count = (np.array(column, dtype=np.int64) for column in zip(*spans))
+    order = np.argsort(-count, kind="stable")
+    first, count = first[order], count[order]
     ends = config.epochs * count
+    rngs = [SeededRng(seeds[i]) for i in order]
+    w = np.empty((k, m, n))
+    with np.errstate(over="ignore"):
+        for w_i, rng in zip(w, rngs):
+            np.multiply(rng.normals((m, n)), config.init_weight_scale, out=w_i)
+    c, b = np.zeros((k, m)), np.zeros((k, n))
+    # refuses an init draw that overflowed; each model views its class's row of w, c and b
+    models = [RbmParams(w[j], c[j], b[j]) for j in np.argsort(order)]
     lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
 
-    # the classes still running and their state, class along axis 0; the
-    # arrays are compacted only when a class leaves, so until then (and in
-    # a one-class group, always) they are the arrays the models view
-    active = np.arange(len(seeds))
     vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
     d_w, decay_w = np.empty_like(w), np.empty_like(w)
-    pair_v, pair_p = np.empty((len(seeds), m, 2)), np.empty((len(seeds), 2, n))
+    pair_v, pair_p = np.empty((k, m, 2)), np.empty((k, 2, n))
     bound = (float(max(w.max(initial=0.0), -w.min(initial=0.0))), 0.0, 0.0, 0.0)
     checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
     t = 0  # updates made by every class still running
     with np.errstate(over="ignore", invalid="ignore"):
-        while active.size:
-            k = active.size
-            steps = min(max(1, _UNIFORM_BLOCK // (k * (n + m))), int(ends[active].min()) - t)
+        while k:
+            steps = min(max(1, _UNIFORM_BLOCK // (k * (n + m))), int(ends[k - 1]) - t)
             u = np.empty((k, steps, n + m))
-            for block, i in zip(u, active):
-                block[...] = rngs[i].uniforms(steps * (n + m)).reshape(steps, n + m)
-            row_at = first[active, None] + (t + np.arange(steps)) % count[active, None]
+            for block, rng in zip(u, rngs):
+                block[...] = rng.uniforms(steps * (n + m)).reshape(steps, n + m)
+            row_at = first[:k, None] + (t + np.arange(steps)) % count[:k, None]
             for s in range(steps):
                 v1 = rows[row_at[:, s]]
                 p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:], checked)
@@ -446,17 +458,11 @@ def _lockstep_group(rows, spans, seeds, config):
                     checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
                 if checked and not _all_finite(w, c, b):
                     raise ConvergenceError("training diverged to non-finite parameters",
-                                           last_iterate=models[active[0]])
+                                           last_iterate=models[order[0]])
             t += steps
-            done = ends[active] == t
-            if not done.any():
-                continue
-            for j in np.flatnonzero(done):
-                model = models[active[j]]
-                model.weights[...], model.visible_bias[...] = w[j], c[j]
-                model.hidden_bias[...] = b[j]
-            (active, w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p) = (
-                a[~done] for a in (active, w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p)
+            k = int(np.count_nonzero(ends > t))
+            w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p = (
+                a[:k] for a in (w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p)
             )
     return models
 

@@ -336,6 +336,19 @@ class TestTrain:
         assert code == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options, code, message", [
+        (("--lr", "1e308", "--hidden-units", "3", "--epochs", "2"), 4,
+         "error: class 0: training diverged to non-finite parameters"),
+        (("--init-weight-scale", "1e308"), 2, "error: class 0: weights must have finite entries"),
+    ])
+    def test_training_error_names_its_class(self, tmp_path, capsys, options, code, message):
+        data = tmp_path / "data.csv"
+        assert run("synth", "--out", str(data), "--classes", "3", "--per-class", "10",
+                   "--dim", "6") == 0
+        capsys.readouterr()
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), *options) == code
+        assert capsys.readouterr().err.strip() == message
+
     def test_unreachable_fit_tolerance_is_convergence_error(self, tmp_path, capsys):
         data = tmp_path / "noisy.csv"
         assert run("synth", "--out", str(data), "--per-class", "30", "--dim", "8",

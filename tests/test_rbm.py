@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -709,7 +710,8 @@ class TestLockstepTraining:
                 np.errstate(all="ignore"):
             outcomes = [serial_outcome(datasets[c], replace(config, seed=class_seed(config.seed, c)))
                         for c in sorted(datasets)]
-            failed = [o for o in outcomes if isinstance(o, Exception) or o[0] == "diverged"]
+            failed = [(c, o) for c, o in zip(sorted(datasets), outcomes)
+                      if isinstance(o, Exception) or o[0] == "diverged"]
             if not failed:
                 with mock.patch.object(rbm, "_lockstep_group", wraps=rbm._lockstep_group) as group:
                     ensemble = train_ensemble(datasets, config)
@@ -721,13 +723,14 @@ class TestLockstepTraining:
                 size = max(1, stack_bytes // (32 * m * config.hidden_units))
                 assert group.call_count == -(-len(datasets) // size)
                 return
-            first = failed[0]
+            failed_class, first = failed[0]
             want_type = type(first) if isinstance(first, Exception) else ConvergenceError
             with pytest.raises(want_type) as info:
                 train_ensemble(datasets, config)
         if isinstance(first, Exception):
-            assert str(info.value) == str(first)
+            assert str(info.value) == f"class {failed_class}: {first}"
         else:
+            assert str(info.value) == f"class {failed_class}: training diverged to non-finite parameters"
             got = info.value.last_iterate
             for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), first[1]):
                 assert np.array_equal(a, b, equal_nan=True)
@@ -760,6 +763,34 @@ class TestLockstepTraining:
         got = info.value.last_iterate
         for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), replays[2][0]):
             assert np.array_equal(a, b, equal_nan=True)
+
+    def test_a_class_left_alone_in_its_group_raises_with_its_live_parameters(self):
+        # the 2-row class leaves after 2 updates; the guard then fails at the 4-row class's
+        # 4th update, its 2nd alone in the stack, as it does when that class trains alone
+        rows = (np.random.default_rng(41).random((8, 5)) < 0.5).astype(float)
+        config = TrainConfig(epochs=1, hidden_units=3, seed=0, init_weight_scale=0.1)
+
+        def raised(spans, seeds):
+            calls = itertools.count(1)
+            with mock.patch.object(rbm, "_CHECK_FREE_LIMIT", -1.0), \
+                    mock.patch.object(rbm, "_all_finite", lambda *arrays: next(calls) != 4), \
+                    pytest.raises(ConvergenceError) as info:
+                rbm._lockstep_group(rows, spans, seeds, config)
+            return info.value.last_iterate
+
+        together, alone = raised([(0, 2), (2, 6)], [5, 6]), raised([(2, 6)], [6])
+        assert together.weights.tobytes() == alone.weights.tobytes()
+
+    def test_models_come_back_in_span_order_when_a_later_span_is_longer(self):
+        rows = (np.random.default_rng(42).random((8, 5)) < 0.5).astype(float)
+        config = TrainConfig(epochs=2, hidden_units=3, seed=0, init_weight_scale=0.1)
+        spans, seeds = [(0, 2), (2, 6)], [5, 6]
+        together = rbm._lockstep_group(rows, spans, seeds, config)
+        for model, span, seed in zip(together, spans, seeds):
+            [alone] = rbm._lockstep_group(rows, [span], [seed], config)
+            for a, b in zip((model.weights, model.visible_bias, model.hidden_bias),
+                            (alone.weights, alone.visible_bias, alone.hidden_bias)):
+                assert a.tobytes() == b.tobytes()
 
     def test_an_init_draw_that_overflows_fails_its_class_alone(self):
         # class 1's scaled init overflows, which training it alone refuses before any update;
@@ -818,7 +849,7 @@ class TestLockstepTraining:
         assert together == alone  # class 1, replayed next, is refused before it steps
         if learning_rate == 0.1:
             assert type(info.value) is ValidationError
-            assert str(info.value) == "probabilities must lie in [0, 1]"
+            assert str(info.value) == "class 1: probabilities must lie in [0, 1]"
             return
         assert type(info.value) is ConvergenceError  # class 0 fails later, but has the lower id
         got = info.value.last_iterate
@@ -995,7 +1026,8 @@ class TestCheckFreeBound:
         assert 0 < switch < len(probed) and all(probed[switch:])  # one block, checked from mid-way on
         assert all(probed_always)  # from the first step
         assert crossing == always_checked
-        assert crossing[0] == ("ok" if learning_rate == 0.1 else "training diverged to non-finite parameters")
+        assert crossing[0] == ("ok" if learning_rate == 0.1
+                               else "class 0: training diverged to non-finite parameters")
 
     def test_a_group_whose_every_init_draw_overflows(self):
         rng = np.random.default_rng(0)
@@ -1009,6 +1041,16 @@ class TestCheckFreeBound:
                 train_ensemble(datasets, config)
             with pytest.raises(ValidationError, match="weights must have finite entries"):
                 train_rbm(datasets[3], config)
+
+    def test_an_init_draw_that_overflows_warns_nothing(self):
+        data = (np.random.default_rng(0).random((2, 10)) < 0.5).astype(float)
+        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^weights must have finite entries$"):
+                train_rbm(data, config)
+            with pytest.raises(ValidationError, match="^class 2: weights must have finite entries$"):
+                train_ensemble({2: data, 7: data}, config)
 
 
 class TestTrainingInternals:
