@@ -231,7 +231,8 @@ def train_ensemble(datasets, config, fit=None):
     carrying that class's last_iterate for non-finite parameters; its
     message starts with "class <id>: ". A failing group costs up to twice
     its training work. The offsets are then fitted on the pooled training
-    rows.
+    rows; a model that gives one of them a non-finite free energy raises
+    ConvergenceError naming the first such class.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")
@@ -249,19 +250,34 @@ def train_ensemble(datasets, config, fit=None):
                              [cfg.seed for cfg in configs], classes)
 
     column_labels = np.repeat(np.arange(len(classes), dtype=np.int64), counts)
-    table = np.column_stack([free_energy_batch(pooled, model) for model in models])
+    table = _free_energy_table(pooled, classes, models, ConvergenceError)
     offsets = fit_offsets(table, column_labels, fit)
     return ClassEnsemble(classes=classes, models=models, offsets=offsets, train_configs=configs)
 
 
-def _score_batch(rows, ensemble):
-    scores = np.column_stack([-free_energy_batch(rows, model) for model in ensemble.models])
-    return scores + ensemble.offsets
+def _free_energy_table(rows, classes, models, error):
+    """F_c(row), rows x classes; raises error naming the first class with a non-finite entry.
+
+    Finite parameters can still overflow a free energy, or give inf - inf, so both are ignored
+    and checked for.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.column_stack([free_energy_batch(rows, model) for model in models])
+    bad = ~np.isfinite(table)
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise error(f"class {classes[column]}: the model gives {int(bad[:, column].sum())} of "
+                    f"{len(table)} rows a non-finite free energy")
+    return table
 
 
 def predict_proba_batch(rows, ensemble):
-    """Class posterior per row: soft-max of (-F_c + offset_c), rows x classes."""
-    scores = _score_batch(rows, ensemble)
+    """Class posterior per row: soft-max of (-F_c + offset_c), rows x classes.
+
+    A non-finite free energy is a ValidationError naming the first such class.
+    """
+    scores = ensemble.offsets - _free_energy_table(rows, ensemble.classes, ensemble.models,
+                                                   ValidationError)
     scores = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -6,7 +6,7 @@ column a finite real feature. Values are written with shortest-round-trip
 float formatting, so save followed by load reproduces the array exactly;
 whole numbers are written without a decimal point.
 
-load_csv scans the body's bytes once, 1 MB at a time, and reads it on a
+load_csv scans the body's bytes once, in whole lines, and reads it on a
 fast path when its bytes and lines are ones that float() and int() would
 read to the same values. The scan checks every physical line's cell count
 and collects its label cell, which int() then reads. A 0/1 body with the
@@ -137,45 +137,13 @@ _FAST_BYTES = b"0123456789+-.eE, \r\n"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _physical_lines(fh):
-    """Each physical line in the rest of a binary file, without its end, read 1 MB at a time.
-
-    \\n, \\r and \\r\\n each end a line, as they do for csv.reader over a
-    file opened with newline="". Yields None and stops at a byte outside
-    _FAST_BYTES, and at a run of a third of csv.field_size_limit() bytes
-    with no comma or line end: csv.reader refuses a cell longer than that
-    limit, loadtxt does not.
-    """
-    block = csv.field_size_limit() // 3
-    held = []  # the bytes read since the last line end
-    cr = False  # the last read ended with \r
-    for chunk in iter(lambda: fh.read(1 << 20), b""):
-        if chunk.translate(None, _FAST_BYTES):
-            yield None
-            return
-        # a cell over the limit covers a whole aligned block of some chunk
-        for i in range(0, len(chunk) - block + 1, block):
-            if all(chunk.find(sep, i, i + block) < 0 for sep in b",\n\r"):
-                yield None
-                return
-        if cr and chunk.startswith(b"\n"):
-            chunk = chunk[1:]  # the \n of a \r\n split across two reads
-        cr = chunk.endswith(b"\r")
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        *lines, rest = chunk.split(b"\n")
-        if lines:
-            lines[0] = b"".join([*held, lines[0]])  # a line's pieces are joined once
-            held = []
-            yield from lines
-        held.append(rest)
-    last = b"".join(held)
-    if last:
-        yield last
-
-
 def _scan_body(fh, label_idx, width):
     """(label cells, feature digits) of the rest of a binary file, or None.
+
+    Each read takes 1 MB and then the rest of the line it stopped in, so a
+    line, its cells and a \\r\\n always fall within one read. \\n, \\r and
+    \\r\\n each end a line, as they do for csv.reader over a file opened
+    with newline="".
 
     The label cells are the bytes of each physical line's cell label_idx.
     The feature digits are the 0/1 bytes of every line's cells before the
@@ -183,27 +151,36 @@ def _scan_body(fh, label_idx, width):
     with width - 1 one-digit cells of 0 or 1: each cell then sits at a
     fixed offset. Otherwise the digits are None.
 
-    None at a line that _physical_lines refuses or that does not hold
-    exactly width - 1 commas: with no quotes, a row of width cells.
+    None at a byte outside _FAST_BYTES, at a line that does not hold
+    exactly width - 1 commas (with no quotes, a row of width cells), and
+    at a cell longer than csv.field_size_limit(), which csv.reader refuses
+    and loadtxt does not.
     """
+    limit = csv.field_size_limit()
     commas = width - 1
     fixed = b"," * commas  # the odd bytes of a 0/1 line's features
     digits = [] if label_idx == commas else None
     cells = []
-    for line in _physical_lines(fh):
-        if line is None or line.count(b",") != commas:
+    for chunk in iter(lambda: fh.read(1 << 20) + fh.readline(), b""):
+        if chunk.translate(None, _FAST_BYTES):
             return None
-        if label_idx < commas:
-            cells.append(line.split(b",", label_idx + 1)[label_idx])
-            continue
-        cells.append(line.rpartition(b",")[2])
-        if digits is not None:
-            # width - 1 commas at the odd offsets leave none in the label cell
-            bits = line[:2 * commas:2]
-            if line[1:2 * commas:2] == fixed and not bits.translate(None, b"01"):
-                digits.append(bits)
-            else:
-                digits = None
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        for line in chunk.removesuffix(b"\n").split(b"\n"):
+            if line.count(b",") != commas or (
+                    len(line) > limit and max(map(len, line.split(b","))) > limit):
+                return None
+            if label_idx < commas:
+                cells.append(line.split(b",", label_idx + 1)[label_idx])
+                continue
+            cells.append(line.rpartition(b",")[2])
+            if digits is not None:
+                # width - 1 commas at the odd offsets leave none in the label cell
+                bits = line[:2 * commas:2]
+                if line[1:2 * commas:2] == fixed and not bits.translate(None, b"01"):
+                    digits.append(bits)
+                else:
+                    digits = None
     return cells, None if digits is None else b"".join(digits)
 
 

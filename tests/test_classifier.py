@@ -245,6 +245,19 @@ class TestPredictProba:
             atol=1e-12,
         )
 
+    def test_a_free_energy_that_overflows_names_its_class(self):
+        # finite weights of 1e308 overflow the free energy of any row with a 1
+        rng = np.random.default_rng(8)
+        huge = RbmParams(np.full((6, 3), 1e308), np.zeros(6), np.zeros(3))
+        ensemble = ClassEnsemble(classes=[0, 1], models=[random_params(rng, 6, 3), huge],
+                                 offsets=np.zeros(2))
+        rows = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 1.0, 0, 0, 0], [0.0] * 6])
+        message = "^class 1: the model gives 2 of 3 rows a non-finite free energy$"
+        with pytest.raises(ValidationError, match=message):
+            predict_proba_batch(rows, ensemble)
+        with pytest.raises(ValidationError, match=message):
+            predict_label_batch(rows, ensemble)
+
     def test_rejects_wrong_width(self):
         ensemble = self._two_model_ensemble()
         with pytest.raises(ValidationError):
@@ -313,6 +326,15 @@ class TestTrainEnsemble:
         ensemble = train_ensemble(train_ds.class_matrices(), config)
         report = evaluate(predict_label_batch(test_ds.features, ensemble), test_ds.labels)
         assert report.accuracy >= 0.95
+
+    def test_a_training_row_with_a_non_finite_free_energy_names_its_class(self):
+        # training keeps the weights finite, but class 1's model overflows the
+        # free energy of 3 of the 30 pooled rows
+        ds = synth_generate(SynthSpec(classes=3, samples_per_class=10, dim=100, seed=1))
+        config = TrainConfig(hidden_units=50, epochs=3, init_weight_scale=1e306)
+        with pytest.raises(ConvergenceError,
+                           match="^class 1: the model gives 3 of 30 rows a non-finite free energy$"):
+            train_ensemble(ds.class_matrices(), config)
 
     def test_deterministic(self):
         ds = synth_generate(SynthSpec(classes=2, samples_per_class=10, dim=12, seed=7))

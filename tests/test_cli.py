@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from spectral_rbm import cli
-from spectral_rbm.classifier import load_ensemble
+from spectral_rbm.classifier import ClassEnsemble, load_ensemble, save_ensemble
 from spectral_rbm.dataset import LabeledDataset, load_csv, save_csv
+from spectral_rbm.rbm import RbmParams, TrainConfig
 
 
 def run(*argv):
@@ -349,6 +350,16 @@ class TestTrain:
         assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), *options) == code
         assert capsys.readouterr().err.strip() == message
 
+    def test_a_non_finite_free_energy_names_its_class(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert run("synth", "--out", str(data), "--classes", "3", "--per-class", "10",
+                   "--dim", "100", "--seed", "1") == 0
+        capsys.readouterr()
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), "--hidden-units", "50",
+                   "--epochs", "3", "--init-weight-scale", "1e306") == 4
+        assert capsys.readouterr().err.strip() == (
+            "error: class 1: the model gives 3 of 30 rows a non-finite free energy")
+
     def test_unreachable_fit_tolerance_is_convergence_error(self, tmp_path, capsys):
         data = tmp_path / "noisy.csv"
         assert run("synth", "--out", str(data), "--per-class", "30", "--dim", "8",
@@ -501,6 +512,22 @@ class TestEvaluate:
         data = tmp_path / "data.csv"
         synth_small(data)
         assert run("evaluate", str(tmp_path / "absent.rbme"), str(data)) == 3
+
+    def test_a_model_whose_free_energies_overflow_is_usage_error(self, tmp_path, capsys):
+        # class 1's weights are finite, so the file loads, but they overflow
+        # the free energy of every test row with a 1
+        rng = np.random.default_rng(0)
+        models = [RbmParams(rng.standard_normal((6, 3)), np.zeros(6), np.zeros(3)),
+                  RbmParams(np.full((6, 3), 1e308), np.zeros(6), np.zeros(3))]
+        model = tmp_path / "model.rbme"
+        save_ensemble(model, ClassEnsemble(classes=[0, 1], models=models, offsets=np.zeros(2),
+                                           train_configs=[TrainConfig(hidden_units=3)] * 2))
+        data = tmp_path / "data.csv"
+        synth_small(data, dim=6)
+        capsys.readouterr()
+        assert run("evaluate", str(model), str(data)) == 2
+        assert re.fullmatch(r"error: class 1: the model gives \d+ of 24 rows a non-finite "
+                            r"free energy\n", capsys.readouterr().err)
 
     def test_non_binary_test_data_is_usage_error(self, tmp_path):
         data, model = self.fitted_model(tmp_path)

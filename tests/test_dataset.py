@@ -249,6 +249,14 @@ class TestFastLoad:
     @example(text="f1,label\n1,2,3\n4\n")  # a long row and a short one
     @example(text="f1,label\r\n0.5,1\r\r\n")  # a blank line after a lone \r
     @example(text="f1,label\n0." + "0" * 140000 + "1,3\n")  # over csv's cell size limit
+    # csv.reader takes a cell of csv.field_size_limit() = 131072 bytes and refuses
+    # one byte more: feature and label cells of 131071, 131072 and 131073 bytes
+    @example(text="f1,label\n0." + "0" * 131068 + "1,3\n")
+    @example(text="f1,label\n0." + "0" * 131069 + "1,3\n")
+    @example(text="f1,label\n0." + "0" * 131070 + "1,3\n")
+    @example(text="f1,label\n0.5," + " " * 131070 + "3\n")
+    @example(text="f1,label\n0.5," + " " * 131071 + "3\n")
+    @example(text="f1,label\n0.5," + " " * 131072 + "3\n")
     def test_fast_path_agrees_with_the_csv_reader_loop(self, text):
         # the 0/1 decode, a forced np.loadtxt pass and the csv.reader loop
         with tempfile.TemporaryDirectory() as tmp:
@@ -269,6 +277,9 @@ class TestFastLoad:
         ('"f\n1",label\n0.5,3\n', [3]),  # the header takes two physical lines
         ('"f\r1",label\r\n0.5,3\r\n', [3]),
         ("label\n3\n-4\n", [3, -4]),
+        # cells of csv.field_size_limit() bytes
+        pytest.param("f1,label\n0." + "0" * 131069 + "1,3\n", [3], id="feature-cell-at-limit"),
+        pytest.param("f1,label\n0.5," + " " * 131071 + "3\n", [3], id="label-cell-at-limit"),
     ])
     def test_fast_path_reads_clean_files(self, tmp_path, text, labels):
         path = tmp_path / "d.csv"
@@ -304,8 +315,8 @@ class TestFastLoad:
         assert ds.labels.tolist() == [3, -4]
 
     def test_scan_counts_physical_lines_across_read_chunks(self):
-        # 2**20 - 1 bytes, so the \r after them is the last byte of the first read,
-        # and a \r\n split across the first two reads is one line end
+        # a read ends at a line end: the first read's 2**20 bytes end in the \r of
+        # a \r\n, and it goes on to take the \n
         rows = b"0,1\n" * ((1 << 20) // 4 - 1) + b"0,1"
         count = len(rows) // 4 + 1
         assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r0,-4"), 1, 2) == (
@@ -318,7 +329,8 @@ class TestFastLoad:
         assert dataset._scan_body(io.BytesIO(b""), 1, 2) == ([], b"")
         assert dataset._scan_body(io.BytesIO(b"1,2\n\"x\"\n"), 1, 2) is None
         assert dataset._scan_body(io.BytesIO(b"0" * 140000 + b",1\n"), 1, 2) is None
-        # a label cell, and then a 0/1 line, cut by the end of the first read
+        # the first 2**20 bytes end inside a label cell, and then inside a 0/1
+        # line; the read goes on to the end of that line
         count = (1 << 20) // 6 - 1
         for line, cut in ((b"1,0,-123", 6), (b"1,1,7", 2)):
             lead = b"0,1,5\n" * (count - 1) + b"0,1," + b"5" * (11 - cut) + b"\n"
@@ -329,6 +341,9 @@ class TestFastLoad:
                 b"01" * count + line[:3:2] + b"01")
             assert dataset._scan_body(io.BytesIO(body), 0, 3) == (
                 [b"0"] * count + [line[:1], b"0"], None)
+        # a body whose only line ends are lone \r holds no \n for a read to stop at
+        assert dataset._scan_body(io.BytesIO(b"0,1\r" * 300_000), 1, 2) == (
+            [b"1"] * 300_000, b"0" * 300_000)
 
 
 class TestSaveCsv:
