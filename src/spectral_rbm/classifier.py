@@ -140,6 +140,8 @@ def _log_likelihood_gain(log_probs, target, delta):
     return float(target @ delta - shift.mean())
 
 
+# Finite tables can still overflow in the fit; where that matters it is checked for.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_offsets(free_energy_table, labels, fit=None):
     """Fit soft-max offsets to a precomputed free-energy table.
 
@@ -159,6 +161,12 @@ def fit_offsets(free_energy_table, labels, fit=None):
     Returns the offsets once |g|_inf <= fit.tolerance; raises
     ConvergenceError carrying the last iterate when 100 steps, or 30
     halvings of one step, do not get there.
+
+    A finite table neither warns nor yields non-finite offsets. The column
+    means are taken of the table divided by a power of two above twice the
+    row count, so they cannot overflow; scaled back, they are the plain
+    means bit for bit wherever those are finite and no scaled entry is
+    subnormal. Scores plus offsets that reach +inf raise ConvergenceError.
     """
     fit = fit or OffsetFitConfig()
     table = check_rows("free_energy_table", free_energy_table)
@@ -178,9 +186,11 @@ def fit_offsets(free_energy_table, labels, fit=None):
     # Separately trained models' free energies can sit hundreds apart. That
     # saturates the soft-max at zero offsets and leaves Newton almost no
     # curvature, so the first move is to the offsets that line up the
-    # column means, whenever that raises the likelihood.
-    centred = table.mean(axis=0)
-    centred = centred - centred[0]
+    # column means, whenever that raises the likelihood. A centring past
+    # float range gains NaN or -inf, so it is never taken.
+    scale = 2.0 ** (samples.bit_length() + 1)
+    means = (table / scale).mean(axis=0)
+    centred = (means - means[0]) * scale
     beta = np.zeros(k)
     for taken in range(_NEWTON_STEPS + 1):
         logits = scores + beta
@@ -189,6 +199,9 @@ def fit_offsets(free_energy_table, labels, fit=None):
         mean_probs = probs.mean(axis=0)
         grad = target - mean_probs
         grad_max = float(np.abs(grad).max())
+        if not np.isfinite(grad_max):
+            raise ConvergenceError(f"offset fit stopped after {taken} steps: the scores plus "
+                                   "offsets overflow float64", last_iterate=beta)
         if grad_max <= fit.tolerance:
             return beta
         if taken == _NEWTON_STEPS:
@@ -255,6 +268,16 @@ def train_ensemble(datasets, config, fit=None):
     return ClassEnsemble(classes=classes, models=models, offsets=offsets, train_configs=configs)
 
 
+def _refuse_non_finite(table, classes, error, quantity):
+    """table (rows x classes), or error naming the first class with a non-finite entry."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise error(f"class {classes[column]}: the model gives {int(bad[:, column].sum())} of "
+                    f"{len(table)} rows a non-finite {quantity}")
+    return table
+
+
 def _free_energy_table(rows, classes, models, error):
     """F_c(row), rows x classes; raises error naming the first class with a non-finite entry.
 
@@ -263,22 +286,21 @@ def _free_energy_table(rows, classes, models, error):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.column_stack([free_energy_batch(rows, model) for model in models])
-    bad = ~np.isfinite(table)
-    if bad.any():
-        column = int(np.flatnonzero(bad.any(axis=0))[0])
-        raise error(f"class {classes[column]}: the model gives {int(bad[:, column].sum())} of "
-                    f"{len(table)} rows a non-finite free energy")
-    return table
+    return _refuse_non_finite(table, classes, error, "free energy")
 
 
 def predict_proba_batch(rows, ensemble):
     """Class posterior per row: soft-max of (-F_c + offset_c), rows x classes.
 
-    A non-finite free energy is a ValidationError naming the first such class.
+    A non-finite free energy, or a finite one whose score -F_c + offset_c
+    overflows, is a ValidationError naming the first such class. A score
+    far enough below its row's best underflows to probability 0.
     """
-    scores = ensemble.offsets - _free_energy_table(rows, ensemble.classes, ensemble.models,
-                                                   ValidationError)
-    scores = scores - scores.max(axis=1, keepdims=True)
+    table = _free_energy_table(rows, ensemble.classes, ensemble.models, ValidationError)
+    with np.errstate(over="ignore"):
+        scores = _refuse_non_finite(ensemble.offsets - table, ensemble.classes, ValidationError,
+                                    "score")
+        scores = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs

@@ -10,11 +10,11 @@ Subcommands:
 
 Every option can also come from a ``--config`` key=value file; explicit
 flags win over the file, the file wins over built-in defaults, and a key
-the command does not read is refused like an unknown flag. Commands
-that write files also write a ``<output>.manifest`` recording the exact
-command, effective configuration, input digests, and outputs. Manifests
-carry a timestamp; all data outputs themselves are byte-deterministic
-given the same inputs and seeds.
+the command does not read is refused like an unknown flag. A command
+that writes files returns what it read and wrote, and ``main`` records
+that in ``<first output>.manifest`` with the exact command and the
+effective configuration. Manifests carry a timestamp; all data outputs
+themselves are byte-deterministic given the same inputs and seeds.
 
 Exit codes: 0 success, 2 usage or validation problems, 3 i/o failures,
 4 convergence failures.
@@ -187,7 +187,8 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(path, command, argv, effective, inputs, outputs, notes=()):
+def _write_manifest(command, argv, effective, inputs, outputs, notes):
+    """Write <first output>.manifest: the command, its effective config, input digests, outputs."""
     lines = [
         "manifest_version=1",
         f"tool=spectral-rbm {__version__}",
@@ -201,7 +202,7 @@ def _write_manifest(path, command, argv, effective, inputs, outputs, notes=()):
         lines.append(f"input.{name}.sha256={_sha256(input_path)}")
     lines.extend(f"output.{name}={output_path}" for name, output_path in outputs)
     lines.extend(notes)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(f"{outputs[0][1]}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _require_binary_features(ds, source):
@@ -212,24 +213,22 @@ def _require_binary_features(ds, source):
 
 
 # --- subcommands ------------------------------------------------------------
+#
+# Each command takes the parsed arguments and the options resolver, and
+# returns (inputs, outputs, notes) for the manifest main writes, or None
+# when it wrote no file.
 
 
-def _cmd_synth(args, argv):
-    opts = _Options(args)
+def _cmd_synth(args, opts):
     spec = opts.build(SynthSpec)
     opts.refuse_unread()
     ds = synth_generate(spec)
     save_csv(ds, args.out)
-    _write_manifest(
-        f"{args.out}.manifest", "synth", argv, opts.effective,
-        inputs=[], outputs=[("dataset", args.out)],
-    )
     print(f"wrote {ds.sample_count} rows x {ds.dim} features to {args.out}")
-    return EXIT_OK
+    return [], [("dataset", args.out)], ()
 
 
-def _cmd_preprocess(args, argv):
-    opts = _Options(args)
+def _cmd_preprocess(args, opts):
     label_column = opts.get("label_column")
     if args.reuse_stats:
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
@@ -251,31 +250,27 @@ def _cmd_preprocess(args, argv):
         # test-time convention: pooled training statistics, whatever scope
         # produced them, applied globally to the new data
         rule = BinarizationRule(alpha, Scope.GLOBAL)
+        opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
     else:
         alpha = _parse_alpha(opts.get("alpha"))
         scope_token = opts.get("scope")
         scope = _parse_scope(scope_token)
         opts.refuse_unread()
         rule = BinarizationRule(alpha, scope)
+        opts.effective["alpha"] = alpha
 
     ds = load_csv(args.input, label_column)
     normalized = normalize_rows(ds.features)
-
     if args.reuse_stats:
         binary = binarize(normalized, rule, lo, hi)
-        save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
-        opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
-        _write_manifest(
-            f"{args.out}.manifest", "preprocess", argv, opts.effective,
-            inputs=[("dataset", args.input), ("sidecar", args.reuse_stats)],
-            outputs=[("dataset", args.out)],
-            notes=("note.binarization=reused pooled training statistics from sidecar",),
-        )
-        print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
-        return EXIT_OK
-
-    binary, stats = binarize_dataset(normalized, ds.labels, rule)
+    else:
+        binary, stats = binarize_dataset(normalized, ds.labels, rule)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
+
+    if args.reuse_stats:
+        print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
+        return ([("dataset", args.input), ("sidecar", args.reuse_stats)], [("dataset", args.out)],
+                ("note.binarization=reused pooled training statistics from sidecar",))
 
     sidecar_path = args.sidecar or f"{args.out}.sidecar"
     sidecar_lines = [
@@ -286,20 +281,12 @@ def _cmd_preprocess(args, argv):
     ]
     sidecar_lines.extend(f"{key}={value!r}" for key, value in stats)
     Path(sidecar_path).write_text("\n".join(sidecar_lines) + "\n", encoding="utf-8")
-
-    opts.effective["alpha"] = alpha
-    _write_manifest(
-        f"{args.out}.manifest", "preprocess", argv, opts.effective,
-        inputs=[("dataset", args.input)],
-        outputs=[("dataset", args.out), ("sidecar", sidecar_path)],
-        notes=("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",),
-    )
     print(f"binarized {ds.sample_count} rows (alpha={alpha:g}, scope={scope_token}) -> {args.out}")
-    return EXIT_OK
+    return ([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)],
+            ("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",))
 
 
-def _cmd_train(args, argv):
-    opts = _Options(args)
+def _cmd_train(args, opts):
     label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
@@ -308,21 +295,15 @@ def _cmd_train(args, argv):
     _require_binary_features(ds, args.input)
     ensemble = train_ensemble(ds.class_matrices(), config, fit)
     save_ensemble(args.out, ensemble)
-    _write_manifest(
-        f"{args.out}.manifest", "train", argv, opts.effective,
-        inputs=[("dataset", args.input)],
-        outputs=[("model", args.out)],
-    )
     print(
         f"trained {len(ensemble.classes)} class models "
         f"({ensemble.num_visible} visible x {config.hidden_units} hidden, "
         f"{config.epochs} epochs) -> {args.out}"
     )
-    return EXIT_OK
+    return [("dataset", args.input)], [("model", args.out)], ()
 
 
-def _cmd_evaluate(args, argv):
-    opts = _Options(args)
+def _cmd_evaluate(args, opts):
     label_column = opts.get("label_column")
     opts.refuse_unread()
     ensemble = load_ensemble(args.model)
@@ -335,21 +316,15 @@ def _cmd_evaluate(args, argv):
     predictions = predict_label_batch(ds.features, ensemble)
     report = evaluate(predictions, ds.labels)
     print(report.to_text())
-    if args.out:
-        Path(args.out).write_text(
-            "\n".join(f"{key}={value}" for key, value in report.to_flat()) + "\n",
-            encoding="utf-8",
-        )
-        _write_manifest(
-            f"{args.out}.manifest", "evaluate", argv, opts.effective,
-            inputs=[("model", args.model), ("dataset", args.test)],
-            outputs=[("report", args.out)],
-        )
-    return EXIT_OK
+    if not args.out:
+        return None
+    Path(args.out).write_text(
+        "\n".join(f"{key}={value}" for key, value in report.to_flat()) + "\n", encoding="utf-8"
+    )
+    return [("model", args.model), ("dataset", args.test)], [("report", args.out)], ()
 
 
-def _cmd_sweep_alpha(args, argv):
-    opts = _Options(args)
+def _cmd_sweep_alpha(args, opts):
     label_column = opts.get("label_column")
     tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
     if not tokens:
@@ -379,14 +354,10 @@ def _cmd_sweep_alpha(args, argv):
 
     table = _format_sweep_table(class_ids, results)
     print(table)
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
-        _write_manifest(
-            f"{args.out}.manifest", "sweep-alpha", argv, opts.effective,
-            inputs=[("dataset", args.input)],
-            outputs=[("table", args.out)],
-        )
-    return EXIT_OK
+    if not args.out:
+        return None
+    Path(args.out).write_text(table + "\n", encoding="utf-8")
+    return [("dataset", args.input)], [("table", args.out)], ()
 
 
 def _format_sweep_table(class_ids, results):
@@ -482,7 +453,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits for --help/--version/usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args, argv)
+        opts = _Options(args)
+        record = args.func(args, opts)
+        if record is not None:
+            _write_manifest(args.command, argv, opts.effective, *record)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectral_rbm import classifier
 from spectral_rbm.classifier import (
@@ -151,6 +153,37 @@ class TestFitOffsets:
         assert beta.shape == (k,) and np.all(np.isfinite(beta)) and beta[0] == 0.0
         assert np.abs(gradient(table, labels, beta)).max() <= 1e-8
 
+    def test_a_table_near_the_float_limit_neither_overflows_nor_warns(self):
+        # the plain column mean of the first column overflows to inf; any
+        # leaked RuntimeWarning fails the test
+        beta = fit_offsets([[1e308, -1e308], [1.5e308, 0], [0, 1.7e308]], [0, 1, 1])
+        assert np.array_equal(beta, np.zeros(2))
+
+    def test_column_sums_past_the_float_limit_still_centre(self):
+        # 30 entries of about -3e307 sum past -1.8e308; the centring still
+        # lines the columns up, and that already meets the tolerance
+        rng = np.random.default_rng(3)
+        table = -rng.uniform(1.0, 4.5, (30, 3)) * 1e307
+        beta = fit_offsets(table, np.repeat(np.arange(3), 10))
+        assert beta[0] == 0.0 and np.all(np.isfinite(beta)) and np.abs(beta).max() > 1e306
+
+    def test_a_centring_past_float_range_is_not_taken(self):
+        # the column means differ by 3.4e308; Newton alone cannot move that far
+        table = np.tile([-1.7e308, 1.7e308], (4, 1))
+        with pytest.raises(ConvergenceError, match="stopped after 100 steps at gradient 0.5,"):
+            fit_offsets(table, [0, 1, 0, 1])
+
+    def test_scores_plus_offsets_past_float_range_raise(self):
+        # the centring raises the likelihood, but row 2's class 2 score of
+        # 1.5e308 plus its new offset of 4.7e307 is +inf
+        table = np.array([[-0.7, 1.7e308, 8.3e306],
+                          [-1.4e308, 7.2e307, 9.0e307],
+                          [-5.3e307, 8.1e307, -1.5e308]])
+        with pytest.raises(ConvergenceError, match="^offset fit stopped after 1 steps: the scores "
+                                                   "plus offsets overflow float64$") as excinfo:
+            fit_offsets(table, [0, 1, 2])
+        assert np.all(np.isfinite(excinfo.value.last_iterate))
+
     def test_gradient_reaches_tolerance(self):
         rng = np.random.default_rng(1)
         table = rng.standard_normal((60, 2))
@@ -257,6 +290,25 @@ class TestPredictProba:
             predict_proba_batch(rows, ensemble)
         with pytest.raises(ValidationError, match=message):
             predict_label_batch(rows, ensemble)
+
+    def test_a_score_that_overflows_names_its_class(self):
+        # offset 1e308 minus a free energy of -1e308 is past float range
+        models = [RbmParams(np.zeros((3, 2)), np.array([1e308, 0, 0]), np.zeros(2)),
+                  RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))]
+        ensemble = ClassEnsemble(classes=[0, 1], models=models, offsets=np.array([1e308, 0]))
+        message = "^class 0: the model gives 1 of 2 rows a non-finite score$"
+        rows = np.array([[1.0, 0, 0], [0.0, 1, 1]])
+        with pytest.raises(ValidationError, match=message):
+            predict_proba_batch(rows, ensemble)
+        with pytest.raises(ValidationError, match=message):
+            predict_label_batch(rows, ensemble)
+
+    def test_a_score_past_float_range_below_its_best_gets_probability_zero(self):
+        models = [RbmParams(np.zeros((3, 2)), np.array([1e308, 0, 0]), np.zeros(2)),
+                  RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))]
+        ensemble = ClassEnsemble(classes=[0, 1], models=models, offsets=np.array([0, -1e308]))
+        probs = predict_proba_batch(np.array([[1.0, 0, 0], [0.0, 0, 0]]), ensemble)
+        np.testing.assert_array_equal(probs, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_rejects_wrong_width(self):
         ensemble = self._two_model_ensemble()
@@ -411,3 +463,72 @@ class TestClassEnsembleValidation:
                 models=[random_params(rng, 3, 2), random_params(rng, 3, 2)],
                 offsets=np.array([0.0, np.inf]),
             )
+
+
+# --- finite arithmetic ------------------------------------------------------
+#
+# Finite inputs at any scale: scoring gives a class id or a ValidationError,
+# the offset fit finite offsets or the package's own error, and neither warns
+# (the test configuration turns a warning into a failure).
+
+_MAX = np.finfo(float).max
+
+
+# A finite float of magnitude 10^e, e in [-300, 308], of either sign, or zero.
+_SCALED = st.builds(lambda sign, m, e: sign * min(m * 10.0**e, _MAX), st.sampled_from([-1.0, 1.0]),
+                    st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 308)) | st.just(0.0)
+
+
+def _vectors(n):
+    return st.lists(_SCALED, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def _ensembles(draw):
+    k, m, n = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    models = [RbmParams(draw(_vectors(m * n)).reshape(m, n), draw(_vectors(m)), draw(_vectors(n)))
+              for _ in range(k)]
+    classes = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k, unique=True))
+    return ClassEnsemble(classes=classes, models=models, offsets=draw(_vectors(k)))
+
+
+@st.composite
+def _labeled_tables(draw):
+    k, extra = draw(st.integers(2, 3)), draw(st.integers(0, 5))
+    labels = np.array(list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=extra,
+                                                     max_size=extra)))
+    return draw(_vectors(len(labels) * k)).reshape(len(labels), k), labels
+
+
+_OVERFLOWING_SCORE = ClassEnsemble(
+    classes=[0, 1],
+    models=[RbmParams(np.zeros((3, 2)), np.array([1e308, 0, 0]), np.zeros(2)),
+            RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))],
+    offsets=np.array([1e308, 0]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(ensemble=_ensembles(), bits=st.lists(st.booleans(), max_size=12))
+@example(ensemble=_OVERFLOWING_SCORE, bits=[True, False, False])
+def test_scoring_gives_a_class_id_or_a_validation_error(ensemble, bits):
+    m = ensemble.num_visible
+    rows = np.array(bits[:len(bits) // m * m], dtype=float).reshape(-1, m)
+    try:
+        labels = predict_label_batch(rows, ensemble)
+    except ValidationError as exc:
+        assert str(exc).startswith("class ")
+        return
+    assert labels.shape == (len(rows),) and set(labels.tolist()) <= set(ensemble.classes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(case=_labeled_tables())
+@example(case=(np.array([[1e308, -1e308], [1.5e308, 0], [0, 1.7e308]]), np.array([0, 1, 1])))
+def test_offset_fit_gives_finite_offsets_or_its_own_error(case):
+    table, labels = case
+    try:
+        beta = fit_offsets(table, labels)
+    except (ConvergenceError, ValidationError):
+        return
+    assert beta.shape == (table.shape[1],) and np.all(np.isfinite(beta)) and beta[0] == 0.0

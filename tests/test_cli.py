@@ -2,14 +2,16 @@
 
 import argparse
 import dataclasses
+import hashlib
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectral_rbm import cli
+from spectral_rbm import __version__, cli
 from spectral_rbm.classifier import ClassEnsemble, load_ensemble, save_ensemble
 from spectral_rbm.dataset import LabeledDataset, load_csv, save_csv
 from spectral_rbm.rbm import RbmParams, TrainConfig
@@ -360,6 +362,20 @@ class TestTrain:
         assert capsys.readouterr().err.strip() == (
             "error: class 1: the model gives 3 of 30 rows a non-finite free energy")
 
+    def test_free_energies_near_the_float_limit_exit_4_without_a_warning(self, tmp_path, capsys):
+        # every free energy is finite, but their column sums are past float
+        # range; the offset fit runs out its steps instead of overflowing
+        data = tmp_path / "data.csv"
+        assert run("synth", "--out", str(data), "--classes", "3", "--per-class", "10",
+                   "--dim", "6") == 0
+        capsys.readouterr()
+        model = tmp_path / "m.rbme"
+        assert run("train", str(data), "--out", str(model), "--hidden-units", "50",
+                   "--epochs", "3", "--init-weight-scale", "1e306") == 4
+        assert capsys.readouterr().err == (
+            "error: offset fit stopped after 100 steps at gradient 0.1, above tolerance 1e-08\n")
+        assert not model.exists()
+
     def test_unreachable_fit_tolerance_is_convergence_error(self, tmp_path, capsys):
         data = tmp_path / "noisy.csv"
         assert run("synth", "--out", str(data), "--per-class", "30", "--dim", "8",
@@ -646,6 +662,67 @@ def test_readme_defaults_table_matches_the_cli(tmp_path):
     for key, values in resolved.items():
         assert len(values) == 1, key
         assert same_value(documented[key], values.pop()), key
+
+
+TRAIN_KEYS = ("epochs", "fit_tolerance", "hidden_units", "init_weight_scale", "label_column",
+              "learning_rate", "momentum", "seed", "weight_decay")
+
+
+def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
+    """Each manifest line by line: only timestamp_utc's value and the config values go unchecked."""
+    raw, test_raw = tmp_path / "raw.csv", tmp_path / "test_raw.csv"
+    write_raw_csv(raw, rows=16, dim=5, seed=1)
+    write_raw_csv(test_raw, rows=16, dim=5, seed=2)
+    data, binary, test_binary = tmp_path / "synth.csv", tmp_path / "bin.csv", tmp_path / "test.csv"
+    model, report, table = tmp_path / "model.rbme", tmp_path / "report.txt", tmp_path / "table.txt"
+    sidecar = Path(f"{binary}.sidecar")
+    sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    read = lambda name, path: [(f"input.{name}.path", str(path)), (f"input.{name}.sha256", sha(path))]
+    cases = [
+        (("synth", "--out", str(data), "--per-class", "8", "--dim", "5"),
+         ("classes", "dim", "noise", "per_class", "seed", "separation"),
+         lambda: [("output.dataset", str(data))]),
+        (("preprocess", str(raw), "--out", str(binary)),
+         ("alpha", "label_column", "scope"),
+         lambda: [*read("dataset", raw), ("output.dataset", str(binary)),
+                  ("output.sidecar", str(sidecar)),
+                  ("note.test_time_binarization",
+                   "apply the sidecar's pooled min/max via --reuse-stats")]),
+        (("preprocess", str(test_raw), "--out", str(test_binary), "--reuse-stats", str(sidecar)),
+         ("alpha", "label_column", "max", "min"),
+         lambda: [*read("dataset", test_raw), *read("sidecar", sidecar),
+                  ("output.dataset", str(test_binary)),
+                  ("note.binarization", "reused pooled training statistics from sidecar")]),
+        (("train", str(binary), "--out", str(model), *TINY_TRAIN),
+         TRAIN_KEYS,
+         lambda: [*read("dataset", binary), ("output.model", str(model))]),
+        (("evaluate", str(model), str(test_binary), "--out", str(report)),
+         ("label_column",),
+         lambda: [*read("model", model), *read("dataset", test_binary),
+                  ("output.report", str(report))]),
+        (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN, "--out", str(table)),
+         tuple(sorted(TRAIN_KEYS + ("alphas", "scope", "split_seed", "train_fraction"))),
+         lambda: [*read("dataset", raw), ("output.table", str(table))]),
+    ]
+    for argv, config_keys, records in cases:
+        assert run(*argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        lines = [tuple(line.split("=", 1)) for line in Path(f"{out}.manifest").read_text().splitlines()]
+        records = records()
+        assert [key for key, _ in lines] == [
+            "manifest_version", "tool", "command", "argv", "timestamp_utc",
+            *(f"config.{key}" for key in config_keys), *(key for key, _ in records),
+        ]
+        assert lines[:4] == [("manifest_version", "1"), ("tool", f"spectral-rbm {__version__}"),
+                             ("command", argv[0]), ("argv", shlex.join(argv))]
+        assert lines[5 + len(config_keys):] == records
+
+    # without --out, evaluate and sweep-alpha write nothing, manifest included
+    before = set(tmp_path.iterdir())
+    assert run("evaluate", str(model), str(test_binary)) == 0
+    assert run("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN) == 0
+    assert set(tmp_path.iterdir()) == before
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, key", [

@@ -198,3 +198,10 @@ def test_array_rules_live_only_in_errors():
         if re.search(r"\.ndim\b|issubdtype", line)
     ]
     assert offenders == []
+
+
+def test_cli_writes_manifests_and_resolves_options_in_one_place():
+    # a second manifest writer or options resolver would drift from main's
+    source = (Path(spectral_rbm.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert len(re.findall(r"(?<!def )\b_write_manifest\(", source)) == 1
+    assert len(re.findall(r"\b_Options\(", source)) == 1
