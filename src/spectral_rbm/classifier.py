@@ -28,6 +28,7 @@ from .rbm import (
     BinaryReader,
     RbmParams,
     TrainConfig,
+    _logsumexp,
     _train_lockstep,
     free_energy_batch,
     rbm_from_bytes,
@@ -116,12 +117,6 @@ class ClassEnsemble:
     @property
     def num_visible(self):
         return self.models[0].num_visible
-
-
-def _logsumexp(x):
-    """log(sum(exp(x))) of each row of x, shifted by the row maximum."""
-    top = x.max(axis=1)
-    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
 
 
 def _log_likelihood_gain(log_probs, target, delta):

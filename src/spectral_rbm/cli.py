@@ -100,7 +100,7 @@ def _read_kv_file(path):
     """Flat key=value file; blank lines and # comments ignored, a repeated key refused."""
     pairs = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

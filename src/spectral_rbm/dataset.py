@@ -21,6 +21,7 @@ other matrix row by row, to the same text either way.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import warnings
@@ -184,50 +185,45 @@ def _scan_body(fh, label_idx, width):
     return cells, None if digits is None else b"".join(digits)
 
 
-def _loadtxt(path, header_lines, usecols):
-    """The float columns usecols of the lines of path after its first header_lines, by np.loadtxt."""
-    with open(path, encoding="utf-8") as fh:
-        for _ in range(header_lines):
-            fh.readline()
-        return np.loadtxt(fh, delimiter=",", comments=None, dtype=float, usecols=usecols,
-                          ndmin=2)
-
-
 def _fast_body(path, header_lines, label_idx, width):
     """(features, labels) of the body, or None when the csv.reader loop must read it.
 
     One byte scan (_scan_body) checks every line and yields the label
     cells, which int() reads as the loop does. A 0/1 body with the label
     last, as save_csv writes one, decodes its features from the scan's
-    digits; any other body reads them in one np.loadtxt pass. None unless
-    the body holds only _FAST_BYTES, every physical line is a row of width
-    cells, every cell parses, every label fits in int64 and every feature
-    is finite: then float() and int() would have read the same values.
+    digits; any other body reads them in one np.loadtxt pass through the
+    scan's handle, from the same byte offset. None unless the body holds
+    only _FAST_BYTES, every physical line is a row of width cells, every
+    cell parses, every label fits in int64 and every feature is finite:
+    then float() and int() would have read the same values.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         offset = sum(len(fh.readline().encode("utf-8")) for _ in range(header_lines))
     with open(path, "rb") as fh:
         fh.seek(offset)
         scanned = _scan_body(fh, label_idx, width)
-    if scanned is None or not scanned[0]:
-        return None
-    cells, digits = scanned
-    try:
-        labels = [int(cell) for cell in cells]  # int() strips the spaces that cell.strip() would
-    except ValueError:
-        return None
-    if min(labels) < _INT64_MIN or max(labels) > _INT64_MAX:
-        return None
-    labels = np.array(labels, dtype=np.int64)
-    if digits is not None:
-        bits = np.frombuffer(digits, dtype=np.uint8).reshape(len(labels), width - 1)
-        return (bits - ord("0")).astype(float), labels
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            features = _loadtxt(path, header_lines, [i for i in range(width) if i != label_idx])
-    except (ValueError, Warning):
-        return None
+        if scanned is None or not scanned[0]:
+            return None
+        cells, digits = scanned
+        try:
+            labels = [int(cell) for cell in cells]  # int() strips the spaces that cell.strip() would
+        except ValueError:
+            return None
+        if min(labels) < _INT64_MIN or max(labels) > _INT64_MAX:
+            return None
+        labels = np.array(labels, dtype=np.int64)
+        if digits is not None:
+            bits = np.frombuffer(digits, dtype=np.uint8).reshape(len(labels), width - 1)
+            return (bits - ord("0")).astype(float), labels
+        fh.seek(offset)
+        try:
+            # the scan let through ASCII only; a text wrapper reads a lone \r as a line end
+            with warnings.catch_warnings(), io.TextIOWrapper(fh, encoding="ascii") as body:
+                warnings.simplefilter("error")
+                features = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2,
+                                      usecols=[i for i in range(width) if i != label_idx])
+        except (ValueError, Warning):
+            return None
     # loadtxt skips a blank line, but with width > 1 every line holds a comma
     if not np.isfinite(features).all():
         return None
@@ -245,7 +241,8 @@ def load_csv(path, label_column="label"):
     csv.field_size_limit(), a non-finite feature or a label outside int64.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which _fast_body counts as header bytes
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             records = _records(path, reader)
             first = next(records, None)

@@ -181,12 +181,10 @@ def _log1p_exp(x):
     return out
 
 
-def _logsumexp(values):
-    a = np.asarray(values, dtype=float).ravel()
-    hi = float(a.max())
-    if not np.isfinite(hi):
-        return hi
-    return hi + float(np.log(np.exp(a - hi).sum()))
+def _logsumexp(x):
+    """log(sum(exp(x))) of each row of x, shifted by the row maximum."""
+    top = x.max(axis=1)
+    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
 
 
 def energy(v, h, params):
@@ -507,7 +505,10 @@ def exact_log_partition_function(params):
         + (vis @ params.visible_bias)[:, None]
         + (hid @ params.hidden_bias)[None, :]
     )
-    return _logsumexp(neg_energy)
+    top = float(neg_energy.max())
+    if not np.isfinite(top):
+        return top
+    return float(_logsumexp(neg_energy.reshape(1, -1))[0])
 
 
 def exact_log_likelihood(data, params):

@@ -431,6 +431,15 @@ class TestTrain:
                    "--config", str(config), "--epochs", "2") == 0
         assert kv(tmp_path / "b.rbme.manifest")["config.epochs"] == "2"
 
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        data = tmp_path / "data.csv"
+        synth_small(data)
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"\xef\xbb\xbfepochs=2\nhidden_units=4\n")
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"),
+                   "--config", str(config)) == 0
+        assert kv(tmp_path / "m.rbme.manifest")["config.epochs"] == "2"
+
     def test_malformed_config_file(self, tmp_path):
         data = tmp_path / "data.csv"
         synth_small(data)

@@ -249,6 +249,12 @@ class TestFastLoad:
     @example(text="f1,label\n1,2,3\n4\n")  # a long row and a short one
     @example(text="f1,label\r\n0.5,1\r\r\n")  # a blank line after a lone \r
     @example(text="f1,label\n0." + "0" * 140000 + "1,3\n")  # over csv's cell size limit
+    # a header over two physical lines before a real-valued body: the body starts
+    # at one byte offset for the scan and the np.loadtxt pass alike
+    @example(text='"f\n1",label\n0.5,3\n')
+    @example(text='"f\r1",label\r0.5,3\r0.25,-4\r')
+    @example(text='"f\r\n1",label\r\n0.5,3\r\n')
+    @example(text="\ufefff1,label\n0.5,3\n")  # a byte-order mark is header bytes
     # csv.reader takes a cell of csv.field_size_limit() = 131072 bytes and refuses
     # one byte more: feature and label cells of 131071, 131072 and 131073 bytes
     @example(text="f1,label\n0." + "0" * 131068 + "1,3\n")
@@ -288,6 +294,26 @@ class TestFastLoad:
             ds = load_csv(path, label_column="label")
         assert ds.labels.tolist() == labels
 
+    @pytest.mark.parametrize("text, features", [
+        ("label,f1,f2\n3,0.5,1.5\n4,0.25,2\n", [[0.5, 1.5], [0.25, 2.0]]),
+        ("f1,f2,label\n0,1,3\n1,1,4\n", [[0.0, 1.0], [1.0, 1.0]]),
+    ], ids=["label-first", "label-last"])
+    @pytest.mark.parametrize("path_taken", ["fast", "csv-reader-loop"])
+    def test_a_byte_order_mark_before_the_header_is_skipped(self, tmp_path, text, features,
+                                                             path_taken):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        # on the fast path the mark's three bytes count towards the body's offset
+        if path_taken == "fast":
+            patch = mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow"))
+        else:
+            patch = mock.patch.object(dataset, "_fast_body", return_value=None)
+        with patch:
+            ds = load_csv(path, label_column="label")
+        assert ds.feature_names == ("f1", "f2")
+        assert ds.features.tolist() == features
+        assert ds.labels.tolist() == [3, 4]
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_binary_file_is_decoded_without_loadtxt(self, tmp_path, end):
         rng = np.random.default_rng(0)
@@ -295,7 +321,7 @@ class TestFastLoad:
         path = tmp_path / "b.csv"
         save_csv(ds, path, label_column="label")
         path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
-        with mock.patch.object(dataset, "_loadtxt", side_effect=AssertionError("loadtxt")), \
+        with mock.patch.object(dataset.np, "loadtxt", side_effect=AssertionError("loadtxt")), \
                 mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
             back = load_csv(path, label_column="label")
         assert back.features.tobytes() == ds.features.tobytes()
@@ -308,7 +334,7 @@ class TestFastLoad:
     def test_other_clean_files_take_one_loadtxt_pass(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_text(text)
-        with mock.patch.object(dataset, "_loadtxt", wraps=dataset._loadtxt) as loadtxt, \
+        with mock.patch.object(dataset.np, "loadtxt", wraps=dataset.np.loadtxt) as loadtxt, \
                 mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
             ds = load_csv(path, label_column="label")
         assert loadtxt.call_count == 1

@@ -1,5 +1,5 @@
 """Package surface: __all__ matches the top-level names, README's library example runs,
-and numpy is the only third-party import."""
+numpy is the only third-party import, and the names the benchmark's tests bind exist."""
 
 import ast
 import re
@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import spectral_rbm
+from spectral_rbm import classifier, cli, markov, rbm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +45,20 @@ def test_numpy_is_the_only_runtime_dependency():
         if name.split(".")[0] not in allowed
     ]
     assert third_party == []
+
+
+def test_names_the_benchmark_tests_bind_exist():
+    # perfbench/test_perfbench.py::test_tracer_restores_the_package looks these up;
+    # ROADMAP item 2 changes this list together with that test
+    bound = {
+        "rbm.cd1": vars(rbm).get("cd1"),
+        "rbm.train_rbm": vars(rbm).get("train_rbm"),
+        "classifier.train_rbm": vars(classifier).get("train_rbm"),
+        "markov.SeededRng.uniforms": vars(markov.SeededRng).get("uniforms"),
+        "cli.main": vars(cli).get("main"),
+    }
+    missing = [name for name, value in bound.items() if not callable(value)]
+    assert missing == [], (
+        f"{missing} gone: perfbench/test_perfbench.py::test_tracer_restores_the_package "
+        "binds them; change both together (ROADMAP item 2)"
+    )
