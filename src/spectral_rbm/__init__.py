@@ -13,8 +13,8 @@ SeededRng) stay in their submodules.
 """
 
 from .classifier import (
-    ClassEnsemble, OffsetFitConfig, fit_offsets, load_ensemble, predict_label,
-    predict_label_batch, predict_proba, predict_proba_batch, save_ensemble, train_ensemble,
+    ClassEnsemble, OffsetFitConfig, fit_offsets, load_ensemble, predict_label_batch,
+    predict_proba_batch, save_ensemble, train_ensemble,
 )
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .metrics import EvalReport, evaluate
 from .preprocess import (
-    BinarizationRule, Scope, binarize, binarize_dataset, l2_normalize, normalize_rows,
+    BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows,
 )
 from .rbm import (
     RbmParams, TrainConfig, energy, exact_gibbs_kernel, exact_log_likelihood,
@@ -37,9 +37,8 @@ __all__ = [
     "BinarizationRule", "ClassEnsemble", "EvalReport", "LabeledDataset", "OffsetFitConfig",
     "RbmParams", "Scope", "SplitSpec", "SynthSpec", "TrainConfig",
     "binarize", "binarize_dataset", "evaluate", "fit_offsets", "free_energy_batch",
-    "l2_normalize", "load_csv", "load_ensemble", "normalize_rows", "predict_label",
-    "predict_label_batch", "predict_proba", "predict_proba_batch", "save_csv", "save_ensemble",
-    "split", "synth_generate", "train_ensemble", "train_rbm",
+    "load_csv", "load_ensemble", "normalize_rows", "predict_label_batch", "predict_proba_batch",
+    "save_csv", "save_ensemble", "split", "synth_generate", "train_ensemble", "train_rbm",
     # exact small-model oracles
     "energy", "exact_gibbs_kernel", "exact_log_likelihood", "exact_log_partition_function",
     # errors

@@ -301,11 +301,6 @@ def predict_proba_batch(rows, ensemble):
     return probs
 
 
-def predict_proba(v, ensemble):
-    """predict_proba_batch of a single vector, ordered like ensemble.classes."""
-    return predict_proba_batch([v], ensemble)[0]
-
-
 def predict_label_batch(rows, ensemble):
     """Most probable class id per row; exact ties go to the lowest class id."""
     probs = predict_proba_batch(rows, ensemble)
@@ -313,11 +308,6 @@ def predict_label_batch(rows, ensemble):
     winners = probs == probs.max(axis=1, keepdims=True)
     candidates = np.where(winners, class_arr[None, :], np.iinfo(np.int64).max)
     return candidates.min(axis=1)
-
-
-def predict_label(v, ensemble):
-    """predict_label_batch of a single vector, as an int."""
-    return int(predict_label_batch([v], ensemble)[0])
 
 
 # --- serialization ---------------------------------------------------------

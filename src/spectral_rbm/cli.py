@@ -10,7 +10,8 @@ Subcommands:
 
 Every option can also come from a ``--config`` key=value file; explicit
 flags win over the file, the file wins over built-in defaults, and a key
-the command does not read is refused like an unknown flag. A command
+the command does not read is refused like an unknown flag, and so is an
+output that names the same file as an input or another output. A command
 that writes files returns what it read and wrote, and ``main`` records
 that in ``<first output>.manifest`` with the exact command and the
 effective configuration. Manifests carry a timestamp; all data outputs
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import re
 import shlex
 import sys
@@ -167,12 +169,29 @@ class _Options:
             f.name: self._resolve(key, kind, f.default) for key, f, kind in _dataclass_options(cls)
         })
 
-    def refuse_unread(self):
-        """Refuse a config file key that no option resolved so far has read."""
+    def finish(self, inputs, outputs, notes=()):
+        """Refuse unread config keys and colliding paths; the manifest record, or None.
+
+        Runs before any input is read. An output may not name the same file as an
+        input, the config file, another output or the manifest beside the first output.
+        """
         unread = [key for key in self._file if key not in self.effective]
         if unread:
             raise FormatError(f"{self._config_path}: key {unread[0]!r} is not an option this "
                               "command reads")
+        if not outputs:
+            return None
+        config = [("config file", self._config_path)] if self._config_path else []
+        seen = {}
+        for role, path in config + [(f"{name} input", path) for name, path in inputs]:
+            seen.setdefault(os.path.realpath(path), f"{role} {path}")
+        written = [(f"{name} output", path) for name, path in outputs]
+        for role, path in written + [("manifest", f"{outputs[0][1]}.manifest")]:
+            key = os.path.realpath(path)
+            if key in seen:
+                raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
+            seen[key] = f"{role} {path}"
+        return inputs, outputs, notes
 
 
 def _fmt(value):
@@ -215,17 +234,17 @@ def _require_binary_features(ds, source):
 # --- subcommands ------------------------------------------------------------
 #
 # Each command takes the parsed arguments and the options resolver, and
-# returns (inputs, outputs, notes) for the manifest main writes, or None
-# when it wrote no file.
+# returns the record opts.finish gave it: (inputs, outputs, notes) for the
+# manifest main writes, or None when it writes no file.
 
 
 def _cmd_synth(args, opts):
     spec = opts.build(SynthSpec)
-    opts.refuse_unread()
+    record = opts.finish([], [("dataset", args.out)])
     ds = synth_generate(spec)
     save_csv(ds, args.out)
     print(f"wrote {ds.sample_count} rows x {ds.dim} features to {args.out}")
-    return [], [("dataset", args.out)], ()
+    return record
 
 
 def _cmd_preprocess(args, opts):
@@ -234,7 +253,10 @@ def _cmd_preprocess(args, opts):
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
             raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
                                   "reads its statistics from the given sidecar and writes none")
-        opts.refuse_unread()
+        record = opts.finish(
+            [("dataset", args.input), ("sidecar", args.reuse_stats)], [("dataset", args.out)],
+            ("note.binarization=reused pooled training statistics from sidecar",),
+        )
         stats = _read_kv_file(args.reuse_stats)
         for key in ("sidecar_version", "alpha", "min", "max"):
             if key not in stats:
@@ -255,7 +277,11 @@ def _cmd_preprocess(args, opts):
         alpha = _parse_alpha(opts.get("alpha"))
         scope_token = opts.get("scope")
         scope = _parse_scope(scope_token)
-        opts.refuse_unread()
+        sidecar_path = args.sidecar or f"{args.out}.sidecar"
+        record = opts.finish(
+            [("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)],
+            ("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",),
+        )
         rule = BinarizationRule(alpha, scope)
         opts.effective["alpha"] = alpha
 
@@ -269,10 +295,8 @@ def _cmd_preprocess(args, opts):
 
     if args.reuse_stats:
         print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
-        return ([("dataset", args.input), ("sidecar", args.reuse_stats)], [("dataset", args.out)],
-                ("note.binarization=reused pooled training statistics from sidecar",))
+        return record
 
-    sidecar_path = args.sidecar or f"{args.out}.sidecar"
     sidecar_lines = [
         "sidecar_version=1",
         f"alpha={alpha!r}",
@@ -282,15 +306,14 @@ def _cmd_preprocess(args, opts):
     sidecar_lines.extend(f"{key}={value!r}" for key, value in stats)
     Path(sidecar_path).write_text("\n".join(sidecar_lines) + "\n", encoding="utf-8")
     print(f"binarized {ds.sample_count} rows (alpha={alpha:g}, scope={scope_token}) -> {args.out}")
-    return ([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)],
-            ("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",))
+    return record
 
 
 def _cmd_train(args, opts):
     label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
-    opts.refuse_unread()
+    record = opts.finish([("dataset", args.input)], [("model", args.out)])
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
     ensemble = train_ensemble(ds.class_matrices(), config, fit)
@@ -300,12 +323,13 @@ def _cmd_train(args, opts):
         f"({ensemble.num_visible} visible x {config.hidden_units} hidden, "
         f"{config.epochs} epochs) -> {args.out}"
     )
-    return [("dataset", args.input)], [("model", args.out)], ()
+    return record
 
 
 def _cmd_evaluate(args, opts):
     label_column = opts.get("label_column")
-    opts.refuse_unread()
+    record = opts.finish([("model", args.model), ("dataset", args.test)],
+                         [("report", args.out)] if args.out else [])
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test, label_column)
     _require_binary_features(ds, args.test)
@@ -316,12 +340,10 @@ def _cmd_evaluate(args, opts):
     predictions = predict_label_batch(ds.features, ensemble)
     report = evaluate(predictions, ds.labels)
     print(report.to_text())
-    if not args.out:
-        return None
-    Path(args.out).write_text(
-        "\n".join(f"{key}={value}" for key, value in report.to_flat()) + "\n", encoding="utf-8"
-    )
-    return [("model", args.model), ("dataset", args.test)], [("report", args.out)], ()
+    if args.out:
+        text = "".join(f"{key}={value}\n" for key, value in report.to_flat())
+        Path(args.out).write_text(text, encoding="utf-8")
+    return record
 
 
 def _cmd_sweep_alpha(args, opts):
@@ -334,7 +356,7 @@ def _cmd_sweep_alpha(args, opts):
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
-    opts.refuse_unread()
+    record = opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
     ds = load_csv(args.input, label_column)
     normalized = normalize_rows(ds.features)
     class_ids = ds.class_ids()
@@ -354,10 +376,9 @@ def _cmd_sweep_alpha(args, opts):
 
     table = _format_sweep_table(class_ids, results)
     print(table)
-    if not args.out:
-        return None
-    Path(args.out).write_text(table + "\n", encoding="utf-8")
-    return [("dataset", args.input)], [("table", args.out)], ()
+    if args.out:
+        Path(args.out).write_text(table + "\n", encoding="utf-8")
+    return record
 
 
 def _format_sweep_table(class_ids, results):

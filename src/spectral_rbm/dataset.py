@@ -299,26 +299,22 @@ def _read_body(path, records, header, label_idx):
             )
         cell = row[label_idx].strip()
         try:
-            labels.append(int(cell))
+            label = int(cell)
         except ValueError:
-            # int() also refuses a digit string past sys.get_int_max_str_digits(),
-            # a number far outside int64; int() reads any Unicode decimal digits (\d),
-            # with single underscores between them
+            label = None
+        if label is None or not _INT64_MIN <= label <= _INT64_MAX:
+            # an integer is what int() reads: an optional sign, then Unicode decimal
+            # digits (\d) with single underscores between them; int() also refuses
+            # one past sys.get_int_max_str_digits(), far outside int64
             unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
-            all_digits = re.fullmatch(r"\d+(_\d+)*", unsigned) is not None
+            integer = re.fullmatch(r"\d+(_\d+)*", unsigned) is not None
             raise CsvParseError(
                 f"{path}: row {line_no}, column {label_column!r}: label {row[label_idx]!r} "
-                + ("does not fit in int64" if all_digits else "is not an integer"),
-                line=line_no,
-                column=label_column,
-            ) from None
-        if not _INT64_MIN <= labels[-1] <= _INT64_MAX:
-            raise CsvParseError(
-                f"{path}: row {line_no}, column {label_column!r}: "
-                f"label {row[label_idx]!r} does not fit in int64",
+                + ("does not fit in int64" if integer else "is not an integer"),
                 line=line_no,
                 column=label_column,
             )
+        labels.append(label)
         parsed = []
         for i, cell in enumerate(row):
             if i == label_idx:

@@ -142,18 +142,16 @@ def _check_finite(name, arr):
         raise ValidationError(f"{name} must have finite entries")
 
 
-def check_rows(name, x, cols=None, empty_ok=False, binary=False, vector_ok=False):
+def check_rows(name, x, cols=None, empty_ok=False, binary=False):
     """x as a float64 matrix of finite rows, or raise ValidationError naming it.
 
     cols fixes the column count. Unless empty_ok, the matrix needs at
-    least one row and one column. binary demands entries of exactly 0 or
-    1. vector_ok also takes a single row as a vector and returns it as one.
+    least one row and one column. binary demands entries of exactly 0 or 1.
     """
     arr = _as_array(name, x, "biuf").astype(np.float64, copy=False)
-    if arr.ndim != 2 and not (vector_ok and arr.ndim == 1):
-        kind = "a 2-d array or a vector" if vector_ok else "a 2-d array"
-        raise ValidationError(f"{name} must be {kind}, got shape {arr.shape}")
-    if cols is not None and arr.shape[-1] != cols:
+    if arr.ndim != 2:
+        raise ValidationError(f"{name} must be a 2-d array, got shape {arr.shape}")
+    if cols is not None and arr.shape[1] != cols:
         raise ValidationError(f"{name} must have {cols} columns, got shape {arr.shape}")
     if not empty_ok and arr.size == 0:
         raise ValidationError(f"{name} needs at least one row and column, got shape {arr.shape}")

@@ -43,11 +43,6 @@ class BinarizationRule:
             raise ValidationError(f"scope must be a Scope, got {self.scope!r}")
 
 
-def l2_normalize(row):
-    """normalize_rows of a single vector."""
-    return normalize_rows([row])[0]
-
-
 def normalize_rows(matrix):
     """Scale every row of a 2-d array to unit Euclidean length.
 

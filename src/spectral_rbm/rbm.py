@@ -195,14 +195,14 @@ def energy(v, h, params):
 
 
 def hidden_probs(v, params):
-    """p(h_j = 1 | v) for every hidden unit j; v is one visible state or a row per state."""
-    v = check_rows("visible states", v, params.num_visible, empty_ok=True, vector_ok=True)
+    """p(h_j = 1 | v) for every hidden unit j, one row per visible state in v."""
+    v = check_rows("visible states", v, params.num_visible, empty_ok=True)
     return sigmoid(params.hidden_bias + v @ params.weights)
 
 
 def visible_probs(h, params):
-    """p(v_i = 1 | h) for every visible unit i; h is one hidden state or a row per state."""
-    h = check_rows("hidden states", h, params.num_hidden, empty_ok=True, vector_ok=True)
+    """p(v_i = 1 | h) for every visible unit i, one row per hidden state in h."""
+    h = check_rows("hidden states", h, params.num_hidden, empty_ok=True)
     return sigmoid(params.visible_bias + h @ params.weights.T)
 
 

@@ -13,9 +13,7 @@ from spectral_rbm.classifier import (
     OffsetFitConfig,
     class_seed,
     fit_offsets,
-    predict_label,
     predict_label_batch,
-    predict_proba,
     predict_proba_batch,
     train_ensemble,
 )
@@ -234,7 +232,7 @@ class TestPredictProba:
         model = random_params(rng, 4, 2)
         twin = RbmParams(model.weights.copy(), model.visible_bias.copy(), model.hidden_bias.copy())
         ensemble = ClassEnsemble(classes=[0, 1], models=[model, twin], offsets=np.zeros(2))
-        probs = predict_proba(np.array([1.0, 0.0, 1.0, 0.0]), ensemble)
+        probs = predict_proba_batch([[1.0, 0.0, 1.0, 0.0]], ensemble)[0]
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_sums_to_one(self):
@@ -247,7 +245,7 @@ class TestPredictProba:
     def test_extreme_offsets_do_not_overflow(self):
         ensemble = self._two_model_ensemble(offsets=(1000.0, -1000.0))
         with np.errstate(over="raise"):
-            probs = predict_proba(np.array([1.0, 1.0, 0.0, 0.0, 1.0]), ensemble)
+            probs = predict_proba_batch([[1.0, 1.0, 0.0, 0.0, 1.0]], ensemble)[0]
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert probs[0] > 0.999999
 
@@ -259,12 +257,11 @@ class TestPredictProba:
         offsets = np.array([0.3, -0.8])
         ensemble = ClassEnsemble(classes=[0, 1], models=models, offsets=offsets)
         log_z = np.array([exact_log_partition_function(m) for m in models])
-        for bits in itertools.product((0.0, 1.0), repeat=4):
-            v = np.array(bits)
-            log_like = np.array([-free_energy_batch(v[None, :], m)[0] for m in models]) - log_z
-            mix = np.exp(log_like + offsets + log_z)
-            expected = mix / mix.sum()
-            np.testing.assert_allclose(predict_proba(v, ensemble), expected, atol=1e-12)
+        states = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+        log_like = np.column_stack([-free_energy_batch(states, m) for m in models]) - log_z
+        mix = np.exp(log_like + offsets + log_z)
+        expected = mix / mix.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(predict_proba_batch(states, ensemble), expected, atol=1e-12)
 
     def test_offset_shift_invariance(self):
         base = self._two_model_ensemble(seed=6)
@@ -313,16 +310,18 @@ class TestPredictProba:
     def test_rejects_wrong_width(self):
         ensemble = self._two_model_ensemble()
         with pytest.raises(ValidationError):
-            predict_proba(np.zeros(4), ensemble)
+            predict_proba_batch(np.zeros((1, 4)), ensemble)
+        with pytest.raises(ValidationError):
+            predict_label_batch(np.zeros((1, 4)), ensemble)
 
     def test_single_vector_wrappers_reject_matrices(self):
-        # the batch functions' 2-d check is the wrappers' only shape check
+        # one row is scored as [v]; a matrix or a scalar in its place is refused
         ensemble = self._two_model_ensemble()
         for bad in (np.zeros((2, 5)), 1.0):
             with pytest.raises(ValidationError):
-                predict_proba(bad, ensemble)
+                predict_proba_batch([bad], ensemble)
             with pytest.raises(ValidationError):
-                predict_label(bad, ensemble)
+                predict_label_batch([bad], ensemble)
 
 
 class TestPredictLabel:
@@ -330,24 +329,23 @@ class TestPredictLabel:
         # offsets set to -log Z_c turn the scores into exact log-likelihoods,
         # so prediction must match the Bayes rule under uniform priors
         rng = np.random.default_rng(8)
+        states = np.array(list(itertools.product((0.0, 1.0), repeat=5)))
         for trial in range(5):
             models = [random_params(rng, 5, 3) for _ in range(3)]
             offsets = np.array([-exact_log_partition_function(m) for m in models])
             ensemble = ClassEnsemble(classes=[0, 1, 2], models=models, offsets=offsets)
-            for bits in itertools.product((0.0, 1.0), repeat=5):
-                v = np.array(bits)
-                log_like = np.array(
-                    [-free_energy_batch(v[None, :], m)[0] - exact_log_partition_function(m)
-                     for m in models]
-                )
-                assert predict_label(v, ensemble) == int(np.argmax(log_like))
+            log_like = np.column_stack(
+                [-free_energy_batch(states, m) - exact_log_partition_function(m) for m in models]
+            )
+            np.testing.assert_array_equal(predict_label_batch(states, ensemble),
+                                          np.argmax(log_like, axis=1))
 
     def test_exact_tie_goes_to_lowest_class_id(self):
         rng = np.random.default_rng(9)
         model = random_params(rng, 4, 2)
         twin = RbmParams(model.weights.copy(), model.visible_bias.copy(), model.hidden_bias.copy())
         ensemble = ClassEnsemble(classes=[7, 3], models=[model, twin], offsets=np.zeros(2))
-        assert predict_label(np.array([1.0, 0.0, 0.0, 1.0]), ensemble) == 3
+        assert predict_label_batch([[1.0, 0.0, 0.0, 1.0]], ensemble)[0] == 3
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(10)
@@ -355,7 +353,7 @@ class TestPredictLabel:
         ensemble = ClassEnsemble(classes=[0, 1], models=models, offsets=np.array([0.1, -0.2]))
         rows = (rng.random((40, 6)) < 0.5).astype(float)
         batch = predict_label_batch(rows, ensemble)
-        singles = np.array([predict_label(row, ensemble) for row in rows])
+        singles = np.array([predict_label_batch([row], ensemble)[0] for row in rows])
         np.testing.assert_array_equal(batch, singles)
 
 

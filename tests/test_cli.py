@@ -801,6 +801,61 @@ def test_non_utf8_file_is_usage_error_naming_it(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+# argv with {d} for the working directory, then the two roles the message must name
+COLLISIONS = {
+    "sidecar-on-output": (("preprocess", "{d}/raw.csv", "--out", "{d}/b.csv",
+                           "--sidecar", "{d}/b.csv"), "sidecar output", "dataset output"),
+    "output-on-input": (("preprocess", "{d}/raw.csv", "--out", "{d}/raw.csv"),
+                        "dataset output", "dataset input"),
+    "sidecar-on-input": (("preprocess", "{d}/raw.csv", "--out", "{d}/p.csv",
+                          "--sidecar", "{d}/raw.csv"), "sidecar output", "dataset input"),
+    "sidecar-on-manifest": (("preprocess", "{d}/raw.csv", "--out", "{d}/p.csv",
+                             "--sidecar", "{d}/p.csv.manifest"), "manifest", "sidecar output"),
+    "default-sidecar-on-input": (("preprocess", "{d}/stats.sidecar", "--out", "{d}/stats"),
+                                 "sidecar output", "dataset input"),
+    "output-on-reused-sidecar": (("preprocess", "{d}/raw.csv", "--out", "{d}/stats.sidecar",
+                                  "--reuse-stats", "{d}/stats.sidecar"),
+                                 "dataset output", "sidecar input"),
+    "absent-input": (("preprocess", "{d}/absent.csv", "--out", "{d}/absent.csv"),
+                     "dataset output", "dataset input"),
+    "synth-on-config": (("synth", "--out", "{d}/seed.txt", "--config", "{d}/seed.txt"),
+                        "dataset output", "config file"),
+    "model-on-dataset": (("train", "{d}/bin.csv", "--out", "{d}/./bin.csv", *TINY_TRAIN),
+                         "model output", "dataset input"),
+    "model-on-config": (("train", "{d}/bin.csv", "--out", "{d}/seed.txt",
+                         "--config", "{d}/seed.txt", *TINY_TRAIN), "model output", "config file"),
+    "model-through-a-link": (("train", "{d}/bin.csv", "--out", "{d}/link.rbme", *TINY_TRAIN),
+                             "model output", "dataset input"),
+    "report-on-model": (("evaluate", "{d}/model.rbme", "{d}/bin.csv", "--out", "{d}/model.rbme"),
+                        "report output", "model input"),
+    "report-on-dataset": (("evaluate", "{d}/model.rbme", "{d}/bin.csv", "--out", "{d}/bin.csv"),
+                          "report output", "dataset input"),
+    "table-on-dataset": (("sweep-alpha", "{d}/raw.csv", "--alphas", "1/2", "--out", "{d}/raw.csv",
+                          *TINY_TRAIN), "table output", "dataset input"),
+}
+
+
+@pytest.mark.parametrize("case", COLLISIONS)
+def test_an_output_on_an_input_or_another_output_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                             case):
+    write_raw_csv(tmp_path / "raw.csv")
+    synth_small(tmp_path / "bin.csv")
+    assert run("train", str(tmp_path / "bin.csv"), "--out", str(tmp_path / "model.rbme"),
+               *TINY_TRAIN) == 0
+    assert run("preprocess", str(tmp_path / "raw.csv"), "--out", str(tmp_path / "stats.csv"),
+               "--sidecar", str(tmp_path / "stats.sidecar")) == 0
+    (tmp_path / "seed.txt").write_text("seed=1\n")
+    (tmp_path / "link.rbme").symlink_to(tmp_path / "bin.csv")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv, role, other = COLLISIONS[case]
+    capsys.readouterr()
+    assert run(*(arg.format(d=tmp_path) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: the {role} .* is the same file as the {other} .*\n", captured.err)
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_option_renaming_tables_name_live_options():
     # a stale entry in either table would otherwise be silently dead
     for cls, keys in cli._OPTION_KEYS.items():

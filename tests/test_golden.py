@@ -1,15 +1,17 @@
-"""Golden digests: trained model bytes must not move without a stated reason.
+"""Golden digests: trained model bytes and CLI outputs must not move without a stated reason.
 
-The SHA-256 digests below are of ensemble_to_bytes(train_ensemble(...)),
-recorded with numpy 2.4.6 on x86-64. A change that keeps training
-bit-identical leaves them alone; a change that alters the bytes must say
-why and record new digests here.
+The SHA-256 digests below are of ensemble_to_bytes(train_ensemble(...)) and
+of the files a CLI chain and a sweep write, recorded with numpy 2.4.6 on
+x86-64. A change that keeps training bit-identical leaves them alone; a
+change that alters the bytes must say why and record new digests here.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from spectral_rbm import cli
 from spectral_rbm.classifier import OffsetFitConfig, ensemble_to_bytes, train_ensemble
 from spectral_rbm.dataset import SplitSpec, SynthSpec, split, synth_generate
 from spectral_rbm.rbm import TrainConfig
@@ -56,3 +58,59 @@ def test_spectra_shape_ensemble_bytes():
     ds = synth_generate(SynthSpec(classes=3, samples_per_class=300, dim=500, noise=0.1, seed=4))
     ensemble = train_ensemble(ds.class_matrices(), TrainConfig(hidden_units=100, epochs=1, seed=4))
     assert digest(ensemble) == SPECTRA_SHAPE_DIGEST
+
+
+# --- CLI text outputs ---------------------------------------------------------
+#
+# SHA-256 digests of the files the CLI writes, manifests aside (they carry a
+# timestamp). Recorded with numpy 2.4.6 on x86-64, like the model digests.
+
+CHAIN_DIGESTS = {
+    "train.bin.csv": "e15e925b10115a4fa50407b6c02d0098845dcb010c5d5b4022acdf5895fa71ba",
+    "train.bin.csv.sidecar": "e8d66e7a1b4a1c9f18bd78fec44a2f1ab2fe3d86f6a6f4794618d3aea8c4f482",
+    "test.bin.csv": "953445fa558058672d1e2fdc6ad372b3c6c0b9d1eaf26d306ccb77d6b838d67a",
+    "report.txt": "5b5fda36f95f157da4d0ef8f87f4ae834f370206423ed28ac30962559e18dda7",
+}
+
+SWEEP_DIGEST = "4ddf1b61eacd020dd818c48db58fb0d9769b7497efd8e7d2a2020840afe4dbbc"
+
+
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cli(*argv):
+    assert cli.main([str(arg) for arg in argv]) == 0
+
+
+def test_cli_chain_output_bytes(tmp_path, capsys):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, seed in ((train, 1), (test, 2)):
+        run_cli("synth", "--out", path, "--classes", "3", "--per-class", "20", "--dim", "12",
+                "--noise", "0.3", "--seed", seed)
+    run_cli("preprocess", train, "--out", tmp_path / "train.bin.csv", "--alpha", "2/5")
+    run_cli("train", tmp_path / "train.bin.csv", "--out", tmp_path / "model.rbme",
+            "--hidden-units", "6", "--epochs", "4", "--seed", "3")
+    run_cli("preprocess", test, "--out", tmp_path / "test.bin.csv",
+            "--reuse-stats", tmp_path / "train.bin.csv.sidecar")
+    run_cli("evaluate", tmp_path / "model.rbme", tmp_path / "test.bin.csv",
+            "--out", tmp_path / "report.txt")
+    assert {name: file_digest(tmp_path / name) for name in CHAIN_DIGESTS} == CHAIN_DIGESTS
+
+
+def test_sweep_alpha_table_bytes(tmp_path, capsys):
+    # real-valued spectra written as fixed decimal text, so the input does not
+    # depend on the package's own CSV writer
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.0, 16)
+    labels = np.repeat([0, 1], 20)
+    peaks = np.exp(-0.5 * ((x - np.array([[0.45], [0.55]])) / 0.1) ** 2)
+    features = 1.0 + peaks[labels] + 0.3 * rng.standard_normal((40, 16))
+    lines = [",".join([f"f{i}" for i in range(16)] + ["label"])]
+    lines += [",".join([f"{value:.6f}" for value in row] + [str(label)])
+              for row, label in zip(features, labels)]
+    data = tmp_path / "spectra.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run_cli("sweep-alpha", data, "--alphas", "1/4,1/2,3/4", "--hidden-units", "4",
+            "--epochs", "3", "--seed", "2", "--out", tmp_path / "sweep.txt")
+    assert file_digest(tmp_path / "sweep.txt") == SWEEP_DIGEST

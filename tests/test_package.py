@@ -1,5 +1,6 @@
 """Package surface: __all__ matches the top-level names, README's library example runs,
-numpy is the only third-party import, and the names the benchmark's tests bind exist."""
+numpy is the only third-party import, every function has a caller in the package, and the
+names the benchmark's tests bind exist."""
 
 import ast
 import re
@@ -62,3 +63,41 @@ def test_names_the_benchmark_tests_bind_exist():
         f"{missing} gone: perfbench/test_perfbench.py::test_tracer_restores_the_package "
         "binds them; change both together (ROADMAP item 2)"
     )
+
+
+# Functions kept without a caller in the package: the exact oracles, which check the
+# fast paths from the tests, and the names the benchmark's tracer test binds (ROADMAP
+# item 2 deletes cd1 and rebinds that test).
+UNCALLED = {
+    "rbm.energy", "rbm.exact_log_partition_function", "rbm.exact_log_likelihood",
+    "rbm.exact_gibbs_kernel", "rbm.cd1", "rbm.train_rbm",
+}
+
+
+def test_every_function_has_a_caller_in_the_package():
+    # code that only tests use either becomes an oracle or is deleted; an import
+    # or a call from inside the function itself does not count as a caller
+    package = Path(spectral_rbm.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+    }
+    functions = {
+        f"{module}.{node.name}": node
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert UNCALLED <= set(functions)
+
+    def has_caller(definition):
+        # ast.Name carries a name in .id, ast.Attribute in .attr; an import's alias has neither
+        inside = set(map(id, ast.walk(definition)))
+        return any(
+            id(node) not in inside
+            and definition.name in (getattr(node, "id", None), getattr(node, "attr", None))
+            for tree in trees.values() for node in ast.walk(tree)
+        )
+
+    uncalled = sorted(name for name, node in functions.items()
+                      if name not in UNCALLED and not has_caller(node))
+    assert uncalled == [], f"no caller in the package: {uncalled}"

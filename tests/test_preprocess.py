@@ -9,18 +9,16 @@ from spectral_rbm.preprocess import (
     Scope,
     binarize,
     binarize_dataset,
-    l2_normalize,
     minmax,
     normalize_rows,
 )
 
 
 class TestL2Normalize:
-    """normalize_rows, and l2_normalize as its single-row wrapper."""
+    """normalize_rows: every row scaled to unit Euclidean length."""
 
     def test_three_four_five_triangle(self):
         np.testing.assert_array_equal(normalize_rows([[3.0, 4.0], [0.0, 2.0]]), [[0.6, 0.8], [0.0, 1.0]])
-        np.testing.assert_array_equal(l2_normalize([3.0, 4.0]), [0.6, 0.8])
 
     def test_unit_vector_unchanged(self):
         np.testing.assert_allclose(normalize_rows(np.eye(3)), np.eye(3), atol=1e-15)
@@ -52,17 +50,12 @@ class TestL2Normalize:
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize_rows(np.zeros((1, 5)))
-        with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(5))
 
     def test_bad_shapes_rejected(self):
-        for bad in (np.zeros(3), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+        for bad in (np.zeros(3), np.zeros(0), 5.0, np.zeros((0, 3)), np.zeros((3, 0)),
+                    np.zeros((2, 2, 2))):
             with pytest.raises(ValidationError):
                 normalize_rows(bad)
-        # the wrapper relies on the batch function's 2-d check
-        for bad in (np.zeros((2, 2)), np.zeros(0), 5.0):
-            with pytest.raises(ValidationError):
-                l2_normalize(bad)
 
 
 class TestNormalizeRows:

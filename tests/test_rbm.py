@@ -136,13 +136,14 @@ class TestEnergy:
 class TestConditionals:
     def test_zero_params_give_half_everywhere(self):
         params = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-        np.testing.assert_array_equal(hidden_probs(np.array([1.0, 0.0, 1.0]), params), [0.5, 0.5])
-        np.testing.assert_array_equal(visible_probs(np.array([1.0, 0.0]), params), [0.5, 0.5, 0.5])
+        vis, hid = all_bit_vectors(3), all_bit_vectors(2)
+        np.testing.assert_array_equal(hidden_probs(vis, params), np.full((8, 2), 0.5))
+        np.testing.assert_array_equal(visible_probs(hid, params), np.full((4, 3), 0.5))
 
     def test_zero_visible_reads_hidden_bias(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, 3, 2)
-        got = hidden_probs(np.zeros(3), params)
+        got = hidden_probs(np.zeros((1, 3)), params)[0]
         np.testing.assert_allclose(got, sigmoid(params.hidden_bias), atol=1e-15)
 
     def test_hidden_probs_match_two_state_boltzmann_ratio(self):
@@ -151,7 +152,7 @@ class TestConditionals:
         for trial in range(10):
             params = random_params(rng, 4, 3)
             v = (rng.random(4) < 0.5).astype(float)
-            probs = hidden_probs(v, params)
+            probs = hidden_probs(v[None], params)[0]
             for j in range(3):
                 h0 = np.zeros(3)
                 h1 = np.zeros(3)
@@ -165,26 +166,22 @@ class TestConditionals:
         for trial in range(10):
             m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             params = random_params(rng, m, n)
-            v = (rng.random(m) < 0.5).astype(float)
-            weights = np.array([np.exp(-energy(v, h, params)) for h in all_bit_vectors(n)])
-            total = weights.sum()
-            marginal = np.zeros(n)
-            for h, w in zip(all_bit_vectors(n), weights):
-                marginal += h * w
-            np.testing.assert_allclose(hidden_probs(v, params), marginal / total, atol=1e-10)
+            vis, hid = np.array(all_bit_vectors(m)), np.array(all_bit_vectors(n))
+            # weights[a, b] = exp(-E(vis[a], hid[b]))
+            weights = np.array([[np.exp(-energy(v, h, params)) for h in hid] for v in vis])
+            marginal = weights @ hid / weights.sum(axis=1)[:, None]
+            np.testing.assert_allclose(hidden_probs(vis, params), marginal, atol=1e-10)
 
     def test_visible_probs_match_full_joint_enumeration(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
             m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             params = random_params(rng, m, n)
-            h = (rng.random(n) < 0.5).astype(float)
-            weights = np.array([np.exp(-energy(v, h, params)) for v in all_bit_vectors(m)])
-            total = weights.sum()
-            marginal = np.zeros(m)
-            for v, w in zip(all_bit_vectors(m), weights):
-                marginal += v * w
-            np.testing.assert_allclose(visible_probs(h, params), marginal / total, atol=1e-10)
+            vis, hid = np.array(all_bit_vectors(m)), np.array(all_bit_vectors(n))
+            # weights[b, a] = exp(-E(vis[a], hid[b]))
+            weights = np.array([[np.exp(-energy(v, h, params)) for v in vis] for h in hid])
+            marginal = weights @ vis / weights.sum(axis=1)[:, None]
+            np.testing.assert_allclose(visible_probs(hid, params), marginal, atol=1e-10)
 
     def test_rows_of_states_match_one_state_at_a_time(self):
         rng = np.random.default_rng(26)
@@ -192,16 +189,17 @@ class TestConditionals:
         vis = (rng.random((6, 4)) < 0.5).astype(float)
         hid = (rng.random((5, 3)) < 0.5).astype(float)
         np.testing.assert_allclose(hidden_probs(vis, params),
-                                   [hidden_probs(v, params) for v in vis], atol=1e-15)
+                                   [hidden_probs(v[None], params)[0] for v in vis], atol=1e-15)
         np.testing.assert_allclose(visible_probs(hid, params),
-                                   [visible_probs(h, params) for h in hid], atol=1e-15)
+                                   [visible_probs(h[None], params)[0] for h in hid], atol=1e-15)
 
     def test_dimension_mismatch(self):
+        # a single state is a vector, not a matrix of states, and is refused too
         params = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((1, 1, 3)), 1.0):
+        for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((1, 1, 3)), 1.0):
             with pytest.raises(ValidationError):
                 hidden_probs(bad, params)
-        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1, 2)), 1.0):
+        for bad in (np.zeros(2), np.zeros((4, 3)), np.zeros((1, 1, 2)), 1.0):
             with pytest.raises(ValidationError):
                 visible_probs(bad, params)
 
@@ -234,17 +232,17 @@ class TestCd1:
         params = random_params(rng_np, m, n)
         v1 = np.array([1.0, 0.0, 1.0])
 
-        p1 = hidden_probs(v1, params)
+        p1 = hidden_probs(v1[None], params)[0]
         exp_vh = np.zeros((m, n))
         exp_v = np.zeros(m)
         exp_h = np.zeros(n)
         for h1 in all_bit_vectors(n):
             w_h1 = float(np.prod(np.where(h1 == 1.0, p1, 1.0 - p1)))
-            pv = visible_probs(h1, params)
+            pv = visible_probs(h1[None], params)[0]
             for v2 in all_bit_vectors(m):
                 w_v2 = float(np.prod(np.where(v2 == 1.0, pv, 1.0 - pv)))
                 weight = w_h1 * w_v2
-                p2 = hidden_probs(v2, params)
+                p2 = hidden_probs(v2[None], params)[0]
                 exp_vh += weight * np.outer(v2, p2)
                 exp_v += weight * v2
                 exp_h += weight * p2
@@ -620,7 +618,7 @@ class TestTrainRbm:
         data = np.ones((30, 5))
         config = TrainConfig(epochs=50, hidden_units=4, seed=7, init_weight_scale=0.01)
         params = train_rbm(data, config)
-        h = (SeededRng(8).uniforms(4) < hidden_probs(np.ones(5), params)).astype(float)
+        h = (SeededRng(8).uniforms(4) < hidden_probs(np.ones((1, 5)), params)).astype(float)
         assert np.all(visible_probs(h, params) > 0.9)
 
     def test_deterministic_given_seed(self):

@@ -10,15 +10,15 @@ import pytest
 
 import spectral_rbm
 from spectral_rbm.classifier import (
-    ClassEnsemble, OffsetFitConfig, fit_offsets, predict_label, predict_label_batch,
-    predict_proba, predict_proba_batch, train_ensemble,
+    ClassEnsemble, OffsetFitConfig, fit_offsets, predict_label_batch, predict_proba_batch,
+    train_ensemble,
 )
 from spectral_rbm.dataset import LabeledDataset, SplitSpec, SynthSpec
 from spectral_rbm.errors import ValidationError
 from spectral_rbm.markov import SeededRng
 from spectral_rbm.metrics import evaluate
 from spectral_rbm.preprocess import (
-    BinarizationRule, binarize, binarize_dataset, l2_normalize, minmax, normalize_rows,
+    BinarizationRule, binarize, binarize_dataset, minmax, normalize_rows,
 )
 from spectral_rbm.rbm import (
     RbmParams, TrainConfig, cd1, energy, exact_log_likelihood, free_energy_batch, hidden_probs,
@@ -113,12 +113,12 @@ ARRAY_ARGUMENTS = {
     "train_ensemble": (ROWS, lambda x: train_ensemble({0: x, 1: ROWS}, CONFIG)),
     "predict_proba_batch": (ROWS, lambda x: predict_proba_batch(x, ENSEMBLE)),
     "predict_label_batch": (ROWS, lambda x: predict_label_batch(x, ENSEMBLE)),
-    "predict_proba": (ROW, lambda x: predict_proba(x, ENSEMBLE)),
-    "predict_label": (ROW, lambda x: predict_label(x, ENSEMBLE)),
+    # one row, scored as [row] (the package has no single-row scoring functions)
+    "predict_proba": (ROW, lambda x: predict_proba_batch([x], ENSEMBLE)[0]),
+    "predict_label": (ROW, lambda x: predict_label_batch([x], ENSEMBLE)[0]),
     "LabeledDataset.features": (ROWS, lambda x: LabeledDataset(x, LABELS)),
     "LabeledDataset.labels": (LABELS, lambda x: LabeledDataset(ROWS, x)),
     "normalize_rows": (ROWS, normalize_rows),
-    "l2_normalize": (ROW, l2_normalize),
     "minmax": (ROWS, minmax),
     "binarize": (ROWS, lambda x: binarize(x, RULE, 0.0, 1.0)),
     "binarize_dataset.normalized": (ROWS, lambda x: binarize_dataset(x, LABELS, RULE)),
@@ -158,6 +158,16 @@ def test_bad_arrays_are_validation_errors(argument, bad):
     good, call = ARRAY_ARGUMENTS[argument]
     with pytest.raises(ValidationError):
         call(BAD_ARRAYS[bad](good))
+
+
+@pytest.mark.parametrize(
+    "argument", [name for name, (good, _) in ARRAY_ARGUMENTS.items() if np.ndim(good) == 2]
+)
+def test_one_row_is_not_a_matrix(argument):
+    # a matrix argument takes one row as [row]; a bare vector is refused, never read as one row
+    good, call = ARRAY_ARGUMENTS[argument]
+    with pytest.raises(ValidationError, match="must be a 2-d array, got shape"):
+        call(np.asarray(good)[0])
 
 
 @pytest.mark.parametrize(
