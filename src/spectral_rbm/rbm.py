@@ -21,15 +21,13 @@ its classes; train_rbm is its k = 1 case. The RBMs are stacked
 longest-running first, so one that finishes leaves by slicing every
 array to the rows still running, a view of the models' own storage.
 The loop draws its uniforms a block of rows at a time, in the order cd1
-would, and checks that each RBM's parameters are finite after every
-update, and that no probability it samples from is NaN, whenever those
-checks could fail. A group stops at its first failure and is trained
-again class by class, so the error raised is the one training the
-classes alone in order raises, at the cost of up to twice a failing
-group's work. It carries a bound on every parameter that holds a priori
-(each gradient entry lies in [-1, 1]); while the bound keeps every
-parameter and pre-activation far below overflow, no check can fire and
-the loop skips them, which changes no bit of the result.
+would. It makes no per-update check. An update that fails, by sampling
+from a NaN probability (see _chain_step) or by overflowing, leaves some
+parameter non-finite, and an update only adds to a parameter, so it stays
+non-finite: one finiteness check at the end of each block finds every
+failure. A group that fails is trained again class by class with every
+update checked, so the error raised is the one training the classes alone
+in order raises, at the cost of up to twice a failing group's work.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
@@ -69,14 +67,6 @@ UINT32_MAX = 2**32 - 1
 # Most uniforms that the classes training together hold at once (512 KiB of
 # float64); a block holds as many whole rows' draws as fit, and at least one row's.
 _UNIFORM_BLOCK = 2**16
-
-# While the running bound keeps every |pre-activation| and |weight_decay * W|
-# at or below this, nothing in a CD-1 update can overflow (float64 tops out
-# near 1.8e308), so the finiteness guard and the NaN probes cannot fire.
-_CHECK_FREE_LIMIT = 1e300
-
-# Rounds a bound upward past the rounding of the few operations that formed it.
-_ROUND_UP = 1.0 + 2.0**-50
 
 # Bytes of weight-sized arrays that classes trained in lockstep may share,
 # about one core's L2 cache. On a 2-core Xeon VM with 2 MiB of L2 per core,
@@ -156,9 +146,7 @@ def sigmoid(x):
     for x >= 0 and exp(x) / (1 + exp(x)) below, the same operations as the
     two-branch form and so the same bits, with no positive argument
     exponentiated and no mask. +-inf map to exactly 1 and 0, and only a
-    NaN argument gives NaN: a finite pre-activation never yields a NaN
-    probability, which is why training may skip its NaN probes while its
-    bound keeps every pre-activation finite.
+    NaN argument gives NaN.
     """
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
@@ -224,9 +212,12 @@ def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible, pro
     axis of k chains, one RBM each; np.matmul then steps them all at once,
     bit for bit as it steps each alone. Raises ValidationError when a
     probability it samples from is NaN (finite parameters can still
-    overflow a pre-activation to inf - inf). probe=False skips those two
-    NaN probes; the training loop passes it only while its running bound
-    shows every pre-activation is finite, when no probability can be NaN.
+    overflow a pre-activation to inf - inf); probe=False skips those two
+    NaN probes. v2 is sampled as ceil(p(v|h1) - u_visible): the values of
+    the comparison, so no model or output byte differs, but -0.0 where
+    p(v|h1) < u_visible, and NaN where p(v|h1) is NaN. Unprobed, such a NaN
+    thus reaches the visible bias instead of turning into a 0 bit, as a NaN
+    in p1 reaches the hidden bias through p1 - p2.
     """
     p1 = sigmoid(hidden_bias + np.matmul(v1[..., None, :], weights)[..., 0, :])
     if probe:
@@ -235,7 +226,7 @@ def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible, pro
     pv = sigmoid(visible_bias + np.matmul(weights, h1[..., None])[..., 0])
     if probe:
         _check_probabilities(pv)
-    v2 = (u_visible < pv).astype(float)
+    v2 = np.ceil(pv - u_visible)
     p2 = sigmoid(hidden_bias + np.matmul(v2[..., None, :], weights)[..., 0, :])
     return p1, v2, p2
 
@@ -274,41 +265,6 @@ def _all_finite(weights, visible_bias, hidden_bias):
     return all(np.all(np.isfinite(a)) for a in (weights, visible_bias, hidden_bias))
 
 
-def _next_bound(bound, config):
-    """The parameter bound one CD-1 update later.
-
-    bound is (W, V, B, U): upper bounds on max|weights|, max|weight
-    velocity|, max|bias| and max|bias velocity| over both biases. Every
-    entry of outer(v1, p1) - outer(v2, p2), v1 - v2 and p1 - p2 lies in
-    [-1, 1], so the update's own operations, applied to the bounds, bound
-    their results:
-
-        V' = momentum * V + learning_rate * (1 + weight_decay * W),  W' = W + V'
-        U' = momentum * U + learning_rate,                           B' = B + U'
-
-    each evaluated in that order (rounding is monotone, so the rounded
-    sums and products of bounds bound the rounded results) and then
-    rounded upward once more. The bounds only grow.
-    """
-    weights, velocity, bias, bias_velocity = bound
-    lr, momentum = config.learning_rate, config.momentum
-    velocity = (momentum * velocity + lr * (1.0 + config.weight_decay * weights)) * _ROUND_UP
-    bias_velocity = (momentum * bias_velocity + lr) * _ROUND_UP
-    return (weights + velocity) * _ROUND_UP, velocity, (bias + bias_velocity) * _ROUND_UP, bias_velocity
-
-
-def _reach(bound, config, m, n):
-    """A bound, under bound, on every |pre-activation| and |weight_decay * W| of a CD-1 step.
-
-    A pre-activation adds a bias to at most max(m, n) weights (the chain's
-    rows are 0/1), so B + (max(m, n) + weight_decay) * W bounds both. A
-    bound stepped past overflow gives inf or NaN; callers compare with <=,
-    which both fail.
-    """
-    weights, _, bias, _ = bound
-    return (bias + (max(m, n) + config.weight_decay) * weights) * _ROUND_UP
-
-
 def train_rbm(data, config):
     """Train one RBM on binary rows with online CD-1.
 
@@ -321,14 +277,12 @@ def train_rbm(data, config):
     with L2 weight decay folded into the weight gradient only. The RNG is
     seeded from config.seed and consumed in a fixed order (the init draw,
     then per row n + m uniforms, exactly what cd1 draws), so identical
-    inputs give bit-identical parameters. Parameters are checked after
-    every update: the first one that leaves an entry non-finite raises
-    ConvergenceError with the parameters as last_iterate. The check runs
-    only once a running bound on the parameters no longer rules that out;
-    until then the bound proves every entry finite, so skipping it gives
-    the same result and the same error. This is the one-class case of the
-    lockstep loop train_ensemble runs, and the run that loop falls back
-    on, class by class, when a group of classes fails.
+    inputs give bit-identical parameters. The first update that samples
+    from a NaN probability raises ValidationError; the first that leaves
+    a parameter non-finite raises ConvergenceError with the parameters as
+    last_iterate. This is the one-class case of the lockstep loop
+    train_ensemble runs: trained unchecked, then, only if that fails,
+    again with every update checked.
     """
     data = check_rows("training data", data, binary=True)
     return _train_lockstep(data, [(0, data.shape[0])], config, [config.seed])[0]
@@ -347,30 +301,30 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     _STACK_BYTES: past that, each elementwise weight pass streams from a
     slower cache and costs more than the calls it saves.
 
-    A group stops at its first failure: ValidationError for an init draw
-    that overflows (before any update) or a NaN probability,
-    ConvergenceError when parameters turn non-finite. A failed group of
-    two or more classes is then trained again one class at a time, so the
-    first class in id order to fail raises the error training it alone
-    raises, with its own parameters as last_iterate, and later groups
-    never start. A failing group thus costs up to twice its work; a
-    group that succeeds is trained once. Given classes (the class id of
+    Each group is trained unchecked, which finds a failure by the end of
+    the block it happens in: ValidationError for an init draw that
+    overflows (before any update), ConvergenceError for any other. A
+    failed group, of one class or more, is then trained again one class
+    at a time, checked, so the first class in id order to fail raises the
+    error training it alone raises (ValidationError for a NaN
+    probability), with its own parameters as last_iterate, and later
+    groups never start. A failing group thus costs up to twice its work;
+    a group that succeeds is trained once. Given classes (the class id of
     each span), the error raised names its class: "class <id>: " leads
     its message.
     """
     group = max(1, _STACK_BYTES // (32 * rows.shape[1] * config.hidden_units))
     models = []
     for lo in range(0, len(seeds), group):
-        members = range(lo, min(lo + group, len(seeds)))
-        if len(members) > 1:
+        try:
+            models += _lockstep_group(rows, spans[lo:lo + group], seeds[lo:lo + group], config,
+                                      checked=False)
+            continue
+        except (ValidationError, ConvergenceError):
+            pass
+        for i in range(lo, min(lo + group, len(seeds))):
             try:
-                models += _lockstep_group(rows, spans[lo:lo + group], seeds[lo:lo + group], config)
-                continue
-            except (ValidationError, ConvergenceError):
-                pass
-        for i in members:
-            try:
-                models += _lockstep_group(rows, [spans[i]], [seeds[i]], config)
+                models += _lockstep_group(rows, [spans[i]], [seeds[i]], config, checked=True)
             except (ValidationError, ConvergenceError) as exc:
                 if classes is not None:
                     exc.args = (f"class {classes[i]}: {exc}",)
@@ -378,11 +332,11 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     return models
 
 
-def _lockstep_group(rows, spans, seeds, config):
+def _lockstep_group(rows, spans, seeds, config, checked):
     """_train_lockstep for one group of k classes: the CD-1 update loop; models in span order.
 
-    Raises at the group's first failure, whichever class it is in, with
-    the first stacked class as a ConvergenceError's last_iterate. The
+    Raises at the group's first failure found, whichever class it is in,
+    with the first stacked class as a ConvergenceError's last_iterate. The
     classes are stacked by update count, longest first (a stable sort),
     so the classes still running are always the first k: a class leaves
     at the end of the block in which its epochs * count updates are done,
@@ -392,14 +346,13 @@ def _lockstep_group(rows, spans, seeds, config):
     draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
     and the blocks grow as classes leave.
 
-    The checks (the NaN probes in _chain_step and the finiteness guard
-    after each update) run only from the first update at which they could
-    fire. The loop starts a _next_bound bound at max|W| of the init draws
-    with zero velocities and biases, and steps it with every update; while
-    _reach of it stays within _CHECK_FREE_LIMIT, every parameter and
-    pre-activation is finite, so no probability is NaN and the guard would
-    pass. The bound only grows, so once past the limit the checks run
-    every update until the group ends.
+    The parameters are checked for finiteness at the end of every block,
+    before finished classes leave. Unchecked, that is the only check, and
+    an update that fails is found there: every failure leaves a parameter
+    non-finite for good (see _chain_step for a NaN probability). Checked,
+    every block is one update long, so the guard runs after every update,
+    and _chain_step probes both conditionals for NaN: the first failing
+    update raises, the error training each class alone raises.
     """
     m, n, k = rows.shape[1], config.hidden_units, len(seeds)
     first, count = (np.array(column, dtype=np.int64) for column in zip(*spans))
@@ -419,12 +372,11 @@ def _lockstep_group(rows, spans, seeds, config):
     vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
     d_w, decay_w = np.empty_like(w), np.empty_like(w)
     pair_v, pair_p = np.empty((k, m, 2)), np.empty((k, 2, n))
-    bound = (float(max(w.max(initial=0.0), -w.min(initial=0.0))), 0.0, 0.0, 0.0)
-    checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
     t = 0  # updates made by every class still running
     with np.errstate(over="ignore", invalid="ignore"):
         while k:
-            steps = min(max(1, _UNIFORM_BLOCK // (k * (n + m))), int(ends[k - 1]) - t)
+            steps = 1 if checked else min(max(1, _UNIFORM_BLOCK // (k * (n + m))),
+                                          int(ends[k - 1]) - t)
             u = np.empty((k, steps, n + m))
             for block, rng in zip(u, rngs):
                 block[...] = rng.uniforms(steps * (n + m)).reshape(steps, n + m)
@@ -451,12 +403,10 @@ def _lockstep_group(rows, spans, seeds, config):
                 w += vel_w
                 c += vel_c
                 b += vel_b
-                if not checked:
-                    bound = _next_bound(bound, config)
-                    checked = not _reach(bound, config, m, n) <= _CHECK_FREE_LIMIT
-                if checked and not _all_finite(w, c, b):
-                    raise ConvergenceError("training diverged to non-finite parameters",
-                                           last_iterate=models[order[0]])
+            # a failed update leaves a parameter non-finite for good, so this finds it
+            if not _all_finite(w, c, b):
+                raise ConvergenceError("training diverged to non-finite parameters",
+                                       last_iterate=models[order[0]])
             t += steps
             k = int(np.count_nonzero(ends > t))
             w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p = (

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_rbm import classifier, rbm
@@ -695,20 +695,65 @@ def lockstep_cases(draw):
     )
     stack_bytes = draw(st.sampled_from([1, 64 * m * n, 96 * m * n, rbm._STACK_BYTES]))
     uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
-    check_free_limit = draw(st.sampled_from([0.0, 20.0, 1e200, rbm._CHECK_FREE_LIMIT]))
-    return datasets, config, stack_bytes, uniform_block, check_free_limit
+    return datasets, config, stack_bytes, uniform_block
+
+
+def class_rows(seed, sizes, m):
+    """{class id: rows} of random 0/1 rows of width m, for (id, row count) in sizes."""
+    rng = np.random.default_rng(seed)
+    return {c: (rng.random((r, m)) < 0.5).astype(float) for c, r in sizes}
+
+
+def nan_on_all_ones_rows(conditional):
+    """Patches rbm so that each chain stepping an all-ones row gets a NaN probability.
+
+    conditional picks the sigmoid call of _chain_step that gives it: 0 for p(h|v1), 1 for
+    p(v|h1). The NaN goes to unit 0 of each such chain, whether stepped alone or stacked.
+    """
+    chain_step, sigmoid = rbm._chain_step, rbm.sigmoid
+    step = {}
+
+    def chain(v1, *rest):
+        step.update(ones=np.all(v1 == 1.0, axis=-1).reshape(-1), calls=0)
+        try:
+            return chain_step(v1, *rest)
+        finally:
+            step.clear()
+
+    def nan_sigmoid(x):
+        out = sigmoid(x)
+        if step:
+            if step["calls"] == conditional:
+                out.reshape(-1, out.shape[-1])[step["ones"], 0] = np.nan
+            step["calls"] += 1
+        return out
+
+    return mock.patch.multiple(rbm, _chain_step=chain, sigmoid=nan_sigmoid)
 
 
 class TestLockstepTraining:
     """train_ensemble steps the classes together; each must come out as if trained alone."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(lockstep_cases())
+    # class 2 diverges at update 15, mid-way through the block at whose end it leaves the stack
+    @example(case=(class_rows(20, ((0, 6), (1, 3), (2, 4)), 5),
+                   TrainConfig(learning_rate=1e307, momentum=0.9, epochs=4, hidden_units=4,
+                               weight_decay=0.0, seed=7),
+                   rbm._STACK_BYTES, rbm._UNIFORM_BLOCK))
+    # class 0 trains; the init draw of class 1 overflows
+    @example(case=(class_rows(0, ((0, 3), (1, 2)), 1),
+                   TrainConfig(epochs=2, hidden_units=1, seed=11, init_weight_scale=1e308),
+                   rbm._STACK_BYTES, rbm._UNIFORM_BLOCK))
+    # the 1-row class 0 diverges at update 2, class 1 at update 3
+    @example(case=(class_rows(1, ((0, 1), (1, 4)), 4),
+                   TrainConfig(learning_rate=1e308, momentum=0.9, epochs=3, hidden_units=3,
+                               weight_decay=0.0, seed=0),
+                   rbm._STACK_BYTES, rbm._UNIFORM_BLOCK))
     def test_models_match_training_each_class_alone(self, case):
-        datasets, config, stack_bytes, uniform_block, check_free_limit = case
+        datasets, config, stack_bytes, uniform_block = case
         with mock.patch.object(rbm, "_STACK_BYTES", stack_bytes), \
                 mock.patch.object(rbm, "_UNIFORM_BLOCK", uniform_block), \
-                mock.patch.object(rbm, "_CHECK_FREE_LIMIT", check_free_limit), \
                 mock.patch.object(classifier, "fit_offsets", zero_offsets), \
                 mock.patch.object(classifier, "_free_energy_table", zero_table), \
                 np.errstate(all="ignore"):
@@ -776,10 +821,9 @@ class TestLockstepTraining:
 
         def raised(spans, seeds):
             calls = itertools.count(1)
-            with mock.patch.object(rbm, "_CHECK_FREE_LIMIT", -1.0), \
-                    mock.patch.object(rbm, "_all_finite", lambda *arrays: next(calls) != 4), \
+            with mock.patch.object(rbm, "_all_finite", lambda *arrays: next(calls) != 4), \
                     pytest.raises(ConvergenceError) as info:
-                rbm._lockstep_group(rows, spans, seeds, config)
+                rbm._lockstep_group(rows, spans, seeds, config, checked=True)
             return info.value.last_iterate
 
         together, alone = raised([(0, 2), (2, 6)], [5, 6]), raised([(2, 6)], [6])
@@ -789,9 +833,9 @@ class TestLockstepTraining:
         rows = (np.random.default_rng(42).random((8, 5)) < 0.5).astype(float)
         config = TrainConfig(epochs=2, hidden_units=3, seed=0, init_weight_scale=0.1)
         spans, seeds = [(0, 2), (2, 6)], [5, 6]
-        together = rbm._lockstep_group(rows, spans, seeds, config)
+        together = rbm._lockstep_group(rows, spans, seeds, config, checked=False)
         for model, span, seed in zip(together, spans, seeds):
-            [alone] = rbm._lockstep_group(rows, [span], [seed], config)
+            [alone] = rbm._lockstep_group(rows, [span], [seed], config, checked=False)
             for a, b in zip((model.weights, model.visible_bias, model.hidden_bias),
                             (alone.weights, alone.visible_bias, alone.hidden_bias)):
                 assert a.tobytes() == b.tobytes()
@@ -860,6 +904,65 @@ class TestLockstepTraining:
         for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), arrays):
             assert np.array_equal(a, b, equal_nan=True)
 
+    def test_a_group_whose_every_init_draw_overflows(self):
+        rng = np.random.default_rng(0)
+        datasets = {c: (rng.random((2, 10)) < 0.5).astype(float) for c in (3, 5)}
+        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
+        with np.errstate(all="ignore"):
+            for c in datasets:
+                assert str(serial_outcome(datasets[c], replace(config, seed=class_seed(0, c)))) \
+                    == "weights must have finite entries"
+            with pytest.raises(ValidationError, match="weights must have finite entries"):
+                train_ensemble(datasets, config)
+            with pytest.raises(ValidationError, match="weights must have finite entries"):
+                train_rbm(datasets[3], config)
+
+    def test_an_init_draw_that_overflows_warns_nothing(self):
+        data = (np.random.default_rng(0).random((2, 10)) < 0.5).astype(float)
+        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^weights must have finite entries$"):
+                train_rbm(data, config)
+            with pytest.raises(ValidationError, match="^class 2: weights must have finite entries$"):
+                train_ensemble({2: data, 7: data}, config)
+
+    def assert_nan_probability_raises_like_training_alone(self, conditional):
+        # only class 1 has an all-ones row, its 2nd: the NaN comes mid-way through the
+        # stacked group's first block, and the checked replay of class 1 refuses it
+        datasets = class_rows(10, ((0, 6), (1, 3), (2, 4)), 5)
+        datasets[0][:, 0] = datasets[2][:, 0] = 0.0
+        datasets[1][1] = 1.0
+        config = TrainConfig(momentum=0.9, epochs=2, hidden_units=4, seed=7, init_weight_scale=0.1)
+        with nan_on_all_ones_rows(conditional):
+            outcomes = [serial_outcome(datasets[c], replace(config, seed=class_seed(7, c)))
+                        for c in range(3)]
+            kinds = [type(o).__name__ if isinstance(o, Exception) else o[0] for o in outcomes]
+            assert kinds == ["ok", "ValidationError", "ok"]
+            with pytest.raises(ValidationError) as info:
+                train_ensemble(datasets, config)
+        assert str(info.value) == f"class 1: {outcomes[1]}" == "class 1: probabilities must lie in [0, 1]"
+
+    def test_a_nan_visible_probability_raises_like_training_alone(self):
+        # sampled as a comparison, the NaN would be a 0 bit and leave every parameter finite
+        self.assert_nan_probability_raises_like_training_alone(1)
+
+    def test_a_nan_hidden_probability_raises_like_training_alone(self):
+        # unprobed, the NaN reaches the parameters and would be a divergence (exit 4)
+        self.assert_nan_probability_raises_like_training_alone(0)
+
+    def test_a_failing_group_is_trained_again_checked_and_a_good_one_once(self):
+        data = (np.random.default_rng(31).random((6, 5)) < 0.5).astype(float)
+        good = TrainConfig(epochs=4, hidden_units=4, seed=5)
+        diverging = replace(good, learning_rate=1e100, momentum=0.9)
+        with mock.patch.object(rbm, "_lockstep_group", wraps=rbm._lockstep_group) as group:
+            train_rbm(data, good)
+            assert [call.kwargs["checked"] for call in group.call_args_list] == [False]
+            group.reset_mock()
+            with pytest.raises(ConvergenceError):
+                train_rbm(data, diverging)
+            assert [call.kwargs["checked"] for call in group.call_args_list] == [False, True]
+
     def test_classes_together_hold_at_most_one_uniform_block(self, monkeypatch):
         draws = []  # (stream seed, size) of every uniforms call
         live = {"now": 0, "peak": 0}
@@ -899,164 +1002,6 @@ class TestLockstepTraining:
         assert totals == {class_seed(37, c): epochs * r * (n + m) for c, r in sizes.items()}
 
 
-def huge_reals(smallest):
-    """Positive reals from smallest up to the largest float64, spread over the decades."""
-    return st.one_of(st.sampled_from([smallest, 1e308, np.finfo(float).max]),
-                     st.floats(-4.0, 308.0).map(lambda e: 10.0**e))
-
-
-@st.composite
-def bound_cases(draw):
-    """One small class, with learning rate, weight decay and init scale up to 1e308."""
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = (rng.random((draw(st.integers(1, 5)), m)) < rng.random()).astype(float)
-    config = TrainConfig(
-        learning_rate=draw(huge_reals(1e-4)),
-        momentum=draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.999)),
-        epochs=draw(st.integers(1, 3)),
-        hidden_units=n,
-        weight_decay=draw(st.just(0.0) | huge_reals(1e-4)),
-        seed=draw(st.integers(0, 2**64 - 1)),
-        init_weight_scale=draw(huge_reals(1e-4)),
-    )
-    return data, config
-
-
-def assert_within_bound(bound, config, weights, biases, velocities):
-    """Each finite part of the bound holds for what it bounds, and _reach for the pre-activations.
-
-    A pre-activation is a bias plus a sum of weights over a 0/1 vector, so the worst over all
-    vectors, |bias| + sum of |weights| (summed exactly), is what _reach must cover.
-    """
-    weights_velocity, bias_velocities = velocities[0], velocities[1:]
-    for limit, arrays in zip(bound, ([weights], [weights_velocity], biases, bias_velocities)):
-        if math.isfinite(limit):
-            assert max(np.abs(a).max() for a in arrays) <= limit
-    reach = rbm._reach(bound, config, *weights.shape)
-    if math.isfinite(reach):
-        visible_bias, hidden_bias = biases
-        worst = [math.fsum([abs(c), *np.abs(row)]) for c, row in zip(visible_bias, weights)]
-        worst += [math.fsum([abs(b), *np.abs(col)]) for b, col in zip(hidden_bias, weights.T)]
-        assert max(worst) <= reach
-        assert config.weight_decay * np.abs(weights).max() <= reach
-
-
-class TestCheckFreeBound:
-    """The loop skips its checks while rbm._next_bound keeps rbm._reach within the limit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(bound_cases())
-    def test_bound_holds_along_the_replay_and_the_checks_fire_only_past_it(self, case):
-        # replay's update, with the bound stepped beside it
-        data, config = case
-        twin = SeededRng(config.seed)
-        with np.errstate(over="ignore"):
-            weights = twin.normals((data.shape[1], config.hidden_units)) * config.init_weight_scale
-        if not np.all(np.isfinite(weights)):
-            return  # the class fails at its init draw, before the loop starts a bound
-        vbias = np.zeros(data.shape[1])
-        hbias = np.zeros(config.hidden_units)
-        vel_w, vel_c, vel_b = np.zeros_like(weights), np.zeros_like(vbias), np.zeros_like(hbias)
-        lr, mom, wd = config.learning_rate, config.momentum, config.weight_decay
-        bound = (float(np.abs(weights).max()), 0.0, 0.0, 0.0)
-        skipping = True  # training skips its checks until the bound first fails the limit
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in itertools.chain.from_iterable([data] * config.epochs):
-                assert_within_bound(bound, config, weights, (vbias, hbias), (vel_w, vel_c, vel_b))
-                skipping &= rbm._reach(bound, config, *weights.shape) <= rbm._CHECK_FREE_LIMIT
-                try:
-                    grad = cd1(row, RbmParams(weights.copy(), vbias.copy(), hbias.copy()), twin)
-                except ValidationError:
-                    assert not skipping  # a NaN probe fired
-                    return
-                vel_w = mom * vel_w + lr * (grad.d_weights - wd * weights)
-                vel_c = mom * vel_c + lr * grad.d_visible_bias
-                vel_b = mom * vel_b + lr * grad.d_hidden_bias
-                weights = weights + vel_w
-                vbias = vbias + vel_c
-                hbias = hbias + vel_b
-                bound = rbm._next_bound(bound, config)
-                if not all(np.all(np.isfinite(a)) for a in (weights, vbias, hbias)):
-                    assert not rbm._reach(bound, config, *weights.shape) <= rbm._CHECK_FREE_LIMIT
-                    return
-            assert_within_bound(bound, config, weights, (vbias, hbias), (vel_w, vel_c, vel_b))
-
-    @pytest.mark.parametrize("learning_rate, weight_decay, limit", [(1e30, 0.5, 1e200), (0.1, 2e-4, 20.0)])
-    def test_checks_switch_on_mid_block_with_the_always_checked_result(
-            self, learning_rate, weight_decay, limit):
-        rng = np.random.default_rng(10)
-        datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
-        config = TrainConfig(learning_rate=learning_rate, momentum=0.9, epochs=4, hidden_units=4,
-                             weight_decay=weight_decay, seed=7, init_weight_scale=0.01)
-        original, original_group = rbm._chain_step, rbm._lockstep_group
-
-        def outcome(check_free_limit):
-            """What training gives, and the probe flag of every chain step of the stacked group.
-
-            A group that fails is trained again class by class, and each of those runs starts
-            a fresh bound, so only the first group's flags are kept.
-            """
-            calls = []
-
-            def group(*args):
-                calls.append([])
-                return original_group(*args)
-
-            def spy(v1, weights, *rest):
-                calls[-1].append(rest[4])
-                return original(v1, weights, *rest)
-
-            with mock.patch.object(rbm, "_CHECK_FREE_LIMIT", check_free_limit), \
-                    mock.patch.object(rbm, "_lockstep_group", group), \
-                    mock.patch.object(rbm, "_chain_step", spy), \
-                    mock.patch.object(classifier, "fit_offsets", zero_offsets):
-                try:
-                    ensemble = train_ensemble(datasets, config)
-                except ConvergenceError as exc:
-                    got = exc.last_iterate
-                    arrays = [got]
-                    result = str(exc)
-                else:
-                    arrays = ensemble.models
-                    result = "ok"
-            return result, [a.tobytes() for x in arrays
-                            for a in (x.weights, x.visible_bias, x.hidden_bias)], calls[0]
-
-        with np.errstate(all="ignore"):
-            *crossing, probed = outcome(limit)
-            *always_checked, probed_always = outcome(0.0)
-        switch = probed.index(True)
-        assert 0 < switch < len(probed) and all(probed[switch:])  # one block, checked from mid-way on
-        assert all(probed_always)  # from the first step
-        assert crossing == always_checked
-        assert crossing[0] == ("ok" if learning_rate == 0.1
-                               else "class 0: training diverged to non-finite parameters")
-
-    def test_a_group_whose_every_init_draw_overflows(self):
-        rng = np.random.default_rng(0)
-        datasets = {c: (rng.random((2, 10)) < 0.5).astype(float) for c in (3, 5)}
-        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
-        with np.errstate(all="ignore"):
-            for c in datasets:
-                assert str(serial_outcome(datasets[c], replace(config, seed=class_seed(0, c)))) \
-                    == "weights must have finite entries"
-            with pytest.raises(ValidationError, match="weights must have finite entries"):
-                train_ensemble(datasets, config)
-            with pytest.raises(ValidationError, match="weights must have finite entries"):
-                train_rbm(datasets[3], config)
-
-    def test_an_init_draw_that_overflows_warns_nothing(self):
-        data = (np.random.default_rng(0).random((2, 10)) < 0.5).astype(float)
-        config = TrainConfig(epochs=1, hidden_units=10, seed=0, init_weight_scale=1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="^weights must have finite entries$"):
-                train_rbm(data, config)
-            with pytest.raises(ValidationError, match="^class 2: weights must have finite entries$"):
-                train_ensemble({2: data, 7: data}, config)
-
-
 class TestTrainingInternals:
     def test_pair_product_is_the_outer_product_difference_bit_for_bit(self):
         # training writes the weight gradient as [v1 v2] @ [p1; -p2], k classes at once
@@ -1093,6 +1038,25 @@ class TestTrainingInternals:
             for j in range(k):
                 alone = rbm._chain_step(v1[j], w[j], c[j], b[j], u_hidden[j], u_visible[j])
                 assert [a[j].tobytes() for a in stacked] == [a.tobytes() for a in alone]
+
+    def test_ceil_sampler_is_the_comparison_with_nan_kept(self):
+        # _chain_step samples v2 as ceil(pv - u): the values of u < pv, -0.0 where pv < u,
+        # and NaN exactly where pv is NaN
+        rng = np.random.default_rng(39)
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        below_one = np.nextafter(1.0, 0.0)  # the largest uniform
+        edges = [(0.5, 0.5), (0.0, 0.0), (0.0, 0.3), (0.0, below_one), (1.0, 0.0), (1.0, below_one),
+                 (0.3, 0.0), (tiny, 0.0), (tiny, tiny), (tiny, 2 * tiny), (2 * tiny, tiny),
+                 (np.nan, 0.0), (np.nan, 0.5), (np.nan, below_one)]
+        pv = rng.random(10_000)
+        u = np.where(rng.random(10_000) < 0.1, pv, rng.random(10_000))
+        u[::7] = np.nextafter(pv[::7], rng.choice([0.0, 1.0], pv[::7].size))
+        pv, u = np.concatenate([pv, [e[0] for e in edges]]), np.concatenate([u, [e[1] for e in edges]])
+        got = np.ceil(pv - u)
+        nan = np.isnan(pv)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], (u < pv)[~nan].astype(float))
+        assert np.array_equal(np.signbit(got[~nan]), (pv < u)[~nan])
 
     @pytest.mark.parametrize("where", ["weights", "visible_bias", "hidden_bias"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
