@@ -235,12 +235,12 @@ def train_ensemble(datasets, config, fit=None):
     if trained alone. A group stops at its first failure and is trained
     again one class at a time, so the error raised is the one training
     the classes alone in id order would raise first: ValidationError for
-    an init draw that overflows or a NaN probability, or ConvergenceError
-    carrying that class's last_iterate for non-finite parameters; its
-    message starts with "class <id>: ". A failing group costs up to twice
-    its training work. The offsets are then fitted on the pooled training
-    rows; a model that gives one of them a non-finite free energy raises
-    ConvergenceError naming the first such class.
+    an init draw that overflows, or ConvergenceError carrying that class's
+    last_iterate for non-finite parameters, a NaN probability included;
+    its message starts with "class <id>: ". A failing group costs up to
+    twice its training work. The offsets are then fitted on the pooled
+    training rows; a model that gives one of them a non-finite free
+    energy raises ConvergenceError naming the first such class.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")

@@ -21,13 +21,13 @@ its classes; train_rbm is its k = 1 case. The RBMs are stacked
 longest-running first, so one that finishes leaves by slicing every
 array to the rows still running, a view of the models' own storage.
 The loop draws its uniforms a block of rows at a time, in the order cd1
-would. It makes no per-update check. An update that fails, by sampling
-from a NaN probability (see _chain_step) or by overflowing, leaves some
-parameter non-finite, and an update only adds to a parameter, so it stays
-non-finite: one finiteness check at the end of each block finds every
-failure. A group that fails is trained again class by class with every
-update checked, so the error raised is the one training the classes alone
-in order raises, at the cost of up to twice a failing group's work.
+would. It makes no per-update check. Every failure, an overflow or a NaN
+probability (see _chain_step), leaves some parameter non-finite, and an
+update only adds to a parameter, so it stays non-finite: one finiteness
+check at the end of each block finds every failure, as a divergence. A
+group that fails is trained again class by class with every update
+checked, so the error raised is the one training the classes alone in
+order raises, at the cost of up to twice a failing group's work.
 
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
@@ -37,7 +37,6 @@ transition matrix of the block-Gibbs chain CD-1 takes one step of.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -194,38 +193,23 @@ def visible_probs(h, params):
     return sigmoid(params.visible_bias + h @ params.weights.T)
 
 
-def _check_probabilities(p):
-    """Refuse a NaN probability before sampling from it, at the cost of one sum.
-
-    sigmoid's outputs lie in [0, 1] or are NaN, and a sum of such values
-    is NaN exactly when one of them is.
-    """
-    if math.isnan(p.sum()):
-        raise ValidationError("probabilities must lie in [0, 1]")
-
-
-def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible, probe=True):
+def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
     """One CD-1 chain from data row v1, sampling with the given uniforms.
 
     p1 = p(h|v1), h1 = [u_hidden < p1], v2 = [u_visible < p(v|h1)],
     p2 = p(h|v2); returns (p1, v2, p2). Every argument may carry a leading
     axis of k chains, one RBM each; np.matmul then steps them all at once,
-    bit for bit as it steps each alone. Raises ValidationError when a
-    probability it samples from is NaN (finite parameters can still
-    overflow a pre-activation to inf - inf); probe=False skips those two
-    NaN probes. v2 is sampled as ceil(p(v|h1) - u_visible): the values of
-    the comparison, so no model or output byte differs, but -0.0 where
-    p(v|h1) < u_visible, and NaN where p(v|h1) is NaN. Unprobed, such a NaN
-    thus reaches the visible bias instead of turning into a 0 bit, as a NaN
-    in p1 reaches the hidden bias through p1 - p2.
+    bit for bit as it steps each alone. A NaN probability (finite
+    parameters can still overflow a pre-activation to inf - inf) is
+    returned, not refused: a NaN in p1 or p2 reaches the hidden bias
+    through p1 - p2. v2 is sampled as ceil(p(v|h1) - u_visible): the
+    values of the comparison, so no model or output byte differs, but
+    -0.0 where p(v|h1) < u_visible, and NaN where p(v|h1) is NaN, so such
+    a NaN reaches the visible bias instead of turning into a 0 bit.
     """
     p1 = sigmoid(hidden_bias + np.matmul(v1[..., None, :], weights)[..., 0, :])
-    if probe:
-        _check_probabilities(p1)
     h1 = (u_hidden < p1).astype(float)
     pv = sigmoid(visible_bias + np.matmul(weights, h1[..., None])[..., 0])
-    if probe:
-        _check_probabilities(pv)
     v2 = np.ceil(pv - u_visible)
     p2 = sigmoid(hidden_bias + np.matmul(v2[..., None, :], weights)[..., 0, :])
     return p1, v2, p2
@@ -255,14 +239,10 @@ def cd1(v1, params, rng):
 def _all_finite(weights, visible_bias, hidden_bias):
     """True iff every entry of the three parameter arrays is finite.
 
-    A NaN or inf entry always makes the total non-finite, so a finite total
-    settles it with three sums. A non-finite total can also be an overflow
-    of finite entries, so only then are the entries scanned. Run it under
-    np.errstate(over="ignore", invalid="ignore"), as training does.
+    A plain scan: training calls it once per uniform block, and once per
+    update only when it trains a failed group again, checked.
     """
-    if math.isfinite(weights.sum() + visible_bias.sum() + hidden_bias.sum()):
-        return True
-    return all(np.all(np.isfinite(a)) for a in (weights, visible_bias, hidden_bias))
+    return all(np.isfinite(a).all() for a in (weights, visible_bias, hidden_bias))
 
 
 def train_rbm(data, config):
@@ -277,12 +257,12 @@ def train_rbm(data, config):
     with L2 weight decay folded into the weight gradient only. The RNG is
     seeded from config.seed and consumed in a fixed order (the init draw,
     then per row n + m uniforms, exactly what cd1 draws), so identical
-    inputs give bit-identical parameters. The first update that samples
-    from a NaN probability raises ValidationError; the first that leaves
-    a parameter non-finite raises ConvergenceError with the parameters as
-    last_iterate. This is the one-class case of the lockstep loop
-    train_ensemble runs: trained unchecked, then, only if that fails,
-    again with every update checked.
+    inputs give bit-identical parameters. An init draw that overflows
+    raises ValidationError; the first update that leaves a parameter
+    non-finite (a NaN probability included) raises ConvergenceError with
+    the parameters just after it as last_iterate. This is the one-class
+    case of the lockstep loop train_ensemble runs: trained unchecked,
+    then, only if that fails, again with every update checked.
     """
     data = check_rows("training data", data, binary=True)
     return _train_lockstep(data, [(0, data.shape[0])], config, [config.seed])[0]
@@ -306,12 +286,11 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     overflows (before any update), ConvergenceError for any other. A
     failed group, of one class or more, is then trained again one class
     at a time, checked, so the first class in id order to fail raises the
-    error training it alone raises (ValidationError for a NaN
-    probability), with its own parameters as last_iterate, and later
-    groups never start. A failing group thus costs up to twice its work;
-    a group that succeeds is trained once. Given classes (the class id of
-    each span), the error raised names its class: "class <id>: " leads
-    its message.
+    error training it alone raises, with its own parameters as
+    last_iterate, and later groups never start. A failing group thus
+    costs up to twice its work; a group that succeeds is trained once.
+    Given classes (the class id of each span), the error raised names its
+    class: "class <id>: " leads its message.
     """
     group = max(1, _STACK_BYTES // (32 * rows.shape[1] * config.hidden_units))
     models = []
@@ -347,12 +326,11 @@ def _lockstep_group(rows, spans, seeds, config, checked):
     and the blocks grow as classes leave.
 
     The parameters are checked for finiteness at the end of every block,
-    before finished classes leave. Unchecked, that is the only check, and
-    an update that fails is found there: every failure leaves a parameter
-    non-finite for good (see _chain_step for a NaN probability). Checked,
-    every block is one update long, so the guard runs after every update,
-    and _chain_step probes both conditionals for NaN: the first failing
-    update raises, the error training each class alone raises.
+    before finished classes leave, and nowhere else. Every failure, a NaN
+    probability included (see _chain_step), leaves a parameter non-finite
+    for good, so it is found at the end of its block. Checked, every block
+    is one update long: the first failing update raises, with the
+    parameters just after it, as training each class alone does.
     """
     m, n, k = rows.shape[1], config.hidden_units, len(seeds)
     first, count = (np.array(column, dtype=np.int64) for column in zip(*spans))
@@ -383,7 +361,7 @@ def _lockstep_group(rows, spans, seeds, config, checked):
             row_at = first[:k, None] + (t + np.arange(steps)) % count[:k, None]
             for s in range(steps):
                 v1 = rows[row_at[:, s]]
-                p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:], checked)
+                p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:])
                 # velocity = momentum * velocity + lr * (gradient - decay * w), rounded
                 # step by step as one class alone; [v1 v2] @ [p1; -p2] is
                 # outer(v1, p1) - outer(v2, p2) bit for bit for 0/1 rows

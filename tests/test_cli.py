@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from nan_faults import nan_on_all_ones_rows, one_all_ones_row_datasets
 
 from spectral_rbm import __version__, cli
 from spectral_rbm.classifier import ClassEnsemble, load_ensemble, save_ensemble
@@ -351,6 +352,22 @@ class TestTrain:
         capsys.readouterr()
         assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), *options) == code
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("conditional", [0, 1, 2])
+    def test_a_nan_probability_in_training_exits_4(self, tmp_path, capsys, conditional):
+        # a NaN in p(h|v1), p(v|h1) or p(h|v2) on class 1's all-ones row is a divergence
+        datasets = one_all_ones_row_datasets()
+        features = np.vstack([datasets[c] for c in sorted(datasets)])
+        labels = np.repeat(sorted(datasets), [len(datasets[c]) for c in sorted(datasets)])
+        data = tmp_path / "data.csv"
+        save_csv(LabeledDataset(features, labels, tuple(f"f{i + 1}" for i in range(5))), data,
+                 label_column="label")
+        with nan_on_all_ones_rows(conditional):
+            code = run("train", str(data), "--out", str(tmp_path / "m.rbme"), "--momentum", "0.9",
+                       "--epochs", "2", "--hidden-units", "4", "--seed", "7",
+                       "--init-weight-scale", "0.1")
+        assert code == 4
+        assert capsys.readouterr().err == "error: class 1: training diverged to non-finite parameters\n"
 
     def test_a_non_finite_free_energy_names_its_class(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

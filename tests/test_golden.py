@@ -4,9 +4,13 @@ The SHA-256 digests below are of ensemble_to_bytes(train_ensemble(...)) and
 of the files a CLI chain and a sweep write, recorded with numpy 2.4.6 on
 x86-64. A change that keeps training bit-identical leaves them alone; a
 change that alters the bytes must say why and record new digests here.
+The bytes also move with the OpenBLAS kernel and numpy's SIMD dispatch, so
+a digest that differs names the determinism domain it ran in.
 """
 
+import ctypes
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,29 @@ SMALL_DIGESTS = {
 REFERENCE_DIGEST = "e5c58cebc63698e4ea4358347be06d3be9e3384af1ebca65051583c87b1c2188"
 
 
+def determinism_domain():
+    """The numpy version, numpy's float64 exp and log1p dispatch and the OpenBLAS core type.
+
+    Each part reads "unknown" where it cannot be had: numpy.lib.introspect is numpy 2 only,
+    and the core name comes from the scipy-openblas library that numpy wheels bundle.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="exp|log1p", signature="float64")
+        dispatch = ", ".join(f"{name} {next(iter(info[name].values()))['current']}"
+                             for name in ("exp", "log1p"))
+    except (ImportError, KeyError, StopIteration):
+        dispatch = "unknown"
+    try:
+        [path] = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (ValueError, OSError, AttributeError):
+        core = "unknown"
+    return f"determinism domain: numpy {np.__version__}; dispatch {dispatch}; OpenBLAS {core}"
+
+
 def digest(ensemble):
     return hashlib.sha256(ensemble_to_bytes(ensemble)).hexdigest()
 
@@ -38,7 +65,7 @@ def digest(ensemble):
 def test_small_ensemble_bytes(seed):
     ds = synth_generate(SynthSpec(classes=3, samples_per_class=30, dim=16, seed=seed))
     ensemble = train_ensemble(ds.class_matrices(), TrainConfig(hidden_units=8, epochs=5, seed=seed))
-    assert digest(ensemble) == SMALL_DIGESTS[seed]
+    assert digest(ensemble) == SMALL_DIGESTS[seed], determinism_domain()
 
 
 def test_reference_point_ensemble_bytes():
@@ -46,18 +73,18 @@ def test_reference_point_ensemble_bytes():
                                   separation=1.0, noise=0.05, seed=0))
     train_ds, _ = split(ds, SplitSpec(train_fraction=0.5, seed=0))
     ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=0), OffsetFitConfig())
-    assert digest(ensemble) == REFERENCE_DIGEST
+    assert digest(ensemble) == REFERENCE_DIGEST, determinism_domain()
 
 
 # cli-spectra's training shape: 500 visible and 100 hidden units, 1 epoch;
-# 300 rows per class need 180 000 uniforms, several of train_rbm's draw blocks
+# 300 rows per class need 180 000 uniforms, several of the lockstep loop's uniform blocks
 SPECTRA_SHAPE_DIGEST = "c6933ff1f876e81bd43e211138fa639b77b1009dabe644269c4db32a12fd1c84"
 
 
 def test_spectra_shape_ensemble_bytes():
     ds = synth_generate(SynthSpec(classes=3, samples_per_class=300, dim=500, noise=0.1, seed=4))
     ensemble = train_ensemble(ds.class_matrices(), TrainConfig(hidden_units=100, epochs=1, seed=4))
-    assert digest(ensemble) == SPECTRA_SHAPE_DIGEST
+    assert digest(ensemble) == SPECTRA_SHAPE_DIGEST, determinism_domain()
 
 
 # --- CLI text outputs ---------------------------------------------------------
@@ -95,7 +122,8 @@ def test_cli_chain_output_bytes(tmp_path, capsys):
             "--reuse-stats", tmp_path / "train.bin.csv.sidecar")
     run_cli("evaluate", tmp_path / "model.rbme", tmp_path / "test.bin.csv",
             "--out", tmp_path / "report.txt")
-    assert {name: file_digest(tmp_path / name) for name in CHAIN_DIGESTS} == CHAIN_DIGESTS
+    assert {name: file_digest(tmp_path / name) for name in CHAIN_DIGESTS} == CHAIN_DIGESTS, \
+        determinism_domain()
 
 
 def test_sweep_alpha_table_bytes(tmp_path, capsys):
@@ -113,4 +141,4 @@ def test_sweep_alpha_table_bytes(tmp_path, capsys):
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     run_cli("sweep-alpha", data, "--alphas", "1/4,1/2,3/4", "--hidden-units", "4",
             "--epochs", "3", "--seed", "2", "--out", tmp_path / "sweep.txt")
-    assert file_digest(tmp_path / "sweep.txt") == SWEEP_DIGEST
+    assert file_digest(tmp_path / "sweep.txt") == SWEEP_DIGEST, determinism_domain()

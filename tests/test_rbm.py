@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from nan_faults import class_rows, nan_on_all_ones_rows, one_all_ones_row_datasets
 
 from spectral_rbm import classifier, rbm
 from spectral_rbm.classifier import class_seed, train_ensemble
@@ -656,7 +657,11 @@ class TestTrainRbm:
 
 
 def serial_outcome(data, config):
-    """Training one class alone, by replay: ("ok" or "diverged", arrays), or the ValidationError it raises."""
+    """Training one class alone, by replay: ("ok" or "diverged", arrays), or the ValidationError it raises.
+
+    The only ValidationError training raises is for an init draw that overflows: a NaN
+    probability is carried into the parameters, so it is a divergence.
+    """
     try:
         arrays, _ = replay(data, config)
     except ValidationError as exc:
@@ -696,39 +701,6 @@ def lockstep_cases(draw):
     stack_bytes = draw(st.sampled_from([1, 64 * m * n, 96 * m * n, rbm._STACK_BYTES]))
     uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
     return datasets, config, stack_bytes, uniform_block
-
-
-def class_rows(seed, sizes, m):
-    """{class id: rows} of random 0/1 rows of width m, for (id, row count) in sizes."""
-    rng = np.random.default_rng(seed)
-    return {c: (rng.random((r, m)) < 0.5).astype(float) for c, r in sizes}
-
-
-def nan_on_all_ones_rows(conditional):
-    """Patches rbm so that each chain stepping an all-ones row gets a NaN probability.
-
-    conditional picks the sigmoid call of _chain_step that gives it: 0 for p(h|v1), 1 for
-    p(v|h1). The NaN goes to unit 0 of each such chain, whether stepped alone or stacked.
-    """
-    chain_step, sigmoid = rbm._chain_step, rbm.sigmoid
-    step = {}
-
-    def chain(v1, *rest):
-        step.update(ones=np.all(v1 == 1.0, axis=-1).reshape(-1), calls=0)
-        try:
-            return chain_step(v1, *rest)
-        finally:
-            step.clear()
-
-    def nan_sigmoid(x):
-        out = sigmoid(x)
-        if step:
-            if step["calls"] == conditional:
-                out.reshape(-1, out.shape[-1])[step["ones"], 0] = np.nan
-            step["calls"] += 1
-        return out
-
-    return mock.patch.multiple(rbm, _chain_step=chain, sigmoid=nan_sigmoid)
 
 
 class TestLockstepTraining:
@@ -862,20 +834,18 @@ class TestLockstepTraining:
     @pytest.mark.parametrize("learning_rate", [0.1, 1e308])
     def test_class_0_replayed_alone_steps_from_the_same_weights(self, learning_rate):
         # A NaN probability needs a pre-activation of inf - inf, which no small model reaches on
-        # purpose, so here the chain refuses every all-ones row: class 1's, from its first update.
-        # That stops the stacked group at once, and the group is trained again class by class.
-        # The chain logs the weights that class 0 steps from: in the replay every call is class
-        # 0's, in the ensemble every call that is not refused is a one-class call of class 0.
-        original = rbm._chain_step
+        # purpose, so here p(h|v1) is NaN on every all-ones row: class 1's, from its first update.
+        # That fails the stacked group at the end of its first block, and the group is trained
+        # again class by class. The chain logs the weights that every one-chain call on a row
+        # that is not all ones steps from: in the replay those are all class 0's, and in the
+        # ensemble too, as class 1's rows are all ones and class 2 is never replayed.
+        def logging(log):
+            original = rbm._chain_step
 
-        def refusing(log, stacked):
             def chain(v1, weights, *rest):
-                if np.any(np.all(v1 == 1.0, axis=-1)):
-                    raise ValidationError("probabilities must lie in [0, 1]")
                 out = original(v1, weights, *rest)
-                if len(weights.shape) == 2 + stacked:
-                    assert weights.shape[:-2] == (1,) * stacked
-                    log.append(weights.reshape(-1, *weights.shape[-2:])[0].tobytes())
+                if weights.size == weights.shape[-2] * weights.shape[-1] and not np.all(v1 == 1.0):
+                    log.append(weights.tobytes())
                 return out
             return chain
 
@@ -886,20 +856,22 @@ class TestLockstepTraining:
         config = TrainConfig(learning_rate=learning_rate, momentum=0.9, epochs=4, hidden_units=4,
                              weight_decay=0.0, seed=7)
         alone, together = [], []
-        with np.errstate(all="ignore"):
-            with mock.patch.object(rbm, "_chain_step", refusing(alone, False)):
+        with np.errstate(all="ignore"), nan_on_all_ones_rows(0):
+            with mock.patch.object(rbm, "_chain_step", logging(alone)):
                 arrays, updates = replay(datasets[0], replace(config, seed=class_seed(7, 0)))
             # class 0 runs all its updates unless it diverges, at update 3
             assert updates == (24 if learning_rate == 0.1 else 3)
-            with mock.patch.object(rbm, "_chain_step", refusing(together, True)):
-                with pytest.raises((ValidationError, ConvergenceError)) as info:
+            with mock.patch.object(rbm, "_chain_step", logging(together)):
+                with pytest.raises(ConvergenceError) as info:
                     train_ensemble(datasets, config)
-        assert together == alone  # class 1, replayed next, is refused before it steps
+            class_1, _ = replay(datasets[1], replace(config, seed=class_seed(7, 1)))
+        assert together == alone
         if learning_rate == 0.1:
-            assert type(info.value) is ValidationError
-            assert str(info.value) == "class 1: probabilities must lie in [0, 1]"
-            return
-        assert type(info.value) is ConvergenceError  # class 0 fails later, but has the lower id
+            # class 1, replayed next, diverges at its first update
+            assert str(info.value) == "class 1: training diverged to non-finite parameters"
+            arrays = class_1
+        else:  # class 0 fails later, but has the lower id
+            assert str(info.value) == "class 0: training diverged to non-finite parameters"
         got = info.value.last_iterate
         for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), arrays):
             assert np.array_equal(a, b, equal_nan=True)
@@ -927,29 +899,25 @@ class TestLockstepTraining:
             with pytest.raises(ValidationError, match="^class 2: weights must have finite entries$"):
                 train_ensemble({2: data, 7: data}, config)
 
-    def assert_nan_probability_raises_like_training_alone(self, conditional):
-        # only class 1 has an all-ones row, its 2nd: the NaN comes mid-way through the
-        # stacked group's first block, and the checked replay of class 1 refuses it
-        datasets = class_rows(10, ((0, 6), (1, 3), (2, 4)), 5)
-        datasets[0][:, 0] = datasets[2][:, 0] = 0.0
-        datasets[1][1] = 1.0
+    @pytest.mark.parametrize("conditional", [0, 1, 2])
+    def test_a_nan_probability_diverges_like_training_alone(self, conditional):
+        # only class 1 has an all-ones row, its 2nd: the NaN comes mid-way through the stacked
+        # group's first block, and the checked replay of class 1 finds it at that update; a NaN
+        # in p(v|h1) reaches the parameters only because v2 is sampled as ceil(pv - u)
+        datasets = one_all_ones_row_datasets()
         config = TrainConfig(momentum=0.9, epochs=2, hidden_units=4, seed=7, init_weight_scale=0.1)
         with nan_on_all_ones_rows(conditional):
             outcomes = [serial_outcome(datasets[c], replace(config, seed=class_seed(7, c)))
-                        for c in range(3)]
-            kinds = [type(o).__name__ if isinstance(o, Exception) else o[0] for o in outcomes]
-            assert kinds == ["ok", "ValidationError", "ok"]
-            with pytest.raises(ValidationError) as info:
+                        for c in (0, 2)]
+            assert [kind for kind, _ in outcomes] == ["ok", "ok"]
+            arrays, updates = replay(datasets[1], replace(config, seed=class_seed(7, 1)))
+            assert updates == 2
+            with pytest.raises(ConvergenceError) as info:
                 train_ensemble(datasets, config)
-        assert str(info.value) == f"class 1: {outcomes[1]}" == "class 1: probabilities must lie in [0, 1]"
-
-    def test_a_nan_visible_probability_raises_like_training_alone(self):
-        # sampled as a comparison, the NaN would be a 0 bit and leave every parameter finite
-        self.assert_nan_probability_raises_like_training_alone(1)
-
-    def test_a_nan_hidden_probability_raises_like_training_alone(self):
-        # unprobed, the NaN reaches the parameters and would be a divergence (exit 4)
-        self.assert_nan_probability_raises_like_training_alone(0)
+        assert str(info.value) == "class 1: training diverged to non-finite parameters"
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), arrays):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_a_failing_group_is_trained_again_checked_and_a_good_one_once(self):
         data = (np.random.default_rng(31).random((6, 5)) < 0.5).astype(float)
@@ -1073,14 +1041,21 @@ class TestTrainingInternals:
 
     @pytest.mark.parametrize("nan_in", ["weights", "hidden_bias", "visible_bias"])
     def test_chain_step_refuses_a_nan_probability(self, nan_in):
+        # the NaN is not refused: it comes back in p1, or in v2 for a NaN visible bias, and
+        # the update carries it into the parameters
         m, n = 4, 3
         arrays = {"weights": np.zeros((m, n)), "visible_bias": np.zeros(m), "hidden_bias": np.zeros(n)}
         if nan_in == "weights":
             arrays["weights"][:, 1] = np.nan  # a weight column: p1[1] is NaN
         else:
             arrays[nan_in][2] = np.nan  # p1[2] is NaN, or p1 is finite and p(v|h1)[2] is NaN
-        with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
-            rbm._chain_step(np.ones(m), **arrays, u_hidden=np.full(n, 0.5), u_visible=np.full(m, 0.5))
+        p1, v2, _ = rbm._chain_step(np.ones(m), **arrays, u_hidden=np.full(n, 0.5),
+                                    u_visible=np.full(m, 0.5))
+        if nan_in == "visible_bias":
+            assert np.isfinite(p1).all()
+            assert np.isnan(v2[2])
+        else:
+            assert np.isnan(p1[{"weights": 1, "hidden_bias": 2}[nan_in]])
 
 
 class TestRbmParamsValidation:
