@@ -17,22 +17,21 @@ perturbs the models of the others.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    ConvergenceError, ValidationError, check_labels, check_real, check_rows, check_vector,
+    ConvergenceError, FormatError, ValidationError, check_labels, check_real, check_rows,
+    check_vector,
 )
 from .rbm import (
-    BinaryReader,
     RbmParams,
     TrainConfig,
     _logsumexp,
     _train_lockstep,
     free_energy_batch,
-    rbm_from_bytes,
-    rbm_to_bytes,
     train_rbm,  # not called here; perfbench's tracer test expects classifier.train_rbm
 )
 
@@ -85,14 +84,16 @@ class ClassEnsemble:
     """Trained per-class models plus their soft-max offsets.
 
     classes orders the class ids; models and offsets line up with it.
-    train_configs records how each model was trained and is required for
-    serialization; manually assembled ensembles may leave it None.
+    config is the TrainConfig given to train_ensemble, which trained class
+    c's model with seed class_seed(config.seed, c). Serialization requires
+    it; manually assembled ensembles may leave it None. Given, its
+    hidden_units must be every model's width.
     """
 
     classes: list
     models: list
     offsets: np.ndarray
-    train_configs: list | None = None
+    config: TrainConfig | None = None
 
     def __post_init__(self):
         self.classes = check_labels("classes", self.classes).tolist()
@@ -102,17 +103,19 @@ class ClassEnsemble:
             raise ValidationError(f"class ids must be distinct, got {self.classes}")
         if len(self.models) != len(self.classes):
             raise ValidationError(f"{len(self.models)} models for {len(self.classes)} classes")
-        for model in self.models:
+        if self.config is not None and not isinstance(self.config, TrainConfig):
+            raise ValidationError(f"config must be a TrainConfig, got {type(self.config).__name__}")
+        for class_id, model in zip(self.classes, self.models):
             if not isinstance(model, RbmParams):
                 raise ValidationError(f"models must be RbmParams, got {type(model).__name__}")
+            if self.config is not None and model.num_hidden != self.config.hidden_units:
+                raise ValidationError(f"class {class_id}: config.hidden_units="
+                                      f"{self.config.hidden_units} does not match the "
+                                      f"{model.num_hidden} hidden columns of its weights")
         widths = {model.num_visible for model in self.models}
         if len(widths) != 1:
             raise ValidationError(f"models disagree on visible width: {sorted(widths)}")
         self.offsets = check_vector("offsets", self.offsets, len(self.classes))
-        if self.train_configs is not None and len(self.train_configs) != len(self.classes):
-            raise ValidationError(
-                f"{len(self.train_configs)} train configs for {len(self.classes)} classes"
-            )
 
     @property
     def num_visible(self):
@@ -250,17 +253,16 @@ def train_ensemble(datasets, config, fit=None):
     if len(widths) != 1:
         raise ValidationError(f"classes disagree on feature width: {sorted(widths)}")
 
-    configs = [replace(config, seed=class_seed(config.seed, c)) for c in classes]
     pooled = np.vstack(matrices)
     counts = [matrix.shape[0] for matrix in matrices]
     starts = np.cumsum([0, *counts[:-1]]).tolist()
     models = _train_lockstep(pooled, list(zip(starts, counts)), config,
-                             [cfg.seed for cfg in configs], classes)
+                             [class_seed(config.seed, c) for c in classes], classes)
 
     column_labels = np.repeat(np.arange(len(classes), dtype=np.int64), counts)
     table = _free_energy_table(pooled, classes, models, ConvergenceError)
     offsets = fit_offsets(table, column_labels, fit)
-    return ClassEnsemble(classes=classes, models=models, offsets=offsets, train_configs=configs)
+    return ClassEnsemble(classes=classes, models=models, offsets=offsets, config=config)
 
 
 def _refuse_non_finite(table, classes, error, quantity):
@@ -312,59 +314,110 @@ def predict_label_batch(rows, ensemble):
 
 # --- serialization ---------------------------------------------------------
 #
-# RBME1 layout, little-endian:
-#   magic "RBME1"
-#   uint32 class count
-#   per class: int64 class id, float64 offset, uint64 block length,
-#              then that many bytes of the class's RBM1 block.
+# RBME1 layout, little-endian: magic "RBME1", uint32 class count, then per class
+#   int64 class id, float64 offset, uint64 length of the RBM1 block that follows:
+#   magic "RBM1", uint32 m and n, the class's training config (float64
+#   learning_rate, momentum, weight_decay, init_weight_scale, uint32 epochs,
+#   hidden_units, uint64 class seed), float64[m*n] weights row-major,
+#   float64[m] visible_bias, float64[n] hidden_bias.
+# Round trips are bit-exact: arrays are dumped and restored as raw float64.
 
 ENSEMBLE_MAGIC = b"RBME1"
+_MODEL_MAGIC = b"RBM1"
 _COUNT = struct.Struct("<I")
-_ENTRY = struct.Struct("<qdQ")
+# one class's entry up to its arrays; the block length counts from the RBM1 magic on
+_ENTRY = struct.Struct("<qdQ4sIIddddIIQ")
+_RBM1_HEADER = _ENTRY.size - 24  # all but the id, offset and length
+_CONFIG_FIELDS = ("learning_rate", "momentum", "weight_decay", "init_weight_scale", "epochs",
+                  "hidden_units", "seed")
+
+
+class BinaryReader:
+    """Sequential reader over one magic-tagged block of a binary format.
+
+    Every read is bounds-checked: running past the end, a wrong magic and
+    bytes left over at the end are FormatErrors naming the format.
+    """
+
+    def __init__(self, buf, magic):
+        if buf[: len(magic)] != magic:
+            raise FormatError(f"bad magic: expected {magic!r}")
+        self._buf, self._pos, self._name = buf, len(magic), magic.decode("ascii")
+
+    def take(self, size, what):
+        """The next size bytes."""
+        if self._pos + size > len(self._buf):
+            raise FormatError(f"truncated {self._name} block while reading {what}")
+        self._pos += size
+        return self._buf[self._pos - size : self._pos]
+
+    def finish(self):
+        """Refuse bytes left over after the block."""
+        if self._pos != len(self._buf):
+            extra = len(self._buf) - self._pos
+            raise FormatError(f"{extra} trailing bytes after {self._name} block")
+
+
+def _entry(class_id, offset, m, n, config):
+    """Class class_id's entry up to its arrays, storing config with the class's seed."""
+    fields = [getattr(config, name) for name in _CONFIG_FIELDS[:-1]]
+    return _ENTRY.pack(class_id, offset, _RBM1_HEADER + 8 * (m * n + m + n), _MODEL_MAGIC, m, n,
+                       *fields, class_seed(config.seed, class_id))
 
 
 def ensemble_to_bytes(ensemble):
-    """Serialize an ensemble (training configs required) to an RBME1 block."""
-    if ensemble.train_configs is None:
-        raise ValidationError("ensemble has no train_configs; cannot serialize")
+    """Serialize an ensemble (its config required) to an RBME1 block."""
+    if ensemble.config is None:
+        raise ValidationError("ensemble has no config; cannot serialize")
     parts = [ENSEMBLE_MAGIC, _COUNT.pack(len(ensemble.classes))]
-    for class_id, model, offset, cfg in zip(
-        ensemble.classes, ensemble.models, ensemble.offsets, ensemble.train_configs
-    ):
-        block = rbm_to_bytes(model, cfg)
-        parts.append(_ENTRY.pack(class_id, float(offset), len(block)))
-        parts.append(block)
+    for class_id, model, offset in zip(ensemble.classes, ensemble.models, ensemble.offsets):
+        parts.append(_entry(class_id, float(offset), *model.weights.shape, ensemble.config))
+        parts.extend(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                     for a in (model.weights, model.visible_bias, model.hidden_bias))
     return b"".join(parts)
 
 
 def ensemble_from_bytes(buf):
-    """Parse an RBME1 block back into a ClassEnsemble."""
+    """Parse an RBME1 block back into a ClassEnsemble.
+
+    Block 0 gives the base config: class_seed undoes itself for a fixed class
+    id, so class_seed(stored seed, id) is the base seed. A FormatError names
+    the class of a block with a bad magic, a width or length that does not fit
+    its dimensions, or a config other than the base one with the class's seed.
+    Offsets and arrays need only be finite.
+    """
     reader = BinaryReader(buf, ENSEMBLE_MAGIC)
     (count,) = _COUNT.unpack(reader.take(_COUNT.size, "class count"))
-    classes = []
-    models = []
-    offsets = []
-    configs = []
+    classes, models, offsets, config = [], [], [], None
     for _ in range(count):
-        class_id, class_offset, block_len = _ENTRY.unpack(reader.take(_ENTRY.size, "class entry"))
-        params, cfg = rbm_from_bytes(reader.take(block_len, f"model block for class {class_id}"))
+        entry = reader.take(_ENTRY.size, "class entry")
+        class_id, offset, length, magic, m, n, *fields = _ENTRY.unpack(entry)
+        stored = dict(zip(_CONFIG_FIELDS, fields))
+        if magic != _MODEL_MAGIC:
+            raise FormatError(f"class {class_id}: bad magic: expected {_MODEL_MAGIC!r}")
+        if n != stored["hidden_units"] or length != _RBM1_HEADER + 8 * (m * n + m + n):
+            raise FormatError(f"class {class_id}: an RBM1 block of {length} bytes does not hold "
+                              f"{m} x {n} weights for hidden_units={stored['hidden_units']}")
+        if config is None:
+            config = TrainConfig(**{**stored, "seed": class_seed(stored["seed"], class_id)})
+        if entry != _entry(class_id, offset, m, n, config):
+            raise FormatError(f"class {class_id}: training config is not the first class's "
+                              "with this class's seed")
+        values = np.frombuffer(reader.take(length - _RBM1_HEADER, f"arrays of class {class_id}"),
+                               dtype="<f8").copy()
+        weights, visible_bias, hidden_bias = np.split(values, [m * n, m * n + m])
         classes.append(class_id)
-        models.append(params)
-        offsets.append(class_offset)
-        configs.append(cfg)
+        offsets.append(offset)
+        models.append(RbmParams(weights.reshape(m, n), visible_bias, hidden_bias))
     reader.finish()
-    return ClassEnsemble(
-        classes=classes, models=models, offsets=np.array(offsets), train_configs=configs
-    )
+    return ClassEnsemble(classes=classes, models=models, offsets=np.array(offsets), config=config)
 
 
 def save_ensemble(path, ensemble):
     """Write an RBME1 file."""
-    with open(path, "wb") as fh:
-        fh.write(ensemble_to_bytes(ensemble))
+    Path(path).write_bytes(ensemble_to_bytes(ensemble))
 
 
 def load_ensemble(path):
     """Read an RBME1 file back into a ClassEnsemble."""
-    with open(path, "rb") as fh:
-        return ensemble_from_bytes(fh.read())
+    return ensemble_from_bytes(Path(path).read_bytes())

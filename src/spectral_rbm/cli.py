@@ -172,8 +172,8 @@ class _Options:
     def finish(self, inputs, outputs, notes=()):
         """Refuse unread config keys and colliding paths; the manifest record, or None.
 
-        Runs before any input is read. An output may not name the same file as an
-        input, the config file, another output or the manifest beside the first output.
+        Runs before any input is read. An output may not name the same file (see _file_key)
+        as an input, the config file, another output or the manifest beside the first output.
         """
         unread = [key for key in self._file if key not in self.effective]
         if unread:
@@ -184,14 +184,23 @@ class _Options:
         config = [("config file", self._config_path)] if self._config_path else []
         seen = {}
         for role, path in config + [(f"{name} input", path) for name, path in inputs]:
-            seen.setdefault(os.path.realpath(path), f"{role} {path}")
+            seen.setdefault(_file_key(path), f"{role} {path}")
         written = [(f"{name} output", path) for name, path in outputs]
         for role, path in written + [("manifest", f"{outputs[0][1]}.manifest")]:
-            key = os.path.realpath(path)
+            key = _file_key(path)
             if key in seen:
                 raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
             seen[key] = f"{role} {path}"
         return inputs, outputs, notes
+
+
+def _file_key(path):
+    """(device, inode) of the file path names, or its real path when there is none yet."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
 
 
 def _fmt(value):
@@ -207,7 +216,7 @@ def _sha256(path):
 
 
 def _write_manifest(command, argv, effective, inputs, outputs, notes):
-    """Write <first output>.manifest: the command, its effective config, input digests, outputs."""
+    """Write <first output>.manifest: the command, its effective config, every file's digest."""
     lines = [
         "manifest_version=1",
         f"tool=spectral-rbm {__version__}",
@@ -216,10 +225,10 @@ def _write_manifest(command, argv, effective, inputs, outputs, notes):
         f"timestamp_utc={datetime.now(timezone.utc).isoformat()}",
     ]
     lines.extend(f"config.{key}={_fmt(effective[key])}" for key in sorted(effective))
-    for name, input_path in inputs:
-        lines.append(f"input.{name}.path={input_path}")
-        lines.append(f"input.{name}.sha256={_sha256(input_path)}")
-    lines.extend(f"output.{name}={output_path}" for name, output_path in outputs)
+    for name, path in inputs:
+        lines += [f"input.{name}.path={path}", f"input.{name}.sha256={_sha256(path)}"]
+    for name, path in outputs:
+        lines += [f"output.{name}={path}", f"output.{name}.sha256={_sha256(path)}"]
     lines.extend(notes)
     Path(f"{outputs[0][1]}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

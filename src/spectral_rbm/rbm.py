@@ -32,19 +32,18 @@ order raises, at the cost of up to twice a failing group's work.
 The exact_* functions brute-force the state space and exist to keep the
 fast paths honest; they refuse models with more than 24 total units.
 exact_gibbs_kernel is the oracle for the sampler itself: the exact
-transition matrix of the block-Gibbs chain CD-1 takes one step of.
+transition matrix of the block-Gibbs chain CD-1 takes one step of. The
+model file that stores RbmParams and TrainConfig is classifier's alone.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
-    FormatError,
     SizeLimitError,
     ValidationError,
     check_int,
@@ -60,7 +59,7 @@ ENUMERATION_LIMIT = 24
 # Above this the linear-domain exp would overflow; switch to the shifted form.
 _LOG1P_EXP_CUTOFF = 30.0
 
-# epochs and hidden_units are stored as uint32 in RBM1 blocks.
+# epochs and hidden_units are stored as uint32 in the model file.
 UINT32_MAX = 2**32 - 1
 
 # Most uniforms that the classes training together hold at once (512 KiB of
@@ -82,7 +81,8 @@ class TrainConfig:
     task, with weights initialized from a standard normal.
     init_weight_scale multiplies that initial normal draw; small synthetic
     problems often want 0.01 instead of 1.0. epochs and hidden_units must
-    fit the uint32 fields of the RBM1 format.
+    fit the uint32 fields of the model file. train_ensemble trains every
+    class c with this one config, but with seed class_seed(seed, c).
     """
 
     learning_rate: float = 0.1
@@ -470,107 +470,4 @@ def exact_gibbs_kernel(params):
     hid = _enumerate_bits(params.num_hidden)
     h_given_v = _state_probs(hid, hidden_probs(vis, params))
     return h_given_v @ _state_probs(vis, visible_probs(hid, params))
-
-
-# --- serialization ---------------------------------------------------------
-#
-# RBM1 layout, little-endian throughout:
-#   magic "RBM1"
-#   uint32 m, uint32 n
-#   float64 learning_rate, momentum, weight_decay, init_weight_scale
-#   uint32 epochs, uint32 hidden_units, uint64 seed
-#   float64[m*n] weights row-major, float64[m] visible_bias, float64[n] hidden_bias
-#
-# Round trips are bit-exact: arrays are dumped and restored as raw float64.
-
-RBM_MAGIC = b"RBM1"
-_DIMS = struct.Struct("<II")
-_CONFIG = struct.Struct("<ddddIIQ")
-
-
-class BinaryReader:
-    """Sequential reader over one magic-tagged block of a binary format.
-
-    Every read is bounds-checked: running past the end, a wrong magic and
-    bytes left over at the end are FormatErrors naming the format.
-    """
-
-    def __init__(self, buf, magic):
-        if buf[: len(magic)] != magic:
-            raise FormatError(f"bad magic: expected {magic!r}")
-        self._buf = buf
-        self._pos = len(magic)
-        self._name = magic.decode("ascii")
-
-    def take(self, size, what):
-        """The next size bytes."""
-        end = self._pos + size
-        if end > len(self._buf):
-            raise FormatError(f"truncated {self._name} block while reading {what}")
-        piece = self._buf[self._pos : end]
-        self._pos = end
-        return piece
-
-    def floats(self, count, what):
-        """The next count little-endian float64 values, as a fresh array."""
-        return np.frombuffer(self.take(8 * count, what), dtype="<f8").copy()
-
-    def finish(self):
-        """Refuse bytes left over after the block."""
-        if self._pos != len(self._buf):
-            extra = len(self._buf) - self._pos
-            raise FormatError(f"{extra} trailing bytes after {self._name} block")
-
-
-def rbm_to_bytes(params, config):
-    """Serialize parameters plus their training config to an RBM1 block."""
-    if not isinstance(config, TrainConfig):
-        raise ValidationError(f"config must be a TrainConfig, got {type(config).__name__}")
-    if config.hidden_units != params.num_hidden:
-        raise ValidationError(
-            f"config.hidden_units={config.hidden_units} does not match "
-            f"the {params.num_hidden} hidden columns of the weights"
-        )
-    parts = [
-        RBM_MAGIC,
-        _DIMS.pack(params.num_visible, params.num_hidden),
-        _CONFIG.pack(
-            config.learning_rate,
-            config.momentum,
-            config.weight_decay,
-            config.init_weight_scale,
-            config.epochs,
-            config.hidden_units,
-            config.seed,
-        ),
-        np.ascontiguousarray(params.weights, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.visible_bias, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.hidden_bias, dtype="<f8").tobytes(),
-    ]
-    return b"".join(parts)
-
-
-def rbm_from_bytes(buf):
-    """Parse an RBM1 block back into (RbmParams, TrainConfig)."""
-    reader = BinaryReader(buf, RBM_MAGIC)
-    m, n = _DIMS.unpack(reader.take(_DIMS.size, "dimensions"))
-    lr, momentum, weight_decay, init_scale, epochs, hidden_units, seed = _CONFIG.unpack(
-        reader.take(_CONFIG.size, "training config")
-    )
-    if hidden_units != n:
-        raise FormatError(f"RBM1 block stores {n} hidden columns but hidden_units={hidden_units}")
-    weights = reader.floats(m * n, "weights").reshape(m, n)
-    visible_bias = reader.floats(m, "visible bias")
-    hidden_bias = reader.floats(n, "hidden bias")
-    reader.finish()
-    config = TrainConfig(
-        learning_rate=lr,
-        momentum=momentum,
-        epochs=epochs,
-        hidden_units=hidden_units,
-        weight_decay=weight_decay,
-        seed=seed,
-        init_weight_scale=init_scale,
-    )
-    return RbmParams(weights=weights, visible_bias=visible_bias, hidden_bias=hidden_bias), config
 

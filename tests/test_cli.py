@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import re
 import shlex
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -563,13 +564,27 @@ class TestEvaluate:
                   RbmParams(np.full((6, 3), 1e308), np.zeros(6), np.zeros(3))]
         model = tmp_path / "model.rbme"
         save_ensemble(model, ClassEnsemble(classes=[0, 1], models=models, offsets=np.zeros(2),
-                                           train_configs=[TrainConfig(hidden_units=3)] * 2))
+                                           config=TrainConfig(hidden_units=3)))
         data = tmp_path / "data.csv"
         synth_small(data, dim=6)
         capsys.readouterr()
         assert run("evaluate", str(model), str(data)) == 2
         assert re.fullmatch(r"error: class 1: the model gives \d+ of 24 rows a non-finite "
                             r"free energy\n", capsys.readouterr().err)
+
+    def test_a_model_whose_blocks_disagree_on_the_config_is_usage_error(self, tmp_path, capsys):
+        data, model = self.fitted_model(tmp_path)
+        blob = bytearray(model.read_bytes())
+        # class 1's epochs field: past the 9-byte file header, class 0's 84-byte entry
+        # header and 8 x (8 * 6 + 8 + 6) bytes of arrays, then 68 bytes into its entry
+        at = 9 + 84 + 8 * (8 * 6 + 8 + 6) + 68
+        assert struct.unpack_from("<I", blob, at) == (10,)
+        struct.pack_into("<I", blob, at, 11)
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run("evaluate", str(model), str(data)) == 2
+        assert capsys.readouterr().err == ("error: class 1: training config is not the first "
+                                           "class's with this class's seed\n")
 
     def test_non_binary_test_data_is_usage_error(self, tmp_path):
         data, model = self.fitted_model(tmp_path)
@@ -704,31 +719,31 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
     sidecar = Path(f"{binary}.sidecar")
     sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     read = lambda name, path: [(f"input.{name}.path", str(path)), (f"input.{name}.sha256", sha(path))]
+    wrote = lambda name, path: [(f"output.{name}", str(path)), (f"output.{name}.sha256", sha(path))]
     cases = [
         (("synth", "--out", str(data), "--per-class", "8", "--dim", "5"),
          ("classes", "dim", "noise", "per_class", "seed", "separation"),
-         lambda: [("output.dataset", str(data))]),
+         lambda: wrote("dataset", data)),
         (("preprocess", str(raw), "--out", str(binary)),
          ("alpha", "label_column", "scope"),
-         lambda: [*read("dataset", raw), ("output.dataset", str(binary)),
-                  ("output.sidecar", str(sidecar)),
+         lambda: [*read("dataset", raw), *wrote("dataset", binary), *wrote("sidecar", sidecar),
                   ("note.test_time_binarization",
                    "apply the sidecar's pooled min/max via --reuse-stats")]),
         (("preprocess", str(test_raw), "--out", str(test_binary), "--reuse-stats", str(sidecar)),
          ("alpha", "label_column", "max", "min"),
          lambda: [*read("dataset", test_raw), *read("sidecar", sidecar),
-                  ("output.dataset", str(test_binary)),
+                  *wrote("dataset", test_binary),
                   ("note.binarization", "reused pooled training statistics from sidecar")]),
         (("train", str(binary), "--out", str(model), *TINY_TRAIN),
          TRAIN_KEYS,
-         lambda: [*read("dataset", binary), ("output.model", str(model))]),
+         lambda: [*read("dataset", binary), *wrote("model", model)]),
         (("evaluate", str(model), str(test_binary), "--out", str(report)),
          ("label_column",),
          lambda: [*read("model", model), *read("dataset", test_binary),
-                  ("output.report", str(report))]),
+                  *wrote("report", report)]),
         (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN, "--out", str(table)),
          tuple(sorted(TRAIN_KEYS + ("alphas", "scope", "split_seed", "train_fraction"))),
-         lambda: [*read("dataset", raw), ("output.table", str(table))]),
+         lambda: [*read("dataset", raw), *wrote("table", table)]),
     ]
     for argv, config_keys, records in cases:
         assert run(*argv) == 0
@@ -824,6 +839,8 @@ COLLISIONS = {
                            "--sidecar", "{d}/b.csv"), "sidecar output", "dataset output"),
     "output-on-input": (("preprocess", "{d}/raw.csv", "--out", "{d}/raw.csv"),
                         "dataset output", "dataset input"),
+    "output-on-a-hard-link-of-the-input": (("preprocess", "{d}/raw.csv", "--out", "{d}/hard.csv"),
+                                           "dataset output", "dataset input"),
     "sidecar-on-input": (("preprocess", "{d}/raw.csv", "--out", "{d}/p.csv",
                           "--sidecar", "{d}/raw.csv"), "sidecar output", "dataset input"),
     "sidecar-on-manifest": (("preprocess", "{d}/raw.csv", "--out", "{d}/p.csv",
@@ -863,6 +880,7 @@ def test_an_output_on_an_input_or_another_output_exits_2_and_writes_nothing(tmp_
                "--sidecar", str(tmp_path / "stats.sidecar")) == 0
     (tmp_path / "seed.txt").write_text("seed=1\n")
     (tmp_path / "link.rbme").symlink_to(tmp_path / "bin.csv")
+    (tmp_path / "hard.csv").hardlink_to(tmp_path / "raw.csv")
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     argv, role, other = COLLISIONS[case]
     capsys.readouterr()

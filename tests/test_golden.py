@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from spectral_rbm import cli
-from spectral_rbm.classifier import OffsetFitConfig, ensemble_to_bytes, train_ensemble
+from spectral_rbm.classifier import (
+    OffsetFitConfig, ensemble_from_bytes, ensemble_to_bytes, train_ensemble,
+)
 from spectral_rbm.dataset import SplitSpec, SynthSpec, split, synth_generate
 from spectral_rbm.rbm import TrainConfig
 
@@ -58,7 +60,10 @@ def determinism_domain():
 
 
 def digest(ensemble):
-    return hashlib.sha256(ensemble_to_bytes(ensemble)).hexdigest()
+    """SHA-256 of the ensemble's bytes, which must come back unchanged through a load."""
+    blob = ensemble_to_bytes(ensemble)
+    assert ensemble_to_bytes(ensemble_from_bytes(blob)) == blob, "bytes moved through a load"
+    return hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(SMALL_DIGESTS))

@@ -1,6 +1,6 @@
 """Package surface: __all__ matches the top-level names, README's library example runs,
-numpy is the only third-party import, every function has a caller in the package, and the
-names the benchmark's tests bind exist."""
+numpy is the only third-party import, the model file has one reader and writer, every
+function has a caller in the package, and the names the benchmark's tests bind exist."""
 
 import ast
 import re
@@ -46,6 +46,24 @@ def test_numpy_is_the_only_runtime_dependency():
         if name.split(".")[0] not in allowed
     ]
     assert third_party == []
+
+
+def test_only_classifier_handles_the_model_file():
+    # struct and the format's magics in a second module would mean a second reader or writer
+    package = Path(spectral_rbm.__file__).parent
+    marks = {
+        path.name: {
+            "import struct" if isinstance(node, (ast.Import, ast.ImportFrom)) else node.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Import) and "struct" in [alias.name for alias in node.names])
+            or (isinstance(node, ast.ImportFrom) and node.module == "struct")
+            or (isinstance(node, ast.Constant) and node.value in (b"RBM1", b"RBME1"))
+        }
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in marks.items() if found} == {
+        "classifier.py": {"import struct", b"RBM1", b"RBME1"},
+    }
 
 
 def test_names_the_benchmark_tests_bind_exist():
