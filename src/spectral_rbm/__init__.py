@@ -22,9 +22,7 @@ from .errors import (
     SizeLimitError, ValidationError,
 )
 from .metrics import EvalReport, evaluate
-from .preprocess import (
-    BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows,
-)
+from .preprocess import BinarizationRule, binarize, binarize_dataset, normalize_rows
 from .rbm import (
     RbmParams, TrainConfig, energy, exact_gibbs_kernel, exact_log_likelihood,
     exact_log_partition_function, free_energy_batch, train_rbm,
@@ -35,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     # pipeline
     "BinarizationRule", "ClassEnsemble", "EvalReport", "LabeledDataset", "OffsetFitConfig",
-    "RbmParams", "Scope", "SplitSpec", "SynthSpec", "TrainConfig",
+    "RbmParams", "SplitSpec", "SynthSpec", "TrainConfig",
     "binarize", "binarize_dataset", "evaluate", "fit_offsets", "free_energy_batch",
     "load_csv", "load_ensemble", "normalize_rows", "predict_label_batch", "predict_proba_batch",
     "save_csv", "save_ensemble", "split", "synth_generate", "train_ensemble", "train_rbm",

@@ -383,7 +383,8 @@ def ensemble_from_bytes(buf):
     Block 0 gives the base config: class_seed undoes itself for a fixed class
     id, so class_seed(stored seed, id) is the base seed. A FormatError names
     the class of a block with a bad magic, a width or length that does not fit
-    its dimensions, or a config other than the base one with the class's seed.
+    its dimensions, a config TrainConfig refuses, or a config other than the
+    base one with the class's seed.
     Offsets and arrays need only be finite.
     """
     reader = BinaryReader(buf, ENSEMBLE_MAGIC)
@@ -399,7 +400,10 @@ def ensemble_from_bytes(buf):
             raise FormatError(f"class {class_id}: an RBM1 block of {length} bytes does not hold "
                               f"{m} x {n} weights for hidden_units={stored['hidden_units']}")
         if config is None:
-            config = TrainConfig(**{**stored, "seed": class_seed(stored["seed"], class_id)})
+            try:
+                config = TrainConfig(**{**stored, "seed": class_seed(stored["seed"], class_id)})
+            except ValidationError as exc:
+                raise FormatError(f"class {class_id}: stored training config: {exc}") from None
         if entry != _entry(class_id, offset, m, n, config):
             raise FormatError(f"class {class_id}: training config is not the first class's "
                               "with this class's seed")

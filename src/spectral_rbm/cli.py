@@ -12,10 +12,11 @@ Every option can also come from a ``--config`` key=value file; explicit
 flags win over the file, the file wins over built-in defaults, and a key
 the command does not read is refused like an unknown flag, and so is an
 output that names the same file as an input or another output. A command
-that writes files returns what it read and wrote, and ``main`` records
-that in ``<first output>.manifest`` with the exact command and the
-effective configuration. Manifests carry a timestamp; all data outputs
-themselves are byte-deterministic given the same inputs and seeds.
+that writes files names what it reads and writes before it reads any
+input, and ``main`` records that in ``<first output>.manifest`` with the
+exact command and the effective configuration. Manifests carry a
+timestamp; all data outputs themselves are byte-deterministic given the
+same inputs and seeds.
 
 Exit codes: 0 success, 2 usage or validation problems, 3 i/o failures,
 4 convergence failures.
@@ -34,8 +35,6 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classifier import (
     OffsetFitConfig,
@@ -47,7 +46,7 @@ from .classifier import (
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
 from .errors import ConvergenceError, FormatError, ValidationError, is_binary, not_utf8
 from .metrics import evaluate
-from .preprocess import BinarizationRule, Scope, binarize, binarize_dataset, normalize_rows
+from .preprocess import SCOPES, BinarizationRule, binarize, binarize_dataset, normalize_rows
 from .rbm import TrainConfig
 
 EXIT_OK = 0
@@ -58,14 +57,12 @@ EXIT_CONVERGENCE = 4
 # Threshold fractions swept by default, lowest to highest.
 DEFAULT_ALPHA_GRID = ("1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4/5")
 
-_SCOPE_CHOICES = {"per-class": Scope.PER_MATRIX, "global": Scope.GLOBAL}
-
 # Defaults of the options that belong to no config dataclass; every other
 # option takes its default from its dataclass field.
 _CLI_DEFAULTS = {
     "alpha": "1/2",
     "alphas": ",".join(DEFAULT_ALPHA_GRID),
-    "scope": "per-class",
+    "scope": BinarizationRule.scope,
     "label_column": "label",
 }
 
@@ -90,12 +87,6 @@ def _parse_alpha(token):
         return float(token)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse threshold fraction {token!r}") from None
-
-
-def _parse_scope(name):
-    if name not in _SCOPE_CHOICES:
-        raise ValidationError(f"scope must be one of {sorted(_SCOPE_CHOICES)}, got {name!r}")
-    return _SCOPE_CHOICES[name]
 
 
 def _read_kv_file(path):
@@ -151,6 +142,7 @@ class _Options:
         self._config_path = getattr(args, "config", None)
         self._file = _read_kv_file(self._config_path) if self._config_path else {}
         self.effective = {}
+        self.record = None
 
     def _resolve(self, key, kind, default):
         value = getattr(self._args, key, None)
@@ -170,17 +162,19 @@ class _Options:
         })
 
     def finish(self, inputs, outputs, notes=()):
-        """Refuse unread config keys and colliding paths; the manifest record, or None.
+        """Refuse unread config keys and colliding paths; keep the manifest record.
 
         Runs before any input is read. An output may not name the same file (see _file_key)
         as an input, the config file, another output or the manifest beside the first output.
+        With outputs, self.record becomes (inputs, outputs, notes) for the manifest main
+        writes; without, it stays None.
         """
         unread = [key for key in self._file if key not in self.effective]
         if unread:
             raise FormatError(f"{self._config_path}: key {unread[0]!r} is not an option this "
                               "command reads")
         if not outputs:
-            return None
+            return
         config = [("config file", self._config_path)] if self._config_path else []
         seen = {}
         for role, path in config + [(f"{name} input", path) for name, path in inputs]:
@@ -191,7 +185,7 @@ class _Options:
             if key in seen:
                 raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
             seen[key] = f"{role} {path}"
-        return inputs, outputs, notes
+        self.record = inputs, outputs, notes
 
 
 def _file_key(path):
@@ -243,17 +237,16 @@ def _require_binary_features(ds, source):
 # --- subcommands ------------------------------------------------------------
 #
 # Each command takes the parsed arguments and the options resolver, and
-# returns the record opts.finish gave it: (inputs, outputs, notes) for the
-# manifest main writes, or None when it writes no file.
+# calls opts.finish before it reads any input; main writes the manifest
+# from the record that leaves on opts.
 
 
 def _cmd_synth(args, opts):
     spec = opts.build(SynthSpec)
-    record = opts.finish([], [("dataset", args.out)])
+    opts.finish([], [("dataset", args.out)])
     ds = synth_generate(spec)
     save_csv(ds, args.out)
     print(f"wrote {ds.sample_count} rows x {ds.dim} features to {args.out}")
-    return record
 
 
 def _cmd_preprocess(args, opts):
@@ -262,7 +255,7 @@ def _cmd_preprocess(args, opts):
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
             raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
                                   "reads its statistics from the given sidecar and writes none")
-        record = opts.finish(
+        opts.finish(
             [("dataset", args.input), ("sidecar", args.reuse_stats)], [("dataset", args.out)],
             ("note.binarization=reused pooled training statistics from sidecar",),
         )
@@ -278,21 +271,18 @@ def _cmd_preprocess(args, opts):
         alpha, lo, hi = (
             _parse(float, stats[key], args.reuse_stats, key) for key in ("alpha", "min", "max")
         )
-        # test-time convention: pooled training statistics, whatever scope
-        # produced them, applied globally to the new data
-        rule = BinarizationRule(alpha, Scope.GLOBAL)
+        # test-time convention: binarize cuts every new row against the pooled
+        # training statistics, whatever scope produced them; the rule gives alpha
+        rule = BinarizationRule(alpha)
         opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
     else:
-        alpha = _parse_alpha(opts.get("alpha"))
-        scope_token = opts.get("scope")
-        scope = _parse_scope(scope_token)
+        rule = BinarizationRule(_parse_alpha(opts.get("alpha")), opts.get("scope"))
         sidecar_path = args.sidecar or f"{args.out}.sidecar"
-        record = opts.finish(
+        opts.finish(
             [("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)],
             ("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",),
         )
-        rule = BinarizationRule(alpha, scope)
-        opts.effective["alpha"] = alpha
+        opts.effective["alpha"] = rule.alpha
 
     ds = load_csv(args.input, label_column)
     normalized = normalize_rows(ds.features)
@@ -304,25 +294,25 @@ def _cmd_preprocess(args, opts):
 
     if args.reuse_stats:
         print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
-        return record
+        return
 
     sidecar_lines = [
         "sidecar_version=1",
-        f"alpha={alpha!r}",
-        f"scope={scope_token}",
+        f"alpha={rule.alpha!r}",
+        f"scope={rule.scope}",
         "test_time_stats=pooled-train-minmax",
     ]
     sidecar_lines.extend(f"{key}={value!r}" for key, value in stats)
     Path(sidecar_path).write_text("\n".join(sidecar_lines) + "\n", encoding="utf-8")
-    print(f"binarized {ds.sample_count} rows (alpha={alpha:g}, scope={scope_token}) -> {args.out}")
-    return record
+    print(f"binarized {ds.sample_count} rows (alpha={rule.alpha:g}, scope={rule.scope}) "
+          f"-> {args.out}")
 
 
 def _cmd_train(args, opts):
     label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
-    record = opts.finish([("dataset", args.input)], [("model", args.out)])
+    opts.finish([("dataset", args.input)], [("model", args.out)])
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
     ensemble = train_ensemble(ds.class_matrices(), config, fit)
@@ -332,13 +322,12 @@ def _cmd_train(args, opts):
         f"({ensemble.num_visible} visible x {config.hidden_units} hidden, "
         f"{config.epochs} epochs) -> {args.out}"
     )
-    return record
 
 
 def _cmd_evaluate(args, opts):
     label_column = opts.get("label_column")
-    record = opts.finish([("model", args.model), ("dataset", args.test)],
-                         [("report", args.out)] if args.out else [])
+    opts.finish([("model", args.model), ("dataset", args.test)],
+                [("report", args.out)] if args.out else [])
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test, label_column)
     _require_binary_features(ds, args.test)
@@ -352,7 +341,6 @@ def _cmd_evaluate(args, opts):
     if args.out:
         text = "".join(f"{key}={value}\n" for key, value in report.to_flat())
         Path(args.out).write_text(text, encoding="utf-8")
-    return record
 
 
 def _cmd_sweep_alpha(args, opts):
@@ -360,12 +348,12 @@ def _cmd_sweep_alpha(args, opts):
     tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
     if not tokens:
         raise ValidationError("no alpha values to sweep")
-    scope = _parse_scope(opts.get("scope"))
+    scope = opts.get("scope")
     rules = [BinarizationRule(_parse_alpha(token), scope) for token in tokens]
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
-    record = opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
+    opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
     ds = load_csv(args.input, label_column)
     normalized = normalize_rows(ds.features)
     class_ids = ds.class_ids()
@@ -377,17 +365,15 @@ def _cmd_sweep_alpha(args, opts):
         train_ds, test_ds = split(binary_ds, split_spec)
         ensemble = train_ensemble(train_ds.class_matrices(), config, fit)
         predictions = predict_label_batch(test_ds.features, ensemble)
+        # split leaves every class a test row and the ensemble predicts only training
+        # classes, so report.classes is class_ids and every recall is defined
         report = evaluate(predictions, test_ds.labels)
-        recalls = [
-            report.recall_for(c) if c in report.classes else float("nan") for c in class_ids
-        ]
-        results.append((token, report.accuracy, recalls))
+        results.append((token, report.accuracy, report.per_class_recall))
 
     table = _format_sweep_table(class_ids, results)
     print(table)
     if args.out:
         Path(args.out).write_text(table + "\n", encoding="utf-8")
-    return record
 
 
 def _format_sweep_table(class_ids, results):
@@ -395,7 +381,7 @@ def _format_sweep_table(class_ids, results):
     body = []
     for token, accuracy, recalls in results:
         cells = [token, f"{accuracy:.6f}"]
-        cells.extend("undefined" if np.isnan(r) else f"{r:.6f}" for r in recalls)
+        cells.extend(f"{r:.6f}" for r in recalls)
         body.append(cells)
     widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
@@ -434,7 +420,7 @@ def build_parser():
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b "
                                      f"(default {_CLI_DEFAULTS['alpha']})")
-    pre.add_argument("--scope", choices=sorted(_SCOPE_CHOICES),
+    pre.add_argument("--scope", choices=SCOPES,
                      help="matrix the min/max statistics are taken over "
                           f"(default {_CLI_DEFAULTS['scope']})")
     pre.add_argument("--sidecar", help="where to write the statistics sidecar "
@@ -463,7 +449,7 @@ def build_parser():
     sweep.add_argument("input", help="labeled CSV of raw features")
     sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
                                         f"(default {_CLI_DEFAULTS['alphas']})")
-    sweep.add_argument("--scope", choices=sorted(_SCOPE_CHOICES),
+    sweep.add_argument("--scope", choices=SCOPES,
                        help=f"binarization statistics scope (default {_CLI_DEFAULTS['scope']})")
     sweep.add_argument("--out", help="also write the result table here")
     _add_dataclass_options(sweep, SplitSpec, TrainConfig, OffsetFitConfig)
@@ -484,9 +470,9 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         opts = _Options(args)
-        record = args.func(args, opts)
-        if record is not None:
-            _write_manifest(args.command, argv, opts.effective, *record)
+        args.func(args, opts)
+        if opts.record is not None:
+            _write_manifest(args.command, argv, opts.effective, *opts.record)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_labels
+from .errors import check_labels
 
 
 @dataclass
@@ -24,12 +24,6 @@ class EvalReport:
     accuracy: float
     per_class_recall: np.ndarray
     sample_count: int
-
-    def recall_for(self, class_id):
-        """Recall of one class, NaN when that class is absent from truth."""
-        if class_id not in self.classes:
-            raise ValidationError(f"class {class_id} not present in this report")
-        return float(self.per_class_recall[self.classes.index(class_id)])
 
     def to_text(self):
         """Human-readable block."""

@@ -7,40 +7,35 @@ the matrix maximum. Entries strictly below the threshold become 0, the
 rest become 1, so the maximum always survives as a 1.
 
 The scope on a BinarizationRule says which matrix the (min, max) pair is
-taken over in a labeled dataset: PER_MATRIX means each class block
-supplies its own statistics, GLOBAL means one pooled pair for everything.
+taken over in a labeled dataset: "per-class" means each class block
+supplies its own statistics, "global" means one pooled pair for everything.
 binarize_dataset carries that policy out and returns the statistics it
 used; the pooled pair is what new data is binarized with at test time.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError, check_labels, check_real, check_rows
 
-
-class Scope(enum.Enum):
-    """Which matrix the binarization statistics are computed over."""
-
-    PER_MATRIX = "per-matrix"
-    GLOBAL = "global"
+# The binarization scopes, spelled as the CLI flag, the config file and the sidecar spell them.
+SCOPES = ("per-class", "global")
 
 
 @dataclass(frozen=True)
 class BinarizationRule:
-    """Threshold fraction alpha in (0, 1) plus the statistics scope."""
+    """Threshold fraction alpha in (0, 1) plus the statistics scope, one of SCOPES."""
 
     alpha: float
-    scope: Scope = Scope.PER_MATRIX
+    scope: str = "per-class"
 
     def __post_init__(self):
         check_real("alpha", self.alpha, 0.0, 1.0, lo_open=True, hi_open=True)
-        if not isinstance(self.scope, Scope):
-            raise ValidationError(f"scope must be a Scope, got {self.scope!r}")
+        if self.scope not in SCOPES:
+            raise ValidationError(f"scope must be one of {list(SCOPES)}, got {self.scope!r}")
 
 
 def normalize_rows(matrix):
@@ -82,16 +77,16 @@ def binarize(matrix, rule, lo, hi):
 def binarize_dataset(normalized, labels, rule):
     """Binarize labeled rows under rule.scope; returns (binary, stats).
 
-    PER_MATRIX cuts each class against its own (min, max), GLOBAL every row
-    against the pooled pair. stats holds the (key, value) pairs for the
+    "per-class" cuts each class against its own (min, max), "global" every
+    row against the pooled pair. stats holds the (key, value) pairs for the
     sidecar: pooled "min" and "max" (what test data is cut with, whatever
-    the scope), then "class.<id>.min"/"max" per ascending id under PER_MATRIX.
+    the scope), then "class.<id>.min"/"max" per ascending id under "per-class".
     """
     normalized = check_rows("normalized", normalized)
     labels = check_labels("labels", labels, normalized.shape[0])
     pooled_lo, pooled_hi = minmax(normalized)
     stats = [("min", pooled_lo), ("max", pooled_hi)]
-    if rule.scope is Scope.GLOBAL:
+    if rule.scope == "global":
         return binarize(normalized, rule, pooled_lo, pooled_hi), stats
     binary = np.empty_like(normalized)
     for c in np.unique(labels):

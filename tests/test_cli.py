@@ -586,6 +586,22 @@ class TestEvaluate:
         assert capsys.readouterr().err == ("error: class 1: training config is not the first "
                                            "class's with this class's seed\n")
 
+    @pytest.mark.parametrize("at, fmt, value, message", [
+        (68, "<I", 0, "epochs must lie in"),
+        (24 + 12, "<d", -1.0, "learning_rate must lie in"),
+    ], ids=["epochs 0", "learning rate -1"])
+    def test_a_model_whose_first_block_config_is_invalid_is_usage_error(
+            self, tmp_path, capsys, at, fmt, value, message):
+        # class 0's epochs or learning rate field, past the 9-byte file header
+        data, model = self.fitted_model(tmp_path)
+        blob = bytearray(model.read_bytes())
+        struct.pack_into(fmt, blob, 9 + at, value)
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run("evaluate", str(model), str(data)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: class 0: stored training config: {message}")
+
     def test_non_binary_test_data_is_usage_error(self, tmp_path):
         data, model = self.fitted_model(tmp_path)
         raw = tmp_path / "raw.csv"
@@ -639,6 +655,14 @@ class TestSweepAlpha:
         for alphas in ("1/2,banana", "1/5,1/4,bogus", "1/5,1.5"):
             assert run("sweep-alpha", str(raw), "--alphas", alphas,
                        "--hidden-units", "2", "--epochs", "1") == 2
+        # so is the scope from a config file, which argparse's choices do not see
+        for scope in ("per-matrix", "bogus"):
+            config = tmp_path / "sweep.cfg"
+            config.write_text(f"scope={scope}\n")
+            assert run("sweep-alpha", str(raw), "--config", str(config),
+                       "--hidden-units", "2", "--epochs", "1") == 2
+            assert run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
+                       "--config", str(config)) == 2
         assert called == []
 
     def test_class_without_training_rows_is_usage_error(self, tmp_path, capsys):

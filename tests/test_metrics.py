@@ -22,8 +22,7 @@ class TestEvaluate:
         predicted = np.zeros(3513, dtype=np.int64)
         report = evaluate(predicted, truth)
         assert report.accuracy == 3409 / 3513
-        assert report.recall_for(0) == 1.0
-        assert report.recall_for(1) == 0.0
+        np.testing.assert_array_equal(report.per_class_recall, [1.0, 0.0])
         np.testing.assert_array_equal(report.confusion, [[3409, 0], [104, 0]])
 
     def test_confusion_counts_match_pair_loop(self):
@@ -67,7 +66,7 @@ class TestEvaluate:
         predicted = np.array([0, 2, 1])  # class 2 never appears in truth
         report = evaluate(predicted, truth)
         np.testing.assert_array_equal(report.classes, [0, 1, 2])
-        assert np.isnan(report.recall_for(2))
+        np.testing.assert_array_equal(report.per_class_recall, [0.5, 1.0, np.nan])
         np.testing.assert_array_equal(report.confusion[2], [0, 0, 0])
 
     def test_undefined_recall_rendered_as_text(self):
@@ -100,11 +99,6 @@ class TestEvalReport:
     def make_report(self):
         return evaluate(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0]))
 
-    def test_recall_for_unknown_class(self):
-        report = self.make_report()
-        with pytest.raises(ValidationError):
-            report.recall_for(99)
-
     def test_to_text_contains_counts_and_accuracy(self):
         report = self.make_report()
         text = report.to_text()
@@ -117,7 +111,7 @@ class TestEvalReport:
         assert flat["report_version"] == "1"
         assert flat["sample_count"] == "4"
         assert float(flat["accuracy"]) == report.accuracy
-        assert float(flat["recall.0"]) == report.recall_for(0)
+        assert float(flat["recall.0"]) == report.per_class_recall[0]
         assert flat["confusion.0.1"] == "1"
         # flat form reconstructs the full confusion matrix
         for ti, t in enumerate(report.classes):

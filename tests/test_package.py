@@ -1,6 +1,7 @@
 """Package surface: __all__ matches the top-level names, README's library example runs,
 numpy is the only third-party import, the model file has one reader and writer, every
-function has a caller in the package, and the names the benchmark's tests bind exist."""
+function and method has a caller in the package, and the names the benchmark's tests bind
+exist."""
 
 import ast
 import re
@@ -94,7 +95,9 @@ UNCALLED = {
 
 def test_every_function_has_a_caller_in_the_package():
     # code that only tests use either becomes an oracle or is deleted; an import
-    # or a call from inside the function itself does not count as a caller
+    # or a call from inside the function itself does not count as a caller. Methods
+    # and properties of the package's classes are held to the same rule; dunders,
+    # which Python calls, are not.
     package = Path(spectral_rbm.__file__).parent
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -105,6 +108,12 @@ def test_every_function_has_a_caller_in_the_package():
         for module, tree in trees.items() for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
+    functions.update({
+        f"{module}.{cls.name}.{node.name}": node
+        for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name)
+    })
     assert UNCALLED <= set(functions)
 
     def has_caller(definition):

@@ -5,8 +5,8 @@ import pytest
 
 from spectral_rbm.errors import DegenerateInputError, ValidationError
 from spectral_rbm.preprocess import (
+    SCOPES,
     BinarizationRule,
-    Scope,
     binarize,
     binarize_dataset,
     minmax,
@@ -166,10 +166,12 @@ class TestBinarizationRule:
                 BinarizationRule(alpha=bad)
 
     def test_scope_values(self):
-        assert BinarizationRule(0.5, Scope.GLOBAL).scope is Scope.GLOBAL
-        assert BinarizationRule(0.5).scope is Scope.PER_MATRIX
-        with pytest.raises(ValidationError):
-            BinarizationRule(0.5, scope="global")
+        assert SCOPES == ("per-class", "global")
+        assert BinarizationRule(0.5, "global").scope == "global"
+        assert BinarizationRule(0.5).scope == "per-class"
+        for bad in ("per-matrix", "Global", None, 1, ("global",)):
+            with pytest.raises(ValidationError, match="scope must be one of"):
+                BinarizationRule(0.5, scope=bad)
 
 
 class TestPreprocessPipeline:
@@ -186,7 +188,7 @@ class TestPreprocessPipeline:
         labels = np.array([0, 1, 0, 1, 0, 1])
         for trial in range(10):
             matrix = rng.random((6, 7)) + 0.01
-            for scope in Scope:
+            for scope in SCOPES:
                 got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(0.99, scope))
                 assert got.sum() >= 1.0
             # per class, each class block keeps its own maximum
@@ -203,7 +205,7 @@ class TestPreprocessPipeline:
         rng = np.random.default_rng(10)
         matrix = rng.random((12, 9)) + 0.01
         labels = np.arange(12) % 3
-        for scope in Scope:
+        for scope in SCOPES:
             got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(2.0 / 5.0, scope))
             assert np.all((got == 0.0) | (got == 1.0))
 
@@ -227,7 +229,7 @@ class TestBinarizeDataset:
         rng = np.random.default_rng(12)
         matrix = rng.random((9, 5))
         labels = np.arange(9) % 3
-        rule = BinarizationRule(0.6, Scope.GLOBAL)
+        rule = BinarizationRule(0.6, "global")
         lo, hi = minmax(matrix)
         got, stats = binarize_dataset(matrix, labels, rule)
         np.testing.assert_array_equal(got, binarize(matrix, rule, lo, hi))

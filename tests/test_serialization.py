@@ -224,6 +224,23 @@ class TestEnsembleFormat:
                                               "first class's with this class's seed"):
             ensemble_from_bytes(bytes(blob))
 
+    # a field of class 0's entry, which gives the base config: its place, format and a
+    # value TrainConfig refuses
+    REFUSED = {
+        "epochs 0": (HIDDEN_UNITS_AT - 4, "<I", 0, "epochs must lie in"),
+        "learning rate -1": (BLOCK_AT + 12, "<d", -1.0, "learning_rate must lie in"),
+    }
+
+    @pytest.mark.parametrize("field", REFUSED)
+    def test_a_first_block_config_training_refuses_is_a_format_error(self, field):
+        # not the option error TrainConfig raises: the user passed no such option
+        ensemble = self._ensemble()
+        blob = bytearray(ensemble_to_bytes(ensemble))
+        at, fmt, value, message = self.REFUSED[field]
+        struct.pack_into(fmt, blob, entry_starts(ensemble)[0] + at, value)
+        with pytest.raises(FormatError, match=f"^class 0: stored training config: {message}"):
+            ensemble_from_bytes(bytes(blob))
+
     def test_mutated_blobs_raise_only_package_errors(self):
         rng = np.random.default_rng(20240501)
         data = (rng.random((12, 4)) < 0.5).astype(float)
