@@ -7,7 +7,7 @@ the full pipeline: row normalization and threshold binarization, labeled
 CSV handling, per-class (stratified) splitting, a synthetic dataset
 generator, evaluation metrics, and a reproducible command-line driver.
 
-The top level exports the pipeline, the exact small-model oracles and the
+The top level exports the pipeline, the exact small-model oracles and the three
 error types. The pieces of the sampler (cd1, sigmoid, the conditionals,
 SeededRng) stay in their submodules.
 """
@@ -17,10 +17,7 @@ from .classifier import (
     predict_proba_batch, save_ensemble, train_ensemble,
 )
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
-from .errors import (
-    ConvergenceError, CsvParseError, DegenerateInputError, FormatError, MissingColumnError,
-    SizeLimitError, ValidationError,
-)
+from .errors import ConvergenceError, FormatError, ValidationError
 from .metrics import EvalReport, evaluate
 from .preprocess import BinarizationRule, binarize, binarize_dataset, normalize_rows
 from .rbm import (
@@ -40,6 +37,5 @@ __all__ = [
     # exact small-model oracles
     "energy", "exact_gibbs_kernel", "exact_log_likelihood", "exact_log_partition_function",
     # errors
-    "ConvergenceError", "CsvParseError", "DegenerateInputError", "FormatError",
-    "MissingColumnError", "SizeLimitError", "ValidationError",
+    "ConvergenceError", "FormatError", "ValidationError",
 ]

@@ -344,7 +344,7 @@ class BinaryReader:
             raise FormatError(f"bad magic: expected {magic!r}")
         self._buf, self._pos, self._name = buf, len(magic), magic.decode("ascii")
 
-    def take(self, size, what):
+    def read(self, size, what):
         """The next size bytes."""
         if self._pos + size > len(self._buf):
             raise FormatError(f"truncated {self._name} block while reading {what}")
@@ -388,10 +388,10 @@ def ensemble_from_bytes(buf):
     Offsets and arrays need only be finite.
     """
     reader = BinaryReader(buf, ENSEMBLE_MAGIC)
-    (count,) = _COUNT.unpack(reader.take(_COUNT.size, "class count"))
+    (count,) = _COUNT.unpack(reader.read(_COUNT.size, "class count"))
     classes, models, offsets, config = [], [], [], None
     for _ in range(count):
-        entry = reader.take(_ENTRY.size, "class entry")
+        entry = reader.read(_ENTRY.size, "class entry")
         class_id, offset, length, magic, m, n, *fields = _ENTRY.unpack(entry)
         stored = dict(zip(_CONFIG_FIELDS, fields))
         if magic != _MODEL_MAGIC:
@@ -407,7 +407,7 @@ def ensemble_from_bytes(buf):
         if entry != _entry(class_id, offset, m, n, config):
             raise FormatError(f"class {class_id}: training config is not the first class's "
                               "with this class's seed")
-        values = np.frombuffer(reader.take(length - _RBM1_HEADER, f"arrays of class {class_id}"),
+        values = np.frombuffer(reader.read(length - _RBM1_HEADER, f"arrays of class {class_id}"),
                                dtype="<f8").copy()
         weights, visible_bias, hidden_bias = np.split(values, [m * n, m * n + m])
         classes.append(class_id)

@@ -44,7 +44,9 @@ from .classifier import (
     train_ensemble,
 )
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
-from .errors import ConvergenceError, FormatError, ValidationError, is_binary, not_utf8
+from .errors import (
+    ConvergenceError, FormatError, ValidationError, check_real, is_binary, not_utf8,
+)
 from .metrics import evaluate
 from .preprocess import SCOPES, BinarizationRule, binarize, binarize_dataset, normalize_rows
 from .rbm import TrainConfig
@@ -271,6 +273,13 @@ def _cmd_preprocess(args, opts):
         alpha, lo, hi = (
             _parse(float, stats[key], args.reuse_stats, key) for key in ("alpha", "min", "max")
         )
+        try:
+            check_real("min", lo)
+            check_real("max", hi)
+        except ValidationError as exc:
+            raise FormatError(f"{args.reuse_stats}: sidecar {exc}") from None
+        if lo > hi:
+            raise FormatError(f"{args.reuse_stats}: sidecar min={lo!r} exceeds max={hi!r}")
         # test-time convention: binarize cuts every new row against the pooled
         # training statistics, whatever scope produced them; the rule gives alpha
         rule = BinarizationRule(alpha)

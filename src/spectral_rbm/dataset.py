@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CsvParseError,
     FormatError,
-    MissingColumnError,
     ValidationError,
     check_int,
     check_labels,
@@ -233,12 +231,12 @@ def _fast_body(path, header_lines, label_idx, width):
 def load_csv(path, label_column="label"):
     """Read a labeled CSV.
 
-    Raises FileNotFoundError for a missing file, FormatError for a file
-    that is not UTF-8 or a header that names a column twice,
-    MissingColumnError when the label column is absent, and CsvParseError
-    (naming the 1-based file line where the record starts, and the column)
-    for any cell that does not parse or is longer than
-    csv.field_size_limit(), a non-finite feature or a label outside int64.
+    Raises FileNotFoundError for a missing file, and FormatError for a
+    file that is not UTF-8, a header that names a column twice or lacks
+    the label column, and any cell that does not parse or is longer than
+    csv.field_size_limit(), a non-finite feature or a label outside int64;
+    a cell's message names the 1-based file line where its record starts,
+    and its column.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, which _fast_body counts as header bytes
@@ -253,9 +251,7 @@ def load_csv(path, label_column="label"):
                 name = next(name for i, name in enumerate(header) if name in header[:i])
                 raise FormatError(f"{path}: header names column {name!r} more than once")
             if label_column not in header:
-                raise MissingColumnError(
-                    f"{path}: label column {label_column!r} not in header {header}"
-                )
+                raise FormatError(f"{path}: label column {label_column!r} not in header {header}")
             label_idx = header.index(label_column)
             feature_names = [name for i, name in enumerate(header) if i != label_idx]
             fast = _fast_body(path, reader.line_num, label_idx, len(header))
@@ -273,7 +269,7 @@ def _records(path, reader):
 
     A quoted cell may span lines, so the start is one past the lines read
     before it. csv.Error, such as a cell over csv.field_size_limit(),
-    becomes a CsvParseError naming that line.
+    becomes a FormatError naming that line.
     """
     while True:
         line_no = reader.line_num + 1
@@ -282,7 +278,7 @@ def _records(path, reader):
         except StopIteration:
             return
         except csv.Error as exc:
-            raise CsvParseError(f"{path}: row {line_no}: {exc}", line=line_no) from None
+            raise FormatError(f"{path}: row {line_no}: {exc}") from None
         yield line_no, row
 
 
@@ -293,10 +289,7 @@ def _read_body(path, records, header, label_idx):
     labels = []
     for line_no, row in records:
         if len(row) != len(header):
-            raise CsvParseError(
-                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}",
-                line=line_no,
-            )
+            raise FormatError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
         cell = row[label_idx].strip()
         try:
             label = int(cell)
@@ -308,11 +301,9 @@ def _read_body(path, records, header, label_idx):
             # one past sys.get_int_max_str_digits(), far outside int64
             unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
             integer = re.fullmatch(r"\d+(_\d+)*", unsigned) is not None
-            raise CsvParseError(
+            raise FormatError(
                 f"{path}: row {line_no}, column {label_column!r}: label {row[label_idx]!r} "
-                + ("does not fit in int64" if integer else "is not an integer"),
-                line=line_no,
-                column=label_column,
+                + ("does not fit in int64" if integer else "is not an integer")
             )
         labels.append(label)
         parsed = []
@@ -323,16 +314,12 @@ def _read_body(path, records, header, label_idx):
             try:
                 value = float(cell)
             except ValueError:
-                raise CsvParseError(
-                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not a number",
-                    line=line_no,
-                    column=name,
+                raise FormatError(
+                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not a number"
                 ) from None
             if not math.isfinite(value):
-                raise CsvParseError(
-                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not finite",
-                    line=line_no,
-                    column=name,
+                raise FormatError(
+                    f"{path}: row {line_no}, column {name!r}: {cell!r} is not finite"
                 )
             parsed.append(value)
         rows.append(parsed)

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""The package's three exception types, one per way a run can fail.
 
-Everything raised for a bad input derives from ValidationError so callers
-(and the CLI exit-code mapping) can catch one family. ConvergenceError is
-the odd one out: the inputs were fine, the iteration just ran out of road.
+ValidationError is a bad input: an argument outside its documented range,
+an all-zero row to normalize, a model too large to enumerate exactly.
+Its subclass FormatError is a malformed file: a CSV, model, sidecar or
+config file that does not parse or breaks an invariant; its message
+names the file and, for a CSV cell, the row and the column. The CLI
+exits 2 on either. ConvergenceError is the odd one out (exit 4): the
+inputs were fine, the iteration just ran out of road.
 
 check_int and check_real hold the one type rule for scalar parameters: any
 Python or numpy integral or finite real counts, bool does not.
@@ -25,33 +29,8 @@ class ValidationError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
-class SizeLimitError(ValidationError):
-    """An exact-enumeration routine was asked to enumerate too many states."""
-
-
-class DegenerateInputError(ValidationError):
-    """Structurally valid input with no defined result, e.g. an all-zero row."""
-
-
 class FormatError(ValidationError):
-    """A serialized model, sidecar, or dataset file is malformed."""
-
-
-class MissingColumnError(FormatError):
-    """A required CSV column is absent."""
-
-
-class CsvParseError(FormatError):
-    """A CSV cell failed to parse.
-
-    Carries the 1-based file line (header is line 1) and the column name
-    when known, so the message can point at the offending cell.
-    """
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """A CSV, model, sidecar or config file is malformed."""
 
 
 class ConvergenceError(RuntimeError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, check_labels, check_real, check_rows
+from .errors import ValidationError, check_labels, check_real, check_rows
 
 # The binarization scopes, spelled as the CLI flag, the config file and the sidecar spell them.
 SCOPES = ("per-class", "global")
@@ -41,14 +41,14 @@ class BinarizationRule:
 def normalize_rows(matrix):
     """Scale every row of a 2-d array to unit Euclidean length.
 
-    Raises DegenerateInputError naming the first all-zero row, whose
-    direction is undefined.
+    Raises ValidationError naming the first all-zero row, whose direction
+    is undefined.
     """
     matrix = check_rows("matrix", matrix)
     norms = np.sqrt((matrix * matrix).sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateInputError(f"cannot normalize all-zero row {int(zero[0])}")
+        raise ValidationError(f"cannot normalize all-zero row {int(zero[0])}")
     return matrix / norms[:, None]
 
 

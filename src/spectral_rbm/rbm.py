@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    SizeLimitError,
     ValidationError,
     check_int,
     check_real,
@@ -413,7 +412,7 @@ def _enumerate_bits(k):
 
 def _check_enumerable(total, formula="m + n"):
     if total > ENUMERATION_LIMIT:
-        raise SizeLimitError(
+        raise ValidationError(
             f"exact enumeration needs {formula} <= {ENUMERATION_LIMIT}, got {total}"
         )
 

@@ -1,10 +1,20 @@
-"""Shared test helpers: per-class 0/1 datasets, and a patch that puts a NaN probability into CD-1."""
+"""Shared test helpers: random RBM parameters, per-class 0/1 datasets, and a patch that puts a
+NaN probability into CD-1."""
 
 from unittest import mock
 
 import numpy as np
 
 from spectral_rbm import rbm
+
+
+def random_params(rng, m, n, scale=1.0):
+    """An m x n RbmParams whose every entry is a standard normal draw times scale."""
+    return rbm.RbmParams(
+        weights=rng.standard_normal((m, n)) * scale,
+        visible_bias=rng.standard_normal(m) * scale,
+        hidden_bias=rng.standard_normal(n) * scale,
+    )
 
 
 def class_rows(seed, sizes, m):

@@ -8,6 +8,7 @@ import itertools
 import time
 
 import numpy as np
+from nan_faults import random_params
 
 from spectral_rbm.classifier import (
     ClassEnsemble,
@@ -39,14 +40,6 @@ def _criterion(num, name, passed, detail):
     flag = "PASS" if passed else "FAIL"
     print(f"[{flag}] criterion {num}: {name} ({detail})")
     assert passed, f"criterion {num} failed: {name} ({detail})"
-
-
-def _random_params(rng, m, n, scale=1.0):
-    return RbmParams(
-        weights=rng.standard_normal((m, n)) * scale,
-        visible_bias=rng.standard_normal(m) * scale,
-        hidden_bias=rng.standard_normal(n) * scale,
-    )
 
 
 def _all_bits(k):
@@ -84,7 +77,7 @@ class TestAcceptance:
         for _ in range(100):
             m = int(rng.integers(1, 9))
             n = int(rng.integers(1, 9))
-            params = _random_params(rng, m, n)
+            params = random_params(rng, m, n)
             vis = _all_bits(m)
             hid = _all_bits(n)
             neg_e = _pair_neg_energies(params, vis, hid)
@@ -110,7 +103,7 @@ class TestAcceptance:
         for _ in range(50):
             m = int(rng.integers(1, 14))
             n = int(rng.integers(1, 15 - m))
-            params = _random_params(rng, m, n)
+            params = random_params(rng, m, n)
             lhs = exact_log_partition_function(params)
             vis = _all_bits(m)
             rhs = _logsumexp_rows(-free_energy_batch(vis, params)[None, :])[0]
@@ -128,7 +121,7 @@ class TestAcceptance:
         for _ in range(50):
             m = int(rng.integers(1, 6))
             n = int(rng.integers(1, 6))
-            params = _random_params(rng, m, n)
+            params = random_params(rng, m, n)
             vis = _all_bits(m)
             hid = _all_bits(n)
             # weights[a, b] = exp(-E(vis[a], hid[b])); every state in one call
@@ -156,7 +149,7 @@ class TestAcceptance:
         place = 2 ** np.arange(m - 1, -1, -1)  # state -> row of the kernel
         worst_z = worst_probs = 0.0
         for u in uniforms:
-            params = _random_params(rng, m, n, scale=2.0)
+            params = random_params(rng, m, n, scale=2.0)
             v1 = (rng.random(m) < 0.5).astype(float)
             steps = [
                 rbm._chain_step(v1, params.weights, params.visible_bias, params.hidden_bias,
@@ -247,7 +240,7 @@ class TestAcceptance:
     def test_criterion_08_softmax_readout_properties(self):
         rng = np.random.default_rng(808)
         m = 12
-        models = [_random_params(rng, m, 6) for _ in range(3)]
+        models = [random_params(rng, m, 6) for _ in range(3)]
         inputs = (rng.random((1000, m)) < 0.5).astype(float)
 
         base = ClassEnsemble(classes=[0, 1, 2], models=models,
@@ -280,7 +273,7 @@ class TestAcceptance:
         smallest_entry, worst_row_sum, worst_kernel = 1.0, 0.0, 0.0
         for _ in range(20):
             m, n = (int(k) for k in rng.integers(1, 6, 2))
-            params = _random_params(rng, m, n)
+            params = random_params(rng, m, n)
             kernel = exact_gibbs_kernel(params)
             smallest_entry = min(smallest_entry, float(kernel.min()))
             worst_row_sum = max(worst_row_sum, float(np.abs(kernel.sum(axis=1) - 1.0).max()))

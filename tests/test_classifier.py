@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from nan_faults import random_params
 
 from spectral_rbm import classifier
 from spectral_rbm.classifier import (
@@ -27,14 +28,6 @@ from spectral_rbm.rbm import (
     free_energy_batch,
     train_rbm,
 )
-
-
-def random_params(rng, m, n):
-    return RbmParams(
-        weights=rng.standard_normal((m, n)),
-        visible_bias=rng.standard_normal(m),
-        hidden_bias=rng.standard_normal(n),
-    )
 
 
 def log_posteriors(table, beta):

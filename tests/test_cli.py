@@ -260,6 +260,24 @@ class TestPreprocess:
         assert code == 2
         assert "sidecar_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("nan", "0.9", "sidecar min must be a finite real number, got nan"),
+        ("-inf", "0.9", "sidecar min must be a finite real number, got -inf"),
+        ("2.0", "1.0", "sidecar min=2.0 exceeds max=1.0"),
+    ], ids=["min nan", "min -inf", "min above max"])
+    def test_reuse_stats_checks_min_max_before_reading_the_csv(self, tmp_path, capsys,
+                                                               monkeypatch, lo, hi, message):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        bad = tmp_path / "bad.sidecar"
+        bad.write_text(f"sidecar_version=1\nalpha=0.5\nmin={lo}\nmax={hi}\n")
+        out = tmp_path / "o.csv"
+        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert called == [] and not out.exists()
+
     def test_reuse_stats_rejects_sidecar(self, tmp_path, capsys):
         # --reuse-stats writes no sidecar, so a --sidecar path would be silently ignored
         raw = tmp_path / "raw.csv"

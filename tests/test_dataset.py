@@ -20,12 +20,7 @@ from spectral_rbm.dataset import (
     split,
     synth_generate,
 )
-from spectral_rbm.errors import (
-    CsvParseError,
-    FormatError,
-    MissingColumnError,
-    ValidationError,
-)
+from spectral_rbm.errors import FormatError, ValidationError
 
 
 def tiny_dataset():
@@ -53,18 +48,15 @@ class TestLoadCsv:
     def test_bad_float_names_line_and_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n0.5,1.0,0\nnope,0.5,1\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(FormatError, match="row 3, column 'f1': 'nope' is not a number"):
             load_csv(path, label_column="label")
-        assert info.value.line == 3
-        assert info.value.column == "f1"
 
     def test_bad_label_reported(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,zero\n")
-        with pytest.raises(CsvParseError) as info:
+        message = "row 2, column 'label': label 'zero' is not an integer"
+        with pytest.raises(FormatError, match=message):
             load_csv(path, label_column="label")
-        assert info.value.line == 2
-        assert info.value.column == "label"
 
     @pytest.mark.parametrize("text, line", [
         ('"f\n1",label\n0.5,x\n', 3),  # the header spans lines 1 and 2
@@ -73,9 +65,8 @@ class TestLoadCsv:
     def test_quoted_newlines_keep_file_line_numbers(self, tmp_path, text, line):
         path = tmp_path / "d.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match=f"row {line}, column 'label'") as info:
+        with pytest.raises(FormatError, match=f"row {line}, column 'label'"):
             load_csv(path, label_column="label")
-        assert (info.value.line, info.value.column) == (line, "label")
 
     @pytest.mark.parametrize("text, line", [
         ("f1,label\n0.5,1\n0." + "0" * 200_000 + "1,3\n", 3),
@@ -84,20 +75,19 @@ class TestLoadCsv:
     def test_cell_over_the_field_limit_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "d.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match=f"row {line}: field larger than field limit") as info:
+        with pytest.raises(FormatError, match=f"row {line}: field larger than field limit"):
             load_csv(path, label_column="label")
-        assert info.value.line == line
 
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,1.5\n")
-        with pytest.raises(CsvParseError):
+        with pytest.raises(FormatError):
             load_csv(path, label_column="label")
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2\n0.5,1.0\n")
-        with pytest.raises(MissingColumnError, match="label"):
+        with pytest.raises(FormatError, match="label column 'label' not in header"):
             load_csv(path, label_column="label")
 
     def test_repeated_header_name_rejected(self, tmp_path):
@@ -115,14 +105,13 @@ class TestLoadCsv:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n0.5,1.0,0\n0.25,1\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(FormatError, match="row 3 has 2 cells, expected 3"):
             load_csv(path, label_column="label")
-        assert info.value.line == 3
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\ninf,0\n")
-        with pytest.raises(CsvParseError):
+        with pytest.raises(FormatError):
             load_csv(path, label_column="label")
 
     def test_empty_body_rejected(self, tmp_path):
@@ -140,9 +129,9 @@ class TestLoadCsv:
     def test_label_outside_int64_names_line_and_column(self, tmp_path, label):
         path = tmp_path / "d.csv"
         path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n", encoding="utf-8")
-        with pytest.raises(CsvParseError, match="does not fit in int64") as info:
+        message = "row 3, column 'label': label '.*' does not fit in int64"
+        with pytest.raises(FormatError, match=message):
             load_csv(path, label_column="label")
-        assert (info.value.line, info.value.column) == (3, "label")
 
     def test_int64_extreme_labels_accepted(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spectral_rbm.errors import DegenerateInputError, ValidationError
+from spectral_rbm.errors import ValidationError
 from spectral_rbm.preprocess import (
     SCOPES,
     BinarizationRule,
@@ -48,7 +48,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(out * np.linalg.norm(matrix, axis=1)[:, None], matrix, atol=1e-12)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValidationError, match="cannot normalize all-zero row 0"):
             normalize_rows(np.zeros((1, 5)))
 
     def test_bad_shapes_rejected(self):
@@ -69,7 +69,7 @@ class TestNormalizeRows:
     def test_names_the_zero_row(self):
         matrix = np.ones((4, 3))
         matrix[2] = 0.0
-        with pytest.raises(DegenerateInputError, match="row 2"):
+        with pytest.raises(ValidationError, match="row 2"):
             normalize_rows(matrix)
 
 
@@ -198,7 +198,7 @@ class TestPreprocessPipeline:
     def test_propagates_zero_row_error(self):
         matrix = np.ones((3, 4))
         matrix[1] = 0.0
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValidationError, match="all-zero row 1"):
             binarize_dataset(normalize_rows(matrix), [0, 1, 0], BinarizationRule(0.5))
 
     def test_output_binary(self):

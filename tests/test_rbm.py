@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from nan_faults import class_rows, nan_on_all_ones_rows, one_all_ones_row_datasets
+from nan_faults import class_rows, nan_on_all_ones_rows, one_all_ones_row_datasets, random_params
 
 from spectral_rbm import classifier, rbm
 from spectral_rbm.classifier import class_seed, train_ensemble
-from spectral_rbm.errors import ConvergenceError, SizeLimitError, ValidationError
+from spectral_rbm.errors import ConvergenceError, ValidationError
 from spectral_rbm.markov import SeededRng
 from spectral_rbm.rbm import (
     GradientEstimate,
@@ -32,14 +32,6 @@ from spectral_rbm.rbm import (
     train_rbm,
     visible_probs,
 )
-
-
-def random_params(rng, m, n, scale=1.0):
-    return RbmParams(
-        weights=rng.standard_normal((m, n)) * scale,
-        visible_bias=rng.standard_normal(m) * scale,
-        hidden_bias=rng.standard_normal(n) * scale,
-    )
 
 
 def all_bit_vectors(k):
@@ -397,7 +389,7 @@ class TestExactPartitionFunction:
 
     def test_size_guard(self):
         params = RbmParams(np.zeros((13, 12)), np.zeros(13), np.zeros(12))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValidationError, match="exact enumeration needs m \\+ n"):
             exact_log_partition_function(params)
 
 
@@ -432,7 +424,7 @@ class TestExactLogLikelihood:
 
     def test_size_guard(self):
         params = RbmParams(np.zeros((20, 20)), np.zeros(20), np.zeros(20))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValidationError, match="exact enumeration needs m \\+ n"):
             exact_log_likelihood(np.zeros((1, 20)), params)
 
 
@@ -469,7 +461,7 @@ class TestExactGibbsKernel:
     def test_size_guard(self):
         # m + n = 13 is enumerable, but the kernel walks 2**(2m + n) triples
         params = RbmParams(np.zeros((12, 1)), np.zeros(12), np.zeros(1))
-        with pytest.raises(SizeLimitError, match="2m \\+ n"):
+        with pytest.raises(ValidationError, match="2m \\+ n"):
             exact_gibbs_kernel(params)
 
 

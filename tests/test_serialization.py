@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from nan_faults import random_params
 
 from spectral_rbm.classifier import (
     ClassEnsemble,
@@ -30,14 +31,6 @@ BLOCK_AT = 24
 HIDDEN_UNITS_AT = BLOCK_AT + 4 + 8 + 32 + 4
 SEED_AT = HIDDEN_UNITS_AT + 4
 ARRAYS_AT = SEED_AT + 8
-
-
-def random_params(rng, m, n):
-    return RbmParams(
-        weights=rng.standard_normal((m, n)),
-        visible_bias=rng.standard_normal(m),
-        hidden_bias=rng.standard_normal(n),
-    )
 
 
 def entry_starts(ensemble):
