@@ -43,7 +43,9 @@ from .classifier import (
     save_ensemble,
     train_ensemble,
 )
-from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
+from .dataset import (
+    LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split_indices, synth_generate,
+)
 from .errors import (
     ConvergenceError, FormatError, ValidationError, check_real, is_binary, not_utf8,
 )
@@ -274,15 +276,15 @@ def _cmd_preprocess(args, opts):
             _parse(float, stats[key], args.reuse_stats, key) for key in ("alpha", "min", "max")
         )
         try:
+            # test-time convention: binarize cuts every new row against the pooled
+            # training statistics, whatever scope produced them; the rule gives alpha
+            rule = BinarizationRule(alpha)
             check_real("min", lo)
             check_real("max", hi)
         except ValidationError as exc:
             raise FormatError(f"{args.reuse_stats}: sidecar {exc}") from None
         if lo > hi:
             raise FormatError(f"{args.reuse_stats}: sidecar min={lo!r} exceeds max={hi!r}")
-        # test-time convention: binarize cuts every new row against the pooled
-        # training statistics, whatever scope produced them; the rule gives alpha
-        rule = BinarizationRule(alpha)
         opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
     else:
         rule = BinarizationRule(_parse_alpha(opts.get("alpha")), opts.get("scope"))
@@ -324,7 +326,9 @@ def _cmd_train(args, opts):
     opts.finish([("dataset", args.input)], [("model", args.out)])
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
-    ensemble = train_ensemble(ds.class_matrices(), config, fit)
+    class_rows = ds.class_matrices()
+    del ds  # training needs only the per-class copies
+    ensemble = train_ensemble(class_rows, config, fit)
     save_ensemble(args.out, ensemble)
     print(
         f"trained {len(ensemble.classes)} class models "
@@ -364,25 +368,39 @@ def _cmd_sweep_alpha(args, opts):
     split_spec = opts.build(SplitSpec)
     opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
     ds = load_csv(args.input, label_column)
+    labels, class_ids = ds.labels, ds.class_ids()
     normalized = normalize_rows(ds.features)
-    class_ids = ds.class_ids()
-
-    results = []
-    for token, rule in zip(tokens, rules):
-        binary, _ = binarize_dataset(normalized, ds.labels, rule)
-        binary_ds = LabeledDataset(binary, ds.labels, ds.feature_names)
-        train_ds, test_ds = split(binary_ds, split_spec)
-        ensemble = train_ensemble(train_ds.class_matrices(), config, fit)
-        predictions = predict_label_batch(test_ds.features, ensemble)
-        # split leaves every class a test row and the ensemble predicts only training
-        # classes, so report.classes is class_ids and every recall is defined
-        report = evaluate(predictions, test_ds.labels)
-        results.append((token, report.accuracy, report.per_class_recall))
+    del ds  # the raw features are not needed again
+    # the split depends only on the labels and the seed, so every alpha shares one draw
+    train_idx, test_idx = split_indices(labels, split_spec)
+    results = [
+        (token, *_sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config, fit))
+        for token, rule in zip(tokens, rules)
+    ]
 
     table = _format_sweep_table(class_ids, results)
     print(table)
     if args.out:
         Path(args.out).write_text(table + "\n", encoding="utf-8")
+
+
+def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config, fit):
+    """(accuracy, per-class recalls) of one alpha: binarize, train on train_idx, test on test_idx.
+
+    Only the gathered rows outlive the binarized matrix, and nothing of this
+    alpha, its ensemble included, outlives the call.
+    """
+    binary, _ = binarize_dataset(normalized, labels, rule)
+    train_labels = labels[train_idx]
+    class_rows = {c: binary[train_idx[train_labels == c]] for c in class_ids}
+    test_rows = binary[test_idx]
+    del binary
+    ensemble = train_ensemble(class_rows, config, fit)
+    predictions = predict_label_batch(test_rows, ensemble)
+    # the split leaves every class a test row and the ensemble predicts only training
+    # classes, so the report's classes are every class id and every recall is defined
+    report = evaluate(predictions, labels[test_idx])
+    return report.accuracy, report.per_class_recall
 
 
 def _format_sweep_table(class_ids, results):

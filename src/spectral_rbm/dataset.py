@@ -135,14 +135,19 @@ class SynthSpec:
 _FAST_BYTES = b"0123456789+-.eE, \r\n"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
+# Bytes _scan_body reads at a time before it completes the line it stopped in:
+# enough that a read's fixed cost is small, few enough that a read and its list
+# of lines stay far below the size of the matrix being loaded.
+_SCAN_READ = 1 << 16
+
 
 def _scan_body(fh, label_idx, width):
     """(label cells, feature digits) of the rest of a binary file, or None.
 
-    Each read takes 1 MB and then the rest of the line it stopped in, so a
-    line, its cells and a \\r\\n always fall within one read. \\n, \\r and
-    \\r\\n each end a line, as they do for csv.reader over a file opened
-    with newline="".
+    Each read takes _SCAN_READ bytes and then the rest of the line it
+    stopped in, so a line, its cells and a \\r\\n always fall within one
+    read. \\n, \\r and \\r\\n each end a line, as they do for csv.reader
+    over a file opened with newline="".
 
     The label cells are the bytes of each physical line's cell label_idx.
     The feature digits are the 0/1 bytes of every line's cells before the
@@ -160,12 +165,15 @@ def _scan_body(fh, label_idx, width):
     fixed = b"," * commas  # the odd bytes of a 0/1 line's features
     digits = [] if label_idx == commas else None
     cells = []
-    for chunk in iter(lambda: fh.read(1 << 20) + fh.readline(), b""):
+    for chunk in iter(lambda: fh.read(_SCAN_READ) + fh.readline(), b""):
         if chunk.translate(None, _FAST_BYTES):
             return None
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        for line in chunk.removesuffix(b"\n").split(b"\n"):
+        lines = chunk.split(b"\n")
+        if not lines[-1]:  # the read ended at a line end, not at the end of the file
+            lines.pop()
+        for line in lines:
             if line.count(b",") != commas or (
                     len(line) > limit and max(map(len, line.split(b","))) > limit):
                 return None
@@ -368,19 +376,31 @@ def save_csv(ds, path, label_column="label"):
 def split(ds, spec):
     """Partition a dataset into train and test halves, class by class.
 
+    A thin wrapper over split_indices, which draws each side's rows and
+    refuses a class it cannot split; row order within each side follows
+    the original dataset.
+    """
+    train_idx, test_idx = split_indices(ds.labels, spec)
+    return ds.subset(train_idx), ds.subset(test_idx)
+
+
+def split_indices(labels, spec):
+    """(train rows, test rows) of a stratified split of labels, each ascending.
+
     Each class is shuffled with the seeded rng (classes visited in sorted
     order) and its first floor(count * fraction) rows go to train, the
     remainder to test. A class needs at least 2 rows, and a share that
     floors to 0 training rows is a ValidationError naming the class. No
     test share is empty: fraction < 1 gives floor(count * fraction) <
-    count. Row order within each side follows the original dataset.
+    count. The draws depend only on the labels and spec, so a caller that
+    splits several matrices over the same rows draws them once.
     """
-    if ds.sample_count == 0:
+    if labels.size == 0:
         raise ValidationError("cannot split an empty dataset")
     rng = SeededRng(spec.seed)
     picked = []
-    for c in ds.class_ids():
-        idx = np.flatnonzero(ds.labels == c)
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
         if idx.size < 2:
             raise ValidationError(
                 f"stratified split needs >= 2 samples per class, class {c} has {idx.size}"
@@ -392,9 +412,9 @@ def split(ds, spec):
         shuffled = idx[rng.permutation(idx.size)]
         picked.append(shuffled[:take])
     train_idx = np.sort(np.concatenate(picked))
-    mask = np.zeros(ds.sample_count, dtype=bool)
+    mask = np.zeros(labels.size, dtype=bool)
     mask[train_idx] = True
-    return ds.subset(train_idx), ds.subset(np.flatnonzero(~mask))
+    return train_idx, np.flatnonzero(~mask)
 
 
 def _templates(spec):

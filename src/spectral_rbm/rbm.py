@@ -61,9 +61,11 @@ _LOG1P_EXP_CUTOFF = 30.0
 # epochs and hidden_units are stored as uint32 in the model file.
 UINT32_MAX = 2**32 - 1
 
-# Most uniforms that the classes training together hold at once (512 KiB of
+# Most uniforms that the classes training together hold at once (128 KiB of
 # float64); a block holds as many whole rows' draws as fit, and at least one row's.
-_UNIFORM_BLOCK = 2**16
+# Each class's stream is the same whatever the block size: a smaller block holds
+# less memory through training for more draw calls and block-end finiteness checks.
+_UNIFORM_BLOCK = 2**14
 
 # Bytes of weight-sized arrays that classes trained in lockstep may share,
 # about one core's L2 cache. On a 2-core Xeon VM with 2 MiB of L2 per core,

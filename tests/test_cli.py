@@ -6,6 +6,7 @@ import hashlib
 import re
 import shlex
 import struct
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,19 +261,23 @@ class TestPreprocess:
         assert code == 2
         assert "sidecar_version" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lo, hi, message", [
-        ("nan", "0.9", "sidecar min must be a finite real number, got nan"),
-        ("-inf", "0.9", "sidecar min must be a finite real number, got -inf"),
-        ("2.0", "1.0", "sidecar min=2.0 exceeds max=1.0"),
-    ], ids=["min nan", "min -inf", "min above max"])
+    @pytest.mark.parametrize("alpha, lo, hi, message", [
+        ("0.5", "nan", "0.9", "sidecar min must be a finite real number, got nan"),
+        ("0.5", "-inf", "0.9", "sidecar min must be a finite real number, got -inf"),
+        ("0.5", "2.0", "1.0", "sidecar min=2.0 exceeds max=1.0"),
+        # --reuse-stats refuses the --alpha flag, so a bad alpha names the sidecar
+        ("2.0", "0.1", "0.9", "sidecar alpha must lie in (0.0, 1.0), got 2.0"),
+        ("0", "0.1", "0.9", "sidecar alpha must lie in (0.0, 1.0), got 0.0"),
+        ("nan", "0.1", "0.9", "sidecar alpha must be a finite real number, got nan"),
+    ], ids=["min nan", "min -inf", "min above max", "alpha above 1", "alpha 0", "alpha nan"])
     def test_reuse_stats_checks_min_max_before_reading_the_csv(self, tmp_path, capsys,
-                                                               monkeypatch, lo, hi, message):
+                                                               monkeypatch, alpha, lo, hi, message):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         called = []
         monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
         bad = tmp_path / "bad.sidecar"
-        bad.write_text(f"sidecar_version=1\nalpha=0.5\nmin={lo}\nmax={hi}\n")
+        bad.write_text(f"sidecar_version=1\nalpha={alpha}\nmin={lo}\nmax={hi}\n")
         out = tmp_path / "o.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
@@ -961,3 +966,43 @@ class TestMainPlumbing:
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         assert "spectral-rbm" in capsys.readouterr().out
+
+
+class TestTracedPeak:
+    """A command's traced memory peak, in multiples of its input's feature bytes.
+
+    8 classes x 200 rows x 200 features with 8 hidden units, a shape where
+    the data, not the model, sets the peak. Each bound sits between the peak
+    with every matrix held once (about 3.5x for sweep-alpha, 2.4x for train)
+    and the peak with one more full-size matrix alive through training (4.3x
+    or more, and 3.4x).
+    """
+
+    ROWS, DIM, CLASSES = 1600, 200, 8
+    FEATURE_BYTES = ROWS * DIM * 8
+
+    def traced_peak(self, *argv):
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def raw_csv(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw, rows=self.ROWS, dim=self.DIM, classes=self.CLASSES)
+        return raw
+
+    def test_sweep_alpha_holds_each_matrix_once(self, tmp_path):
+        # one split for every alpha, and no alpha's matrices or ensemble outlive it
+        peak = self.traced_peak("sweep-alpha", str(self.raw_csv(tmp_path)), "--alphas", "1/3,1/2",
+                                "--hidden-units", "8", "--epochs", "1")
+        assert peak <= 4.0 * self.FEATURE_BYTES
+
+    def test_train_releases_the_loaded_dataset(self, tmp_path):
+        binary = tmp_path / "bin.csv"
+        assert run("preprocess", str(self.raw_csv(tmp_path)), "--out", str(binary)) == 0
+        peak = self.traced_peak("train", str(binary), "--out", str(tmp_path / "m.rbme"),
+                                "--hidden-units", "8", "--epochs", "1")
+        assert peak <= 3.0 * self.FEATURE_BYTES

@@ -330,9 +330,11 @@ class TestFastLoad:
         assert ds.labels.tolist() == [3, -4]
 
     def test_scan_counts_physical_lines_across_read_chunks(self):
-        # a read ends at a line end: the first read's 2**20 bytes end in the \r of
-        # a \r\n, and it goes on to take the \n
-        rows = b"0,1\n" * ((1 << 20) // 4 - 1) + b"0,1"
+        # a read ends at a line end: the first read's _SCAN_READ bytes end in the
+        # \r of a \r\n, and it goes on to take the \n
+        read = dataset._SCAN_READ
+        rows = b"0,1\n" * (read // 4 - 1) + b"0,1"
+        assert len(rows) + 1 == read
         count = len(rows) // 4 + 1
         assert dataset._scan_body(io.BytesIO(rows + b"\r\n1,2\r0,-4"), 1, 2) == (
             [b"1"] * count + [b"2", b"-4"], b"0" * count + b"10")
@@ -344,12 +346,12 @@ class TestFastLoad:
         assert dataset._scan_body(io.BytesIO(b""), 1, 2) == ([], b"")
         assert dataset._scan_body(io.BytesIO(b"1,2\n\"x\"\n"), 1, 2) is None
         assert dataset._scan_body(io.BytesIO(b"0" * 140000 + b",1\n"), 1, 2) is None
-        # the first 2**20 bytes end inside a label cell, and then inside a 0/1
-        # line; the read goes on to the end of that line
-        count = (1 << 20) // 6 - 1
+        # the first _SCAN_READ bytes end inside a label cell, and then inside a
+        # 0/1 line; the read goes on to the end of that line
+        count = read // 6 - 1
         for line, cut in ((b"1,0,-123", 6), (b"1,1,7", 2)):
             lead = b"0,1,5\n" * (count - 1) + b"0,1," + b"5" * (11 - cut) + b"\n"
-            assert len(lead) + cut == 1 << 20
+            assert len(lead) + cut == read
             body = lead + line + b"\n0,1,0\n"
             assert dataset._scan_body(io.BytesIO(body), 2, 3) == (
                 [b"5"] * (count - 1) + [b"5" * (11 - cut), line[4:], b"0"],
