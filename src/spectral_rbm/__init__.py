@@ -8,8 +8,8 @@ CSV handling, per-class (stratified) splitting, a synthetic dataset
 generator, evaluation metrics, and a reproducible command-line driver.
 
 The top level exports the pipeline, the exact small-model oracles and the three
-error types. The pieces of the sampler (cd1, sigmoid, the conditionals,
-SeededRng) stay in their submodules.
+error types. The sampler (the chain step training runs, the conditionals the
+exact kernel uses, SeededRng) stays in its submodules.
 """
 
 from .classifier import (

@@ -314,52 +314,32 @@ def predict_label_batch(rows, ensemble):
 
 # --- serialization ---------------------------------------------------------
 #
-# RBME1 layout, little-endian: magic "RBME1", uint32 class count, then per class
-#   int64 class id, float64 offset, uint64 length of the RBM1 block that follows:
-#   magic "RBM1", uint32 m and n, the class's training config (float64
-#   learning_rate, momentum, weight_decay, init_weight_scale, uint32 epochs,
-#   hidden_units, uint64 class seed), float64[m*n] weights row-major,
-#   float64[m] visible_bias, float64[n] hidden_bias.
+# RBME1 layout, little-endian: magic "RBME1", uint32 class count, then one
+# block per class, every block the size block 0 fixes. A block is the class's
+# entry: int64 class id, float64 offset, uint64 length of the RBM1 part from
+# its magic on, magic "RBM1", uint32 m and n, the class's training config
+# (float64 learning_rate, momentum, weight_decay, init_weight_scale, uint32
+# epochs, hidden_units, uint64 class seed); then float64[m*n] weights
+# row-major, float64[m] visible_bias, float64[n] hidden_bias.
 # Round trips are bit-exact: arrays are dumped and restored as raw float64.
 
 ENSEMBLE_MAGIC = b"RBME1"
 _MODEL_MAGIC = b"RBM1"
 _COUNT = struct.Struct("<I")
+_HEADER = len(ENSEMBLE_MAGIC) + _COUNT.size
 # one class's entry up to its arrays; the block length counts from the RBM1 magic on
 _ENTRY = struct.Struct("<qdQ4sIIddddIIQ")
 _RBM1_HEADER = _ENTRY.size - 24  # all but the id, offset and length
 _CONFIG_FIELDS = ("learning_rate", "momentum", "weight_decay", "init_weight_scale", "epochs",
                   "hidden_units", "seed")
+_CHECKED_FIELDS = ("length", "magic", "m", "n", *_CONFIG_FIELDS)  # the entry past id and offset
+_ARRAYS = ("weights", "visible_bias", "hidden_bias")
 
 
-class BinaryReader:
-    """Sequential reader over one magic-tagged block of a binary format.
-
-    Every read is bounds-checked: running past the end, a wrong magic and
-    bytes left over at the end are FormatErrors naming the format.
-    """
-
-    def __init__(self, buf, magic):
-        if buf[: len(magic)] != magic:
-            raise FormatError(f"bad magic: expected {magic!r}")
-        self._buf, self._pos, self._name = buf, len(magic), magic.decode("ascii")
-
-    def read(self, size, what):
-        """The next size bytes."""
-        if self._pos + size > len(self._buf):
-            raise FormatError(f"truncated {self._name} block while reading {what}")
-        self._pos += size
-        return self._buf[self._pos - size : self._pos]
-
-    def finish(self):
-        """Refuse bytes left over after the block."""
-        if self._pos != len(self._buf):
-            extra = len(self._buf) - self._pos
-            raise FormatError(f"{extra} trailing bytes after {self._name} block")
-
-
-def _entry(class_id, offset, m, n, config):
-    """Class class_id's entry up to its arrays, storing config with the class's seed."""
+def _entry(class_id, offset, m, config):
+    """Class class_id's entry up to its arrays: m x config.hidden_units weights, and config
+    stored with the class's seed."""
+    n = config.hidden_units
     fields = [getattr(config, name) for name in _CONFIG_FIELDS[:-1]]
     return _ENTRY.pack(class_id, offset, _RBM1_HEADER + 8 * (m * n + m + n), _MODEL_MAGIC, m, n,
                        *fields, class_seed(config.seed, class_id))
@@ -371,50 +351,58 @@ def ensemble_to_bytes(ensemble):
         raise ValidationError("ensemble has no config; cannot serialize")
     parts = [ENSEMBLE_MAGIC, _COUNT.pack(len(ensemble.classes))]
     for class_id, model, offset in zip(ensemble.classes, ensemble.models, ensemble.offsets):
-        parts.append(_entry(class_id, float(offset), *model.weights.shape, ensemble.config))
-        parts.extend(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                     for a in (model.weights, model.visible_bias, model.hidden_bias))
+        parts.append(_entry(class_id, float(offset), model.num_visible, ensemble.config))
+        parts.extend(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes()
+                     for name in _ARRAYS)
     return b"".join(parts)
 
 
 def ensemble_from_bytes(buf):
     """Parse an RBME1 block back into a ClassEnsemble.
 
-    Block 0 gives the base config: class_seed undoes itself for a fixed class
-    id, so class_seed(stored seed, id) is the base seed. A FormatError names
-    the class of a block with a bad magic, a width or length that does not fit
-    its dimensions, a config TrainConfig refuses, or a config other than the
-    base one with the class's seed.
-    Offsets and arrays need only be finite.
+    Block 0 fixes every block's size: its width m and stored hidden_units n.
+    The file's length is checked against that once, and the blocks are read
+    through one record view. Block 0 also gives the base config: class_seed
+    undoes itself for a fixed class id, so class_seed(stored seed, id) is
+    the base seed. Each entry must be the one the writer gives its id and
+    offset; a FormatError names the class and the first field that differs.
+    Offsets and arrays need only be finite. Every refusal is a FormatError.
     """
-    reader = BinaryReader(buf, ENSEMBLE_MAGIC)
-    (count,) = _COUNT.unpack(reader.read(_COUNT.size, "class count"))
-    classes, models, offsets, config = [], [], [], None
-    for _ in range(count):
-        entry = reader.read(_ENTRY.size, "class entry")
-        class_id, offset, length, magic, m, n, *fields = _ENTRY.unpack(entry)
-        stored = dict(zip(_CONFIG_FIELDS, fields))
-        if magic != _MODEL_MAGIC:
-            raise FormatError(f"class {class_id}: bad magic: expected {_MODEL_MAGIC!r}")
-        if n != stored["hidden_units"] or length != _RBM1_HEADER + 8 * (m * n + m + n):
-            raise FormatError(f"class {class_id}: an RBM1 block of {length} bytes does not hold "
-                              f"{m} x {n} weights for hidden_units={stored['hidden_units']}")
-        if config is None:
-            try:
-                config = TrainConfig(**{**stored, "seed": class_seed(stored["seed"], class_id)})
-            except ValidationError as exc:
-                raise FormatError(f"class {class_id}: stored training config: {exc}") from None
-        if entry != _entry(class_id, offset, m, n, config):
-            raise FormatError(f"class {class_id}: training config is not the first class's "
-                              "with this class's seed")
-        values = np.frombuffer(reader.read(length - _RBM1_HEADER, f"arrays of class {class_id}"),
-                               dtype="<f8").copy()
-        weights, visible_bias, hidden_bias = np.split(values, [m * n, m * n + m])
+    if buf[: len(ENSEMBLE_MAGIC)] != ENSEMBLE_MAGIC:
+        raise FormatError(f"bad magic: expected {ENSEMBLE_MAGIC!r}")
+    if len(buf) < _HEADER + _ENTRY.size:
+        raise FormatError(f"truncated RBME1 file: {len(buf)} bytes hold no class entry")
+    (count,) = _COUNT.unpack_from(buf, len(ENSEMBLE_MAGIC))
+    first_id, _, _, _, m, _, *fields = _ENTRY.unpack_from(buf, _HEADER)
+    stored = dict(zip(_CONFIG_FIELDS, fields))
+    n = stored["hidden_units"]
+    size = _HEADER + count * (_ENTRY.size + 8 * (m * n + m + n))
+    if len(buf) != size:
+        raise FormatError(f"{count} classes of {m} x {n} weights take {size} bytes, got {len(buf)}")
+    try:
+        config = TrainConfig(**{**stored, "seed": class_seed(stored["seed"], first_id)})
+    except ValidationError as exc:
+        raise FormatError(f"class {first_id}: stored training config: {exc}") from None
+    layout = np.dtype([("entry", f"V{_ENTRY.size}"), ("weights", "<f8", (m, n)),
+                       ("visible_bias", "<f8", (m,)), ("hidden_bias", "<f8", (n,))])
+    classes, models, offsets = [], [], []
+    for record in np.frombuffer(buf, layout, count, _HEADER):
+        class_id, offset, *got = _ENTRY.unpack(record["entry"].tobytes())
+        want = _ENTRY.unpack(_entry(class_id, offset, m, config))[2:]
+        # the config refuses NaN, so want holds none and reprs differ exactly where bytes do
+        for name, value, expected in zip(_CHECKED_FIELDS, got, want):
+            if repr(value) != repr(expected):
+                raise FormatError(f"class {class_id}: {name}={value!r}, expected {expected!r}")
+        try:  # the view is read-only and unaligned, so each array is copied out
+            models.append(RbmParams(*(record[name].copy() for name in _ARRAYS)))
+        except ValidationError as exc:
+            raise FormatError(f"class {class_id}: {exc}") from None
         classes.append(class_id)
         offsets.append(offset)
-        models.append(RbmParams(weights.reshape(m, n), visible_bias, hidden_bias))
-    reader.finish()
-    return ClassEnsemble(classes=classes, models=models, offsets=np.array(offsets), config=config)
+    try:
+        return ClassEnsemble(classes, models, np.array(offsets), config)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def save_ensemble(path, ensemble):
@@ -423,5 +411,9 @@ def save_ensemble(path, ensemble):
 
 
 def load_ensemble(path):
-    """Read an RBME1 file back into a ClassEnsemble."""
-    return ensemble_from_bytes(Path(path).read_bytes())
+    """Read an RBME1 file back into a ClassEnsemble; a refusal is a FormatError naming path."""
+    buf = Path(path).read_bytes()
+    try:
+        return ensemble_from_bytes(buf)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None

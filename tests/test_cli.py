@@ -606,8 +606,7 @@ class TestEvaluate:
         model.write_bytes(bytes(blob))
         capsys.readouterr()
         assert run("evaluate", str(model), str(data)) == 2
-        assert capsys.readouterr().err == ("error: class 1: training config is not the first "
-                                           "class's with this class's seed\n")
+        assert capsys.readouterr().err == f"error: {model}: class 1: epochs=11, expected 10\n"
 
     @pytest.mark.parametrize("at, fmt, value, message", [
         (68, "<I", 0, "epochs must lie in"),
@@ -623,7 +622,23 @@ class TestEvaluate:
         capsys.readouterr()
         assert run("evaluate", str(model), str(data)) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: class 0: stored training config: {message}")
+            f"error: {model}: class 0: stored training config: {message}")
+
+    # each turns a trained model's bytes into a file the reader refuses
+    BROKEN_MODELS = {
+        "bad magic": lambda blob: b"RBMX1" + blob[5:],
+        "truncated": lambda blob: blob[:-5],
+        "nan weight": lambda blob: blob[:9 + 84] + struct.pack("<d", np.nan) + blob[9 + 84 + 8:],
+    }
+
+    @pytest.mark.parametrize("broken", BROKEN_MODELS)
+    def test_a_model_the_reader_refuses_is_usage_error_naming_the_file(self, tmp_path, capsys,
+                                                                        broken):
+        data, model = self.fitted_model(tmp_path)
+        model.write_bytes(self.BROKEN_MODELS[broken](model.read_bytes()))
+        capsys.readouterr()
+        assert run("evaluate", str(model), str(data)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: ")
 
     def test_non_binary_test_data_is_usage_error(self, tmp_path):
         data, model = self.fitted_model(tmp_path)

@@ -1,6 +1,7 @@
 """Model file format: RBME1 ensembles and their per-class RBM1 blocks round-trip bit-exactly,
 and a block that disagrees with the rest of the file is refused."""
 
+import re
 import struct
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestRbmFormat:
         blob = bytearray(ensemble_to_bytes(ensemble))
         at = entry_starts(ensemble)[1] + BLOCK_AT
         blob[at:at + 4] = b"NOPE"
-        with pytest.raises(FormatError, match="class 5: bad magic"):
+        with pytest.raises(FormatError, match=re.escape("class 5: magic=b'NOPE', expected b'RBM1'")):
             ensemble_from_bytes(bytes(blob))
 
     def test_rejects_truncation(self):
@@ -88,11 +89,9 @@ class TestRbmFormat:
         blob = bytearray(ensemble_to_bytes(ensemble))
         at = entry_starts(ensemble)[0] + OFFSET_AT + 8
         struct.pack_into("<Q", blob, at, struct.unpack_from("<Q", blob, at)[0] - 8)
-        with pytest.raises(FormatError, match="class 0: an RBM1 block of 172 bytes does not "
-                                              "hold 3 x 3 weights for hidden_units=3"):
+        with pytest.raises(FormatError, match="class 0: length=172, expected 180"):
             ensemble_from_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="truncated RBME1 block while reading arrays of "
-                                              "class 5"):
+        with pytest.raises(FormatError, match="2 classes of 3 x 3 weights take 417 bytes, got 412"):
             ensemble_from_bytes(ensemble_to_bytes(ensemble)[:-5])
 
     def test_rejects_trailing_garbage(self):
@@ -101,16 +100,14 @@ class TestRbmFormat:
         blob = bytearray(ensemble_to_bytes(ensemble))
         at = entry_starts(ensemble)[1] + OFFSET_AT + 8
         struct.pack_into("<Q", blob, at, struct.unpack_from("<Q", blob, at)[0] + 1)
-        with pytest.raises(FormatError, match="class 5: an RBM1 block of 125 bytes does not "
-                                              "hold 2 x 2 weights"):
+        with pytest.raises(FormatError, match="2 classes of 2 x 2 weights take 305 bytes, got 306"):
             ensemble_from_bytes(bytes(blob) + b"x")
 
     def test_rejects_width_that_disagrees_with_hidden_units(self):
         ensemble = two_class_ensemble(RbmParams(np.ones((2, 3)), np.zeros(2), np.zeros(3)))
         blob = bytearray(ensemble_to_bytes(ensemble))
         struct.pack_into("<I", blob, entry_starts(ensemble)[1] + HIDDEN_UNITS_AT, 7)
-        with pytest.raises(FormatError, match="class 5: an RBM1 block of 148 bytes does not "
-                                              "hold 2 x 3 weights for hidden_units=7"):
+        with pytest.raises(FormatError, match="class 5: hidden_units=7, expected 3"):
             ensemble_from_bytes(bytes(blob))
 
     def test_refuses_to_write_width_that_disagrees_with_hidden_units(self):
@@ -182,12 +179,12 @@ class TestEnsembleFormat:
 
     def test_rejects_truncation(self):
         blob = ensemble_to_bytes(self._ensemble())
-        with pytest.raises(FormatError, match="truncated RBME1"):
+        with pytest.raises(FormatError, match="2 classes of 6 x 4 weights take 721 bytes, got 711"):
             ensemble_from_bytes(blob[:-10])
 
     def test_rejects_trailing_garbage(self):
         blob = ensemble_to_bytes(self._ensemble())
-        with pytest.raises(FormatError, match="trailing bytes after RBME1"):
+        with pytest.raises(FormatError, match="2 classes of 6 x 4 weights take 721 bytes, got 722"):
             ensemble_from_bytes(blob + b"x")
 
     def test_stores_each_class_seed_and_recovers_the_base_seed(self):
@@ -198,24 +195,58 @@ class TestEnsembleFormat:
         assert stored == [class_seed(11, 0), class_seed(11, 5)]
         assert ensemble_from_bytes(blob).config.seed == 11
 
-    # a field of class 5's entry: its place in the entry, its format and a value that disagrees
+    # a field of class 5's entry: its place in the entry, its format, a value that disagrees
+    # and the refusal; a changed id is read as class 6 with class 5's seed
     DISAGREEING = {
-        "class id": (0, "<q", 6),
-        "learning rate": (BLOCK_AT + 12, "<d", 0.2),
-        "epochs": (HIDDEN_UNITS_AT - 4, "<I", 4),
-        "seed": (SEED_AT, "<Q", class_seed(12, 5)),
+        "class id": (0, "<q", 6, f"class 6: seed={class_seed(11, 5)}, "
+                                 f"expected {class_seed(11, 6)}"),
+        "learning rate": (BLOCK_AT + 12, "<d", 0.2, "class 5: learning_rate=0.2, expected 0.1"),
+        "epochs": (HIDDEN_UNITS_AT - 4, "<I", 4, "class 5: epochs=4, expected 3"),
+        "seed": (SEED_AT, "<Q", class_seed(12, 5), f"class 5: seed={class_seed(12, 5)}, "
+                                                   f"expected {class_seed(11, 5)}"),
     }
 
     @pytest.mark.parametrize("field", DISAGREEING)
     def test_refuses_a_block_whose_config_is_not_the_base_config(self, field):
         ensemble = self._ensemble()
         blob = bytearray(ensemble_to_bytes(ensemble))
-        at, fmt, value = self.DISAGREEING[field]
+        at, fmt, value, message = self.DISAGREEING[field]
         struct.pack_into(fmt, blob, entry_starts(ensemble)[1] + at, value)
-        class_id = 6 if field == "class id" else 5
-        with pytest.raises(FormatError, match=f"class {class_id}: training config is not the "
-                                              "first class's with this class's seed"):
+        with pytest.raises(FormatError, match=f"^{message}$"):
             ensemble_from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("array, at", [("weights", 0), ("hidden_bias", 8 * (6 * 4 + 6))],
+                             ids=["weights", "hidden_bias"])
+    def test_a_non_finite_array_is_a_format_error_naming_its_class(self, array, at):
+        ensemble = self._ensemble()
+        blob = bytearray(ensemble_to_bytes(ensemble))
+        struct.pack_into("<d", blob, entry_starts(ensemble)[1] + ARRAYS_AT + at, np.nan)
+        with pytest.raises(FormatError, match=f"^class 5: {array} must have finite entries$"):
+            ensemble_from_bytes(bytes(blob))
+
+    def test_a_non_finite_offset_is_a_format_error(self):
+        ensemble = self._ensemble()
+        blob = bytearray(ensemble_to_bytes(ensemble))
+        struct.pack_into("<d", blob, entry_starts(ensemble)[1] + OFFSET_AT, np.inf)
+        with pytest.raises(FormatError, match="^offsets must have finite entries$"):
+            ensemble_from_bytes(bytes(blob))
+
+    def test_blocks_that_disagree_on_width_are_a_format_error(self):
+        # each block is whole for its own width m, taking 84 + 8 * (2m + 1) bytes
+        rng = np.random.default_rng(2)
+        config = TrainConfig(epochs=1, hidden_units=1, seed=11)
+        blocks = []
+        for class_id, m in [(0, 2), (5, 3), (7, 1)]:
+            ensemble = ClassEnsemble(classes=[class_id, 99], models=[random_params(rng, m, 1)] * 2,
+                                     offsets=np.zeros(2), config=config)
+            blocks.append(ensemble_to_bytes(ensemble)[FILE_HEADER:][: 84 + 8 * (2 * m + 1)])
+        # the file length follows block 0's width
+        with pytest.raises(FormatError, match="^2 classes of 2 x 1 weights take 257 bytes, "
+                                              "got 273$"):
+            ensemble_from_bytes(b"RBME1" + struct.pack("<I", 2) + b"".join(blocks[:2]))
+        # widths 2, 3 and 1 fill three width-2 blocks, so class 5's entry is the one refused
+        with pytest.raises(FormatError, match="^class 5: length=116, expected 100$"):
+            ensemble_from_bytes(b"RBME1" + struct.pack("<I", 3) + b"".join(blocks))
 
     # a field of class 0's entry, which gives the base config: its place, format and a
     # value TrainConfig refuses
