@@ -80,6 +80,10 @@ _OPTION_KEYS = {
 # Extra flag spellings, by option key.
 _ALIASES = {"learning_rate": "--lr", "hidden_units": "--hidden"}
 
+# The sidecar holds exactly these keys, in this order, and no others.
+_SIDECAR_KEYS = ("sidecar_version", "alpha", "min", "max")
+_SIDECAR_VERSION = "2"
+
 
 def _parse_alpha(token):
     """Threshold fraction from a decimal or a/b fraction token."""
@@ -112,6 +116,11 @@ def _read_kv_file(path):
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
     return pairs
+
+
+def _write_kv_file(path, pairs):
+    """Write (key, value) pairs as key=value lines, the layout _read_kv_file reads."""
+    Path(path).write_text("".join(f"{key}={value}\n" for key, value in pairs), encoding="utf-8")
 
 
 def _parse(kind, text, path, key):
@@ -165,13 +174,13 @@ class _Options:
             f.name: self._resolve(key, kind, f.default) for key, f, kind in _dataclass_options(cls)
         })
 
-    def finish(self, inputs, outputs, notes=()):
+    def finish(self, inputs, outputs):
         """Refuse unread config keys and colliding paths; keep the manifest record.
 
         Runs before any input is read. An output may not name the same file (see _file_key)
         as an input, the config file, another output or the manifest beside the first output.
-        With outputs, self.record becomes (inputs, outputs, notes) for the manifest main
-        writes; without, it stays None.
+        With outputs, self.record becomes (inputs, outputs) for the manifest main writes;
+        without, it stays None.
         """
         unread = [key for key in self._file if key not in self.effective]
         if unread:
@@ -189,7 +198,7 @@ class _Options:
             if key in seen:
                 raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
             seen[key] = f"{role} {path}"
-        self.record = inputs, outputs, notes
+        self.record = inputs, outputs
 
 
 def _file_key(path):
@@ -201,10 +210,6 @@ def _file_key(path):
     return stat.st_dev, stat.st_ino
 
 
-def _fmt(value):
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -213,22 +218,49 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(command, argv, effective, inputs, outputs, notes):
+def _write_manifest(command, argv, effective, inputs, outputs):
     """Write <first output>.manifest: the command, its effective config, every file's digest."""
-    lines = [
-        "manifest_version=1",
-        f"tool=spectral-rbm {__version__}",
-        f"command={command}",
-        f"argv={shlex.join(argv)}",
-        f"timestamp_utc={datetime.now(timezone.utc).isoformat()}",
+    pairs = [
+        ("manifest_version", 1),
+        ("tool", f"spectral-rbm {__version__}"),
+        ("command", command),
+        ("argv", shlex.join(argv)),
+        ("timestamp_utc", datetime.now(timezone.utc).isoformat()),
     ]
-    lines.extend(f"config.{key}={_fmt(effective[key])}" for key in sorted(effective))
+    pairs.extend((f"config.{key}", effective[key]) for key in sorted(effective))
     for name, path in inputs:
-        lines += [f"input.{name}.path={path}", f"input.{name}.sha256={_sha256(path)}"]
+        pairs += [(f"input.{name}.path", path), (f"input.{name}.sha256", _sha256(path))]
     for name, path in outputs:
-        lines += [f"output.{name}={path}", f"output.{name}.sha256={_sha256(path)}"]
-    lines.extend(notes)
-    Path(f"{outputs[0][1]}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pairs += [(f"output.{name}", path), (f"output.{name}.sha256", _sha256(path))]
+    _write_kv_file(f"{outputs[0][1]}.manifest", pairs)
+
+
+def _read_sidecar(path):
+    """(rule, lo, hi) from a sidecar holding exactly _SIDECAR_KEYS, its version checked first.
+
+    Test-time convention: binarize cuts every new row against the pooled training
+    statistics, whatever scope produced them, so the rule carries only alpha.
+    """
+    stats = _read_kv_file(path)
+    if stats.get("sidecar_version", _SIDECAR_VERSION) != _SIDECAR_VERSION:
+        raise FormatError(f"{path}: sidecar_version={stats['sidecar_version']} is not supported, "
+                          f"expected {_SIDECAR_VERSION}")
+    missing = [key for key in _SIDECAR_KEYS if key not in stats]
+    if missing:
+        raise FormatError(f"{path}: missing sidecar key {missing[0]!r}")
+    unknown = [key for key in stats if key not in _SIDECAR_KEYS]
+    if unknown:
+        raise FormatError(f"{path}: unknown sidecar key {unknown[0]!r}")
+    alpha, lo, hi = (_parse(float, stats[key], path, key) for key in _SIDECAR_KEYS[1:])
+    try:
+        rule = BinarizationRule(alpha)
+        check_real("min", lo)
+        check_real("max", hi)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: sidecar {exc}") from None
+    if lo > hi:
+        raise FormatError(f"{path}: sidecar min={lo!r} exceeds max={hi!r}")
+    return rule, lo, hi
 
 
 def _require_binary_features(ds, source):
@@ -259,40 +291,14 @@ def _cmd_preprocess(args, opts):
         if args.alpha is not None or args.scope is not None or args.sidecar is not None:
             raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
                                   "reads its statistics from the given sidecar and writes none")
-        opts.finish(
-            [("dataset", args.input), ("sidecar", args.reuse_stats)], [("dataset", args.out)],
-            ("note.binarization=reused pooled training statistics from sidecar",),
-        )
-        stats = _read_kv_file(args.reuse_stats)
-        for key in ("sidecar_version", "alpha", "min", "max"):
-            if key not in stats:
-                raise FormatError(f"{args.reuse_stats}: missing sidecar key {key!r}")
-        if stats["sidecar_version"] != "1":
-            raise FormatError(
-                f"{args.reuse_stats}: sidecar_version={stats['sidecar_version']} is not supported, "
-                "expected 1"
-            )
-        alpha, lo, hi = (
-            _parse(float, stats[key], args.reuse_stats, key) for key in ("alpha", "min", "max")
-        )
-        try:
-            # test-time convention: binarize cuts every new row against the pooled
-            # training statistics, whatever scope produced them; the rule gives alpha
-            rule = BinarizationRule(alpha)
-            check_real("min", lo)
-            check_real("max", hi)
-        except ValidationError as exc:
-            raise FormatError(f"{args.reuse_stats}: sidecar {exc}") from None
-        if lo > hi:
-            raise FormatError(f"{args.reuse_stats}: sidecar min={lo!r} exceeds max={hi!r}")
-        opts.effective.update({"alpha": alpha, "min": lo, "max": hi})
+        opts.finish([("dataset", args.input), ("sidecar", args.reuse_stats)],
+                    [("dataset", args.out)])
+        rule, lo, hi = _read_sidecar(args.reuse_stats)
+        opts.effective.update({"alpha": rule.alpha, "min": lo, "max": hi})
     else:
         rule = BinarizationRule(_parse_alpha(opts.get("alpha")), opts.get("scope"))
         sidecar_path = args.sidecar or f"{args.out}.sidecar"
-        opts.finish(
-            [("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)],
-            ("note.test_time_binarization=apply the sidecar's pooled min/max via --reuse-stats",),
-        )
+        opts.finish([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)])
         opts.effective["alpha"] = rule.alpha
 
     ds = load_csv(args.input, label_column)
@@ -300,21 +306,14 @@ def _cmd_preprocess(args, opts):
     if args.reuse_stats:
         binary = binarize(normalized, rule, lo, hi)
     else:
-        binary, stats = binarize_dataset(normalized, ds.labels, rule)
+        binary, (lo, hi) = binarize_dataset(normalized, ds.labels, rule)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
 
     if args.reuse_stats:
         print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
         return
 
-    sidecar_lines = [
-        "sidecar_version=1",
-        f"alpha={rule.alpha!r}",
-        f"scope={rule.scope}",
-        "test_time_stats=pooled-train-minmax",
-    ]
-    sidecar_lines.extend(f"{key}={value!r}" for key, value in stats)
-    Path(sidecar_path).write_text("\n".join(sidecar_lines) + "\n", encoding="utf-8")
+    _write_kv_file(sidecar_path, zip(_SIDECAR_KEYS, (_SIDECAR_VERSION, rule.alpha, lo, hi)))
     print(f"binarized {ds.sample_count} rows (alpha={rule.alpha:g}, scope={rule.scope}) "
           f"-> {args.out}")
 
@@ -352,8 +351,7 @@ def _cmd_evaluate(args, opts):
     report = evaluate(predictions, ds.labels)
     print(report.to_text())
     if args.out:
-        text = "".join(f"{key}={value}\n" for key, value in report.to_flat())
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_kv_file(args.out, report.to_flat())
 
 
 def _cmd_sweep_alpha(args, opts):

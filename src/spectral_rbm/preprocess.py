@@ -9,8 +9,8 @@ rest become 1, so the maximum always survives as a 1.
 The scope on a BinarizationRule says which matrix the (min, max) pair is
 taken over in a labeled dataset: "per-class" means each class block
 supplies its own statistics, "global" means one pooled pair for everything.
-binarize_dataset carries that policy out and returns the statistics it
-used; the pooled pair is what new data is binarized with at test time.
+binarize_dataset carries that policy out and returns the pooled pair,
+which new data is binarized with at test time whatever the scope.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError, check_labels, check_real, check_rows
 
-# The binarization scopes, spelled as the CLI flag, the config file and the sidecar spell them.
+# The binarization scopes, spelled as the CLI flag and the config file spell them.
 SCOPES = ("per-class", "global")
 
 
@@ -75,23 +75,19 @@ def binarize(matrix, rule, lo, hi):
 
 
 def binarize_dataset(normalized, labels, rule):
-    """Binarize labeled rows under rule.scope; returns (binary, stats).
+    """Binarize labeled rows under rule.scope; returns (binary, (lo, hi)).
 
     "per-class" cuts each class against its own (min, max), "global" every
-    row against the pooled pair. stats holds the (key, value) pairs for the
-    sidecar: pooled "min" and "max" (what test data is cut with, whatever
-    the scope), then "class.<id>.min"/"max" per ascending id under "per-class".
+    row against the pooled pair. (lo, hi) is that pooled pair,
+    minmax(normalized), whatever the scope: what test data is cut with.
     """
     normalized = check_rows("normalized", normalized)
     labels = check_labels("labels", labels, normalized.shape[0])
-    pooled_lo, pooled_hi = minmax(normalized)
-    stats = [("min", pooled_lo), ("max", pooled_hi)]
+    pooled = minmax(normalized)
     if rule.scope == "global":
-        return binarize(normalized, rule, pooled_lo, pooled_hi), stats
+        return binarize(normalized, rule, *pooled), pooled
     binary = np.empty_like(normalized)
     for c in np.unique(labels):
         idx = labels == c
-        lo, hi = minmax(normalized[idx])
-        binary[idx] = binarize(normalized[idx], rule, lo, hi)
-        stats += [(f"class.{int(c)}.min", lo), (f"class.{int(c)}.max", hi)]
-    return binary, stats
+        binary[idx] = binarize(normalized[idx], rule, *minmax(normalized[idx]))
+    return binary, pooled

@@ -17,6 +17,7 @@ from nan_faults import nan_on_all_ones_rows, one_all_ones_row_datasets
 from spectral_rbm import __version__, cli
 from spectral_rbm.classifier import ClassEnsemble, load_ensemble, save_ensemble
 from spectral_rbm.dataset import LabeledDataset, load_csv, save_csv
+from spectral_rbm.preprocess import minmax, normalize_rows
 from spectral_rbm.rbm import RbmParams, TrainConfig
 
 
@@ -102,31 +103,21 @@ class TestSynth:
 
 class TestPreprocess:
     def test_output_is_binary_with_sidecar(self, tmp_path):
+        # the sidecar holds the pooled pair alone, whatever the scope: it is all
+        # --reuse-stats cuts test rows with
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        out = tmp_path / "bin.csv"
-        code = run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4")
-        assert code == 0
-        ds = load_csv(out, "label")
-        assert np.all((ds.features == 0.0) | (ds.features == 1.0))
-        sidecar = kv(tmp_path / "bin.csv.sidecar")
-        assert sidecar["sidecar_version"] == "1"
-        assert float(sidecar["alpha"]) == 0.4
-        assert sidecar["scope"] == "per-class"
-        assert sidecar["test_time_stats"] == "pooled-train-minmax"
-        assert float(sidecar["min"]) <= float(sidecar["max"])
-        assert "class.0.min" in sidecar
-        assert "class.1.max" in sidecar
-
-    def test_global_scope_sidecar_has_no_class_stats(self, tmp_path):
-        raw = tmp_path / "raw.csv"
-        write_raw_csv(raw)
-        out = tmp_path / "bin.csv"
-        assert run("preprocess", str(raw), "--out", str(out),
-                   "--scope", "global") == 0
-        sidecar = kv(tmp_path / "bin.csv.sidecar")
-        assert sidecar["scope"] == "global"
-        assert not any(key.startswith("class.") for key in sidecar)
+        lo, hi = minmax(normalize_rows(load_csv(raw, "label").features))
+        for scope in ("per-class", "global"):
+            out = tmp_path / f"{scope}.csv"
+            code = run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4",
+                       "--scope", scope)
+            assert code == 0
+            ds = load_csv(out, "label")
+            assert np.all((ds.features == 0.0) | (ds.features == 1.0))
+            assert Path(f"{out}.sidecar").read_text() == (
+                f"sidecar_version=2\nalpha=0.4\nmin={lo!r}\nmax={hi!r}\n"
+            )
 
     def test_fraction_alpha_token(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -201,20 +192,32 @@ class TestPreprocess:
                        "--reuse-stats", sidecar, *extra)
             assert code == 2
 
-    def test_reuse_stats_rejects_incomplete_sidecar(self, tmp_path):
+    def test_reuse_stats_rejects_incomplete_sidecar(self, tmp_path, capsys, monkeypatch):
+        # a sidecar holds exactly the four keys --reuse-stats reads, checked before the CSV
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        bad = tmp_path / "bad.sidecar"
-        bad.write_text("sidecar_version=1\nalpha=0.5\n")
-        code = run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
-                   "--reuse-stats", str(bad))
-        assert code == 2
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        bad, out = tmp_path / "bad.sidecar", tmp_path / "o.csv"
+        # the v1 layout: scope, test_time_stats and per-class min/max lines beside the pooled pair
+        v1 = ("sidecar_version=1\nalpha=0.4\nscope=per-class\ntest_time_stats=pooled-train-minmax\n"
+              "min=0.1\nmax=0.9\nclass.0.min=0.1\nclass.0.max=0.8\n")
+        for text, message in [
+            ("sidecar_version=2\nalpha=0.5\n", "missing sidecar key 'min'"),
+            (v1, "sidecar_version=1 is not supported, expected 2"),
+            ("sidecar_version=2\nalpha=0.5\nmin=0.1\nmax=0.9\nscope=global\n",
+             "unknown sidecar key 'scope'"),
+        ]:
+            bad.write_text(text)
+            assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+            assert called == [] and not out.exists()
 
     @pytest.mark.parametrize("key", ["alpha", "min", "max"])
     def test_reuse_stats_rejects_non_numeric_value(self, tmp_path, capsys, key):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        stats = {"sidecar_version": "1", "alpha": "0.5", "min": "0.1", "max": "0.9", key: "abc"}
+        stats = {"sidecar_version": "2", "alpha": "0.5", "min": "0.1", "max": "0.9", key: "abc"}
         bad = tmp_path / "bad.sidecar"
         bad.write_text("".join(f"{k}={v}\n" for k, v in stats.items()))
         code = run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
@@ -226,7 +229,7 @@ class TestPreprocess:
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         bad = tmp_path / "twice.sidecar"
-        bad.write_text("sidecar_version=1\nalpha=0.5\nmin=0.1\nmax=0.9\nmin=0.2\n")
+        bad.write_text("sidecar_version=2\nalpha=0.5\nmin=0.1\nmax=0.9\nmin=0.2\n")
         out = tmp_path / "o.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
         assert "'min' repeated" in capsys.readouterr().err
@@ -259,7 +262,7 @@ class TestPreprocess:
         code = run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
                    "--reuse-stats", str(bad))
         assert code == 2
-        assert "sidecar_version" in capsys.readouterr().err
+        assert "sidecar_version=99 is not supported, expected 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha, lo, hi, message", [
         ("0.5", "nan", "0.9", "sidecar min must be a finite real number, got nan"),
@@ -277,7 +280,7 @@ class TestPreprocess:
         called = []
         monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
         bad = tmp_path / "bad.sidecar"
-        bad.write_text(f"sidecar_version=1\nalpha={alpha}\nmin={lo}\nmax={hi}\n")
+        bad.write_text(f"sidecar_version=2\nalpha={alpha}\nmin={lo}\nmax={hi}\n")
         out = tmp_path / "o.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
@@ -788,14 +791,11 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
          lambda: wrote("dataset", data)),
         (("preprocess", str(raw), "--out", str(binary)),
          ("alpha", "label_column", "scope"),
-         lambda: [*read("dataset", raw), *wrote("dataset", binary), *wrote("sidecar", sidecar),
-                  ("note.test_time_binarization",
-                   "apply the sidecar's pooled min/max via --reuse-stats")]),
+         lambda: [*read("dataset", raw), *wrote("dataset", binary), *wrote("sidecar", sidecar)]),
         (("preprocess", str(test_raw), "--out", str(test_binary), "--reuse-stats", str(sidecar)),
          ("alpha", "label_column", "max", "min"),
          lambda: [*read("dataset", test_raw), *read("sidecar", sidecar),
-                  *wrote("dataset", test_binary),
-                  ("note.binarization", "reused pooled training statistics from sidecar")]),
+                  *wrote("dataset", test_binary)]),
         (("train", str(binary), "--out", str(model), *TINY_TRAIN),
          TRAIN_KEYS,
          lambda: [*read("dataset", binary), *wrote("model", model)]),
@@ -825,6 +825,21 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
     assert run("evaluate", str(model), str(test_binary)) == 0
     assert run("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN) == 0
     assert set(tmp_path.iterdir()) == before
+    capsys.readouterr()
+
+
+def test_key_value_outputs_read_back_through_the_cli_reader(tmp_path, capsys):
+    """The sidecar, the manifests and evaluate's report: one writer, and _read_kv_file reads
+    each back line for line, with no key repeated or stripped."""
+    raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
+    model, report = tmp_path / "model.rbme", tmp_path / "report.txt"
+    write_raw_csv(raw, rows=16, dim=5)
+    assert run("preprocess", str(raw), "--out", str(binary)) == 0
+    assert run("train", str(binary), "--out", str(model), *TINY_TRAIN) == 0
+    assert run("evaluate", str(model), str(binary), "--out", str(report)) == 0
+    for path in (f"{binary}.sidecar", f"{binary}.manifest", report, f"{report}.manifest"):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        assert list(cli._read_kv_file(path).items()) == [tuple(line.split("=", 1)) for line in lines]
     capsys.readouterr()
 
 
@@ -887,7 +902,7 @@ def test_non_utf8_file_is_usage_error_naming_it(tmp_path, capsys, kind):
         bad.write_bytes(b"epochs=1\n\xe9=2\n")
         argv = ("train", str(data), *TINY_TRAIN[:2], "--config", str(bad))
     else:
-        bad.write_bytes(b"sidecar_version=1\nalpha=0.5\nmin=0\xe9\nmax=1\n")
+        bad.write_bytes(b"sidecar_version=2\nalpha=0.5\nmin=0\xe9\nmax=1\n")
         argv = ("preprocess", str(data), "--reuse-stats", str(bad))
     capsys.readouterr()
     assert run(*argv, "--out", str(out)) == 2

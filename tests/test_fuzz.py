@@ -4,9 +4,11 @@ Each case mutates one input of a working run (raw CSV, binary CSV, sidecar,
 config file or model) with one byte edit and runs the command that
 reads it. A run exits 0 or 2; a refusal prints one `error: ` line with no
 traceback and leaves its output directory empty, since each of these commands
-reads and checks all of its input before its first write; and a model the
-reader refuses is refused naming the model file. The acceptance counts are
-printed per format, with no bound: a silent acceptance is a gap, not a fault.
+reads and checks all of its input before its first write; a model the
+reader refuses is refused naming the model file; and a sidecar that is
+accepted holds the same four keys as the original, so only a changed value
+gets through. The acceptance counts are printed per format, with no bound: a
+silent acceptance is a gap, not a fault.
 """
 
 import re
@@ -86,6 +88,9 @@ def test_mutated_inputs_exit_0_or_2_with_one_error_line(tmp_path, capsys, base, 
         assert code in (0, 2), where
         if code == 0:
             accepted += 1
+            if kind == "sidecar":
+                keys = list(cli._read_kv_file(case / name))
+                assert keys == list(cli._read_kv_file(base / name)), where
             continue
         assert re.fullmatch(r"error: [^\n]*\n", err), where
         assert list((case / "out").iterdir()) == [], where

@@ -96,10 +96,15 @@ def test_spectra_shape_ensemble_bytes():
 #
 # SHA-256 digests of the files the CLI writes, manifests aside (they carry a
 # timestamp). Recorded with numpy 2.4.6 on x86-64, like the model digests.
+#
+# The sidecar's digest was re-recorded when the sidecar became exactly the four
+# lines --reuse-stats reads (sidecar_version=2, alpha, min, max): the scope=,
+# test_time_stats= and per-class min/max lines went, and the version went 1 -> 2.
+# Its alpha and pooled min/max lines are unchanged, and so is every other digest.
 
 CHAIN_DIGESTS = {
     "train.bin.csv": "e15e925b10115a4fa50407b6c02d0098845dcb010c5d5b4022acdf5895fa71ba",
-    "train.bin.csv.sidecar": "e8d66e7a1b4a1c9f18bd78fec44a2f1ab2fe3d86f6a6f4794618d3aea8c4f482",
+    "train.bin.csv.sidecar": "d8bc203c86ce2fa4d316f13379616733b17d11a4933a92a686345c56196e67ca",
     "test.bin.csv": "953445fa558058672d1e2fdc6ad372b3c6c0b9d1eaf26d306ccb77d6b838d67a",
     "report.txt": "5b5fda36f95f157da4d0ef8f87f4ae834f370206423ed28ac30962559e18dda7",
 }

@@ -1,7 +1,8 @@
 """Package surface: __all__ matches the top-level names, errors.py defines and __all__
 exports three exception types, README's library example runs, numpy is the only
-third-party import, the model file has one reader and writer, every function and method
-has a caller in the package, and the names the benchmark's tests bind exist."""
+third-party import, the model file and the sidecar each have one reader and writer,
+every function and method has a caller in the package, and the names the benchmark's
+tests bind exist."""
 
 import ast
 import re
@@ -65,7 +66,8 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_only_classifier_handles_the_model_file():
-    # struct and the format's magics in a second module would mean a second reader or writer
+    # struct and the format's magics in a second module would mean a second reader or writer;
+    # the same holds for the sidecar, whose version key only cli may spell
     package = Path(spectral_rbm.__file__).parent
     marks = {
         path.name: {
@@ -73,12 +75,14 @@ def test_only_classifier_handles_the_model_file():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if (isinstance(node, ast.Import) and "struct" in [alias.name for alias in node.names])
             or (isinstance(node, ast.ImportFrom) and node.module == "struct")
-            or (isinstance(node, ast.Constant) and node.value in (b"RBM1", b"RBME1"))
+            or (isinstance(node, ast.Constant)
+                and node.value in (b"RBM1", b"RBME1", "sidecar_version"))
         }
         for path in sorted(package.glob("*.py"))
     }
     assert {name: found for name, found in marks.items() if found} == {
         "classifier.py": {"import struct", b"RBM1", b"RBME1"},
+        "cli.py": {"sidecar_version"},
     }
 
 

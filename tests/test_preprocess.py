@@ -179,9 +179,9 @@ class TestPreprocessPipeline:
 
     def test_two_entry_row(self):
         # [3, 4] normalizes to [0.6, 0.8]; threshold 0.7 cuts between them
-        got, stats = binarize_dataset(normalize_rows([[3.0, 4.0]]), [0], BinarizationRule(0.5))
+        got, pooled = binarize_dataset(normalize_rows([[3.0, 4.0]]), [0], BinarizationRule(0.5))
         np.testing.assert_array_equal(got, [[0.0, 1.0]])
-        assert stats == [("min", 0.6), ("max", 0.8), ("class.0.min", 0.6), ("class.0.max", 0.8)]
+        assert pooled == (0.6, 0.8)
 
     def test_alpha_near_one_keeps_the_maximum(self):
         rng = np.random.default_rng(9)
@@ -217,13 +217,12 @@ class TestBinarizeDataset:
         matrix[1::2] *= 3.0
         labels = np.arange(10) % 2
         rule = BinarizationRule(0.4)
-        got, stats = binarize_dataset(matrix, labels, rule)
-        expected_stats = [("min", minmax(matrix)[0]), ("max", minmax(matrix)[1])]
+        got, pooled = binarize_dataset(matrix, labels, rule)
         for c in (0, 1):
             lo, hi = minmax(matrix[labels == c])
             np.testing.assert_array_equal(got[labels == c], binarize(matrix[labels == c], rule, lo, hi))
-            expected_stats += [(f"class.{c}.min", lo), (f"class.{c}.max", hi)]
-        assert stats == expected_stats
+        # the pooled pair, not a class's, is what test rows are cut with
+        assert pooled == minmax(matrix) != minmax(matrix[labels == 0])
 
     def test_global_cuts_every_row_against_the_pooled_statistics(self):
         rng = np.random.default_rng(12)
@@ -231,17 +230,9 @@ class TestBinarizeDataset:
         labels = np.arange(9) % 3
         rule = BinarizationRule(0.6, "global")
         lo, hi = minmax(matrix)
-        got, stats = binarize_dataset(matrix, labels, rule)
+        got, pooled = binarize_dataset(matrix, labels, rule)
         np.testing.assert_array_equal(got, binarize(matrix, rule, lo, hi))
-        assert stats == [("min", lo), ("max", hi)]
-
-    def test_class_statistics_follow_ascending_class_ids(self):
-        matrix = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        _, stats = binarize_dataset(matrix, np.array([5, 2, 5, 2]), BinarizationRule(0.5))
-        assert [key for key, _ in stats] == [
-            "min", "max", "class.2.min", "class.2.max", "class.5.min", "class.5.max",
-        ]
-        assert dict(stats)["class.2.min"] == 3.0 and dict(stats)["class.5.max"] == 6.0
+        assert pooled == (lo, hi)
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValidationError):
