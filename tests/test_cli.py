@@ -119,6 +119,16 @@ class TestPreprocess:
                 f"sidecar_version=2\nalpha=0.4\nmin={lo!r}\nmax={hi!r}\n"
             )
 
+    def test_global_scope_sidecar_has_no_class_stats(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        out = tmp_path / "bin.csv"
+        assert run("preprocess", str(raw), "--out", str(out),
+                   "--scope", "global") == 0
+        assert kv(tmp_path / "bin.csv.manifest")["config.scope"] == "global"
+        sidecar = kv(tmp_path / "bin.csv.sidecar")
+        assert not any(key.startswith("class.") for key in sidecar)
+
     def test_fraction_alpha_token(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
