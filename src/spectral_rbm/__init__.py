@@ -19,7 +19,7 @@ from .classifier import (
 from .dataset import LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split, synth_generate
 from .errors import ConvergenceError, FormatError, ValidationError
 from .metrics import EvalReport, evaluate
-from .preprocess import BinarizationRule, binarize, binarize_dataset, normalize_rows
+from .preprocess import BinarizationRule, binarize, minmax, normalize_rows
 from .rbm import (
     RbmParams, TrainConfig, energy, exact_gibbs_kernel, exact_log_likelihood,
     exact_log_partition_function, free_energy_batch, train_rbm,
@@ -31,8 +31,8 @@ __all__ = [
     # pipeline
     "BinarizationRule", "ClassEnsemble", "EvalReport", "LabeledDataset", "OffsetFitConfig",
     "RbmParams", "SplitSpec", "SynthSpec", "TrainConfig",
-    "binarize", "binarize_dataset", "evaluate", "fit_offsets", "free_energy_batch",
-    "load_csv", "load_ensemble", "normalize_rows", "predict_label_batch", "predict_proba_batch",
+    "binarize", "evaluate", "fit_offsets", "free_energy_batch", "load_csv", "load_ensemble",
+    "minmax", "normalize_rows", "predict_label_batch", "predict_proba_batch",
     "save_csv", "save_ensemble", "split", "synth_generate", "train_ensemble", "train_rbm",
     # exact small-model oracles
     "energy", "exact_gibbs_kernel", "exact_log_likelihood", "exact_log_partition_function",

@@ -6,7 +6,7 @@ Subcommands:
 * ``preprocess``  normalize rows and binarize against a threshold fraction
 * ``train``       fit one RBM per class plus soft-max offsets
 * ``evaluate``    score a trained ensemble on a labeled test CSV
-* ``sweep-alpha`` run preprocess/split/train/evaluate across alpha values
+* ``sweep-alpha`` split once, then run preprocess/train/evaluate across alpha values
 
 Every option can also come from a ``--config`` key=value file; explicit
 flags win over the file, the file wins over built-in defaults, and a key
@@ -50,7 +50,7 @@ from .errors import (
     ConvergenceError, FormatError, ValidationError, check_real, is_binary, not_utf8,
 )
 from .metrics import evaluate
-from .preprocess import SCOPES, BinarizationRule, binarize, binarize_dataset, normalize_rows
+from .preprocess import BinarizationRule, binarize, minmax, normalize_rows
 from .rbm import TrainConfig
 
 EXIT_OK = 0
@@ -66,7 +66,6 @@ DEFAULT_ALPHA_GRID = ("1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4
 _CLI_DEFAULTS = {
     "alpha": "1/2",
     "alphas": ",".join(DEFAULT_ALPHA_GRID),
-    "scope": BinarizationRule.scope,
     "label_column": "label",
 }
 
@@ -236,11 +235,7 @@ def _write_manifest(command, argv, effective, inputs, outputs):
 
 
 def _read_sidecar(path):
-    """(rule, lo, hi) from a sidecar holding exactly _SIDECAR_KEYS, its version checked first.
-
-    Test-time convention: binarize cuts every new row against the pooled training
-    statistics, whatever scope produced them, so the rule carries only alpha.
-    """
+    """(rule, lo, hi) from a sidecar holding exactly _SIDECAR_KEYS, its version checked first."""
     stats = _read_kv_file(path)
     if stats.get("sidecar_version", _SIDECAR_VERSION) != _SIDECAR_VERSION:
         raise FormatError(f"{path}: sidecar_version={stats['sidecar_version']} is not supported, "
@@ -261,6 +256,15 @@ def _read_sidecar(path):
     if lo > hi:
         raise FormatError(f"{path}: sidecar min={lo!r} exceeds max={hi!r}")
     return rule, lo, hi
+
+
+def _normalized(ds, path):
+    """ds's rows scaled to unit length; an all-zero row is named by path and its data row from 1."""
+    zero = ~ds.features.any(axis=1)
+    if zero.any():
+        raise ValidationError(f"{path}: data row {int(zero.argmax()) + 1} is all zero and "
+                              "cannot be normalized")
+    return normalize_rows(ds.features)
 
 
 def _require_binary_features(ds, source):
@@ -288,25 +292,24 @@ def _cmd_synth(args, opts):
 def _cmd_preprocess(args, opts):
     label_column = opts.get("label_column")
     if args.reuse_stats:
-        if args.alpha is not None or args.scope is not None or args.sidecar is not None:
-            raise ValidationError("--alpha/--scope/--sidecar do not apply: --reuse-stats "
-                                  "reads its statistics from the given sidecar and writes none")
+        if args.alpha is not None or args.sidecar is not None:
+            raise ValidationError("--alpha/--sidecar do not apply: --reuse-stats reads its "
+                                  "statistics from the given sidecar and writes none")
         opts.finish([("dataset", args.input), ("sidecar", args.reuse_stats)],
                     [("dataset", args.out)])
         rule, lo, hi = _read_sidecar(args.reuse_stats)
         opts.effective.update({"alpha": rule.alpha, "min": lo, "max": hi})
     else:
-        rule = BinarizationRule(_parse_alpha(opts.get("alpha")), opts.get("scope"))
+        rule = BinarizationRule(_parse_alpha(opts.get("alpha")))
         sidecar_path = args.sidecar or f"{args.out}.sidecar"
         opts.finish([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)])
         opts.effective["alpha"] = rule.alpha
 
     ds = load_csv(args.input, label_column)
-    normalized = normalize_rows(ds.features)
-    if args.reuse_stats:
-        binary = binarize(normalized, rule, lo, hi)
-    else:
-        binary, (lo, hi) = binarize_dataset(normalized, ds.labels, rule)
+    normalized = _normalized(ds, args.input)
+    if not args.reuse_stats:
+        lo, hi = minmax(normalized)
+    binary = binarize(normalized, rule, lo, hi)
     save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
 
     if args.reuse_stats:
@@ -314,8 +317,7 @@ def _cmd_preprocess(args, opts):
         return
 
     _write_kv_file(sidecar_path, zip(_SIDECAR_KEYS, (_SIDECAR_VERSION, rule.alpha, lo, hi)))
-    print(f"binarized {ds.sample_count} rows (alpha={rule.alpha:g}, scope={rule.scope}) "
-          f"-> {args.out}")
+    print(f"binarized {ds.sample_count} rows (alpha={rule.alpha:g}) -> {args.out}")
 
 
 def _cmd_train(args, opts):
@@ -359,15 +361,14 @@ def _cmd_sweep_alpha(args, opts):
     tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
     if not tokens:
         raise ValidationError("no alpha values to sweep")
-    scope = opts.get("scope")
-    rules = [BinarizationRule(_parse_alpha(token), scope) for token in tokens]
+    rules = [BinarizationRule(_parse_alpha(token)) for token in tokens]
     config = opts.build(TrainConfig)
     fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
     opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
     ds = load_csv(args.input, label_column)
     labels, class_ids = ds.labels, ds.class_ids()
-    normalized = normalize_rows(ds.features)
+    normalized = _normalized(ds, args.input)
     del ds  # the raw features are not needed again
     # the split depends only on the labels and the seed, so every alpha shares one draw
     train_idx, test_idx = split_indices(labels, split_spec)
@@ -383,16 +384,22 @@ def _cmd_sweep_alpha(args, opts):
 
 
 def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config, fit):
-    """(accuracy, per-class recalls) of one alpha: binarize, train on train_idx, test on test_idx.
+    """(accuracy, per-class recalls) of one alpha: train on train_idx, test on test_idx.
 
-    Only the gathered rows outlive the binarized matrix, and nothing of this
-    alpha, its ensemble included, outlives the call.
+    This is the preprocess -> train -> preprocess --reuse-stats -> evaluate
+    chain on one split: the training rows are cut with their own min/max,
+    and the held-out rows with that same pair, so no held-out row shapes
+    the threshold. Only the gathered rows outlive the binarized training
+    matrix, and nothing of this alpha, its ensemble included, outlives the call.
     """
-    binary, _ = binarize_dataset(normalized, labels, rule)
+    train_rows = normalized[train_idx]
+    lo, hi = minmax(train_rows)
+    binary = binarize(train_rows, rule, lo, hi)
+    del train_rows
     train_labels = labels[train_idx]
-    class_rows = {c: binary[train_idx[train_labels == c]] for c in class_ids}
-    test_rows = binary[test_idx]
+    class_rows = {c: binary[train_labels == c] for c in class_ids}
     del binary
+    test_rows = binarize(normalized[test_idx], rule, lo, hi)
     ensemble = train_ensemble(class_rows, config, fit)
     predictions = predict_label_batch(test_rows, ensemble)
     # the split leaves every class a test row and the ensemble predicts only training
@@ -445,13 +452,10 @@ def build_parser():
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b "
                                      f"(default {_CLI_DEFAULTS['alpha']})")
-    pre.add_argument("--scope", choices=SCOPES,
-                     help="matrix the min/max statistics are taken over "
-                          f"(default {_CLI_DEFAULTS['scope']})")
     pre.add_argument("--sidecar", help="where to write the statistics sidecar "
                                        "(default <out>.sidecar)")
     pre.add_argument("--reuse-stats", dest="reuse_stats",
-                     help="binarize with pooled statistics from an existing sidecar "
+                     help="binarize with the training min/max from an existing sidecar "
                           "instead of computing new ones (test-time mode)")
     pre.set_defaults(func=_cmd_preprocess)
 
@@ -470,12 +474,10 @@ def build_parser():
     ev.set_defaults(func=_cmd_evaluate)
 
     sweep = sub.add_parser("sweep-alpha", parents=[labeled],
-                           help="binarize, split, train, evaluate across alpha values")
+                           help="split, binarize, train, evaluate across alpha values")
     sweep.add_argument("input", help="labeled CSV of raw features")
     sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
                                         f"(default {_CLI_DEFAULTS['alphas']})")
-    sweep.add_argument("--scope", choices=SCOPES,
-                       help=f"binarization statistics scope (default {_CLI_DEFAULTS['scope']})")
     sweep.add_argument("--out", help="also write the result table here")
     _add_dataclass_options(sweep, SplitSpec, TrainConfig, OffsetFitConfig)
     sweep.set_defaults(func=_cmd_sweep_alpha)

@@ -1,5 +1,5 @@
-"""Shared test helpers: random RBM parameters, per-class 0/1 datasets, and a patch that puts a
-NaN probability into CD-1."""
+"""Shared test helpers: random RBM parameters, per-class 0/1 datasets, synthetic raw spectra,
+and a patch that puts a NaN probability into CD-1."""
 
 from unittest import mock
 
@@ -29,6 +29,36 @@ def one_all_ones_row_datasets():
     datasets[0][:, 0] = datasets[2][:, 0] = 0.0
     datasets[1][1] = 1.0
     return datasets
+
+
+def spectra(seed, classes, rows, dim, noise):
+    """(features, labels) of rows per class of synthetic spectra, class-major.
+
+    Each class's template is a sloped baseline plus four Gaussian peaks, placed on
+    one grid interleaved by class and jittered by the seed. A row is its template
+    times a scale near 1, plus an offset near 0 and Gaussian noise of standard
+    deviation noise; the peaks are 0.5 to 2 high, so noise 0.2 keeps classes apart.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, dim)
+    grid = np.linspace(0.05, 0.95, 4 * classes).reshape(4, classes).T  # class c: grid[c]
+    centres = grid + rng.uniform(-0.2, 0.2, grid.shape) * 0.9 / (4 * classes - 1)
+    widths = rng.uniform(0.01, 0.03, grid.shape)
+    heights = rng.uniform(0.5, 2.0, grid.shape)
+    bumps = heights[..., None] * np.exp(-0.5 * ((x - centres[..., None]) / widths[..., None]) ** 2)
+    templates = 1.0 + 0.3 * x + bumps.sum(axis=1)
+    scale = rng.uniform(0.8, 1.2, (classes, rows, 1))
+    offset = rng.uniform(-0.1, 0.1, (classes, rows, 1))
+    features = scale * templates[:, None] + offset + noise * rng.standard_normal((classes, rows, dim))
+    return features.reshape(classes * rows, dim), np.repeat(np.arange(classes), rows)
+
+
+def write_raw_csv_text(path, features, labels):
+    """A labeled CSV of features written as repr text, independent of the package's writer."""
+    lines = [",".join([f"w{i + 1}" for i in range(features.shape[1])] + ["label"])]
+    lines += [",".join([*map(repr, row), str(label)])
+              for row, label in zip(features.tolist(), labels.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def nan_on_all_ones_rows(conditional):

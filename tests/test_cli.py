@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from nan_faults import nan_on_all_ones_rows, one_all_ones_row_datasets
+from nan_faults import (
+    nan_on_all_ones_rows, one_all_ones_row_datasets, spectra, write_raw_csv_text,
+)
 
 from spectral_rbm import __version__, cli
 from spectral_rbm.classifier import ClassEnsemble, load_ensemble, save_ensemble
-from spectral_rbm.dataset import LabeledDataset, load_csv, save_csv
+from spectral_rbm.dataset import LabeledDataset, SplitSpec, load_csv, save_csv, split_indices
 from spectral_rbm.preprocess import minmax, normalize_rows
 from spectral_rbm.rbm import RbmParams, TrainConfig
 
@@ -103,31 +105,57 @@ class TestSynth:
 
 class TestPreprocess:
     def test_output_is_binary_with_sidecar(self, tmp_path):
-        # the sidecar holds the pooled pair alone, whatever the scope: it is all
-        # --reuse-stats cuts test rows with
+        # the sidecar holds the rows' min/max alone: it is all --reuse-stats cuts test rows with
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         lo, hi = minmax(normalize_rows(load_csv(raw, "label").features))
-        for scope in ("per-class", "global"):
-            out = tmp_path / f"{scope}.csv"
-            code = run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4",
-                       "--scope", scope)
-            assert code == 0
-            ds = load_csv(out, "label")
-            assert np.all((ds.features == 0.0) | (ds.features == 1.0))
-            assert Path(f"{out}.sidecar").read_text() == (
-                f"sidecar_version=2\nalpha=0.4\nmin={lo!r}\nmax={hi!r}\n"
-            )
+        out = tmp_path / "bin.csv"
+        assert run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4") == 0
+        ds = load_csv(out, "label")
+        assert np.all((ds.features == 0.0) | (ds.features == 1.0))
+        assert Path(f"{out}.sidecar").read_text() == (
+            f"sidecar_version=2\nalpha=0.4\nmin={lo!r}\nmax={hi!r}\n"
+        )
 
     def test_global_scope_sidecar_has_no_class_stats(self, tmp_path):
+        # the one rule left is the old global scope: every row is cut with the pooled pair,
+        # and neither the sidecar nor the manifest names a scope or a class's statistics
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         out = tmp_path / "bin.csv"
-        assert run("preprocess", str(raw), "--out", str(out),
-                   "--scope", "global") == 0
-        assert kv(tmp_path / "bin.csv.manifest")["config.scope"] == "global"
+        assert run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4") == 0
+        normalized = normalize_rows(load_csv(raw, "label").features)
+        expected = np.where(normalized - normalized.min()
+                            < 0.4 * (normalized.max() - normalized.min()), 0.0, 1.0)
+        np.testing.assert_array_equal(load_csv(out, "label").features, expected)
+        assert "config.scope" not in kv(tmp_path / "bin.csv.manifest")
         sidecar = kv(tmp_path / "bin.csv.sidecar")
-        assert not any(key.startswith("class.") for key in sidecar)
+        assert not any(key.startswith("class.") or key == "scope" for key in sidecar)
+
+    @pytest.mark.parametrize("command", ["preprocess", "sweep-alpha"])
+    def test_scope_flag_and_config_key_are_gone(self, tmp_path, capsys, command):
+        # one binarization rule: a --scope flag is unknown to argparse, a scope= key unread
+        raw, out = tmp_path / "raw.csv", tmp_path / "o.txt"
+        write_raw_csv(raw)
+        config = tmp_path / "run.conf"
+        config.write_text("scope=global\n")
+        argv = (command, str(raw), "--out", str(out), *(() if command == "preprocess" else
+                                                       ("--alphas", "1/2", *TINY_TRAIN)))
+        for extra in (("--scope", "global"), ("--scope", "per-class"), ("--config", str(config))):
+            assert run(*argv, *extra) == 2
+            assert sorted(tmp_path.iterdir()) == sorted([raw, config])
+        assert f"{config}: key 'scope' is not an option this command reads" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["preprocess", "sweep-alpha"])
+    def test_an_all_zero_row_is_named_by_file_and_data_row(self, tmp_path, capsys, command):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("f1,f2,label\n1,2,0\n0,0,1\n3,1,0\n2,2,1\n")
+        out = tmp_path / "o.txt"
+        assert run(command, str(raw), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {raw}: data row 2 is all zero and cannot be normalized\n")
+        assert not out.exists()
 
     def test_fraction_alpha_token(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -246,7 +274,8 @@ class TestPreprocess:
         assert not out.exists()
 
     def test_reuse_stats_refuses_alpha_and_scope_config_keys(self, tmp_path, capsys):
-        # the same rule as the --alpha/--scope flags: the sidecar supplies the statistics
+        # the same rule as the --alpha flag: the sidecar supplies the statistics, and
+        # scope= is read by no command
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
@@ -706,14 +735,6 @@ class TestSweepAlpha:
         for alphas in ("1/2,banana", "1/5,1/4,bogus", "1/5,1.5"):
             assert run("sweep-alpha", str(raw), "--alphas", alphas,
                        "--hidden-units", "2", "--epochs", "1") == 2
-        # so is the scope from a config file, which argparse's choices do not see
-        for scope in ("per-matrix", "bogus"):
-            config = tmp_path / "sweep.cfg"
-            config.write_text(f"scope={scope}\n")
-            assert run("sweep-alpha", str(raw), "--config", str(config),
-                       "--hidden-units", "2", "--epochs", "1") == 2
-            assert run("preprocess", str(raw), "--out", str(tmp_path / "o.csv"),
-                       "--config", str(config)) == 2
         assert called == []
 
     def test_class_without_training_rows_is_usage_error(self, tmp_path, capsys):
@@ -727,6 +748,31 @@ class TestSweepAlpha:
         assert code == 2
         captured = capsys.readouterr()
         assert "class 2" in captured.err and captured.out == ""
+
+    def test_each_line_is_what_the_preprocess_train_evaluate_chain_gives(self, tmp_path, capsys):
+        # the sweep splits first, cuts the training rows with their own min/max and the
+        # held-out rows with that pair: the chain on the split's rows, in file order, gives
+        # the same report. Binarizing every row before the split did not (0.986 against 1.000)
+        features, labels = spectra(3, 4, 36, 30, 0.4)
+        raw = tmp_path / "raw.csv"
+        write_raw_csv_text(raw, features, labels)
+        training = ("--hidden-units", "8", "--epochs", "2", "--seed", "5")
+        assert run("sweep-alpha", str(raw), "--alphas", "2/5", "--split-seed", "1", *training) == 0
+        sweep_line = capsys.readouterr().out.splitlines()[1].split()
+        for name, rows in zip(("train", "test"), split_indices(labels, SplitSpec(seed=1))):
+            write_raw_csv_text(tmp_path / f"{name}.csv", features[rows], labels[rows])
+        t = tmp_path
+        for argv in [
+            ("preprocess", t / "train.csv", "--out", t / "train.bin.csv", "--alpha", "2/5"),
+            ("train", t / "train.bin.csv", "--out", t / "model.rbme", *training),
+            ("preprocess", t / "test.csv", "--out", t / "test.bin.csv",
+             "--reuse-stats", t / "train.bin.csv.sidecar"),
+            ("evaluate", t / "model.rbme", t / "test.bin.csv", "--out", t / "report.txt"),
+        ]:
+            assert run(*map(str, argv)) == 0
+        report = kv(t / "report.txt")
+        assert sweep_line == ["2/5"] + [f"{float(report[key]):.6f}" for key in
+                                        ("accuracy", "recall.0", "recall.1", "recall.2", "recall.3")]
 
     def test_deterministic_table(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
@@ -800,7 +846,7 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
          ("classes", "dim", "noise", "per_class", "seed", "separation"),
          lambda: wrote("dataset", data)),
         (("preprocess", str(raw), "--out", str(binary)),
-         ("alpha", "label_column", "scope"),
+         ("alpha", "label_column"),
          lambda: [*read("dataset", raw), *wrote("dataset", binary), *wrote("sidecar", sidecar)]),
         (("preprocess", str(test_raw), "--out", str(test_binary), "--reuse-stats", str(sidecar)),
          ("alpha", "label_column", "max", "min"),
@@ -814,7 +860,7 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
          lambda: [*read("model", model), *read("dataset", test_binary),
                   *wrote("report", report)]),
         (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN, "--out", str(table)),
-         tuple(sorted(TRAIN_KEYS + ("alphas", "scope", "split_seed", "train_fraction"))),
+         tuple(sorted(TRAIN_KEYS + ("alphas", "split_seed", "train_fraction"))),
          lambda: [*read("dataset", raw), *wrote("table", table)]),
     ]
     for argv, config_keys, records in cases:
@@ -1013,7 +1059,7 @@ class TestTracedPeak:
 
     8 classes x 200 rows x 200 features with 8 hidden units, a shape where
     the data, not the model, sets the peak. Each bound sits between the peak
-    with every matrix held once (about 3.5x for sweep-alpha, 2.4x for train)
+    with every matrix held once (about 3.3x for sweep-alpha, 2.4x for train)
     and the peak with one more full-size matrix alive through training (4.3x
     or more, and 3.4x).
     """

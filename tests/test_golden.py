@@ -109,7 +109,14 @@ CHAIN_DIGESTS = {
     "report.txt": "5b5fda36f95f157da4d0ef8f87f4ae834f370206423ed28ac30962559e18dda7",
 }
 
-SWEEP_DIGEST = "4ddf1b61eacd020dd818c48db58fb0d9769b7497efd8e7d2a2020840afe4dbbc"
+# The sweep's digest was re-recorded when sweep-alpha came to split before it
+# binarizes: the training rows are cut with their own min/max and the held-out
+# rows with that pair, as preprocess --reuse-stats cuts them, where before every
+# row was cut with its class's min/max over training and held-out rows together.
+# Its accuracies at alphas 1/4, 1/2 and 3/4 went from 0.65, 0.75, 0.65 to 0.50,
+# 0.70, 0.65. The chain's digests did not move: on its synth rows every class's
+# min/max equals the pooled pair, so the two rules give the same bits there.
+SWEEP_DIGEST = "fec69f3f3171e19482e90166370f6d1a60f48618960ae2caa4b4ac8690a232bc"
 
 
 def file_digest(path):

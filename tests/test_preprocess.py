@@ -1,17 +1,14 @@
-"""Preprocessing: row normalization, min/max statistics, threshold binarization by scope."""
+"""Preprocessing: row normalization, min/max statistics, threshold binarization."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import spectral_rbm
+from spectral_rbm import preprocess
 from spectral_rbm.errors import ValidationError
-from spectral_rbm.preprocess import (
-    SCOPES,
-    BinarizationRule,
-    binarize,
-    binarize_dataset,
-    minmax,
-    normalize_rows,
-)
+from spectral_rbm.preprocess import BinarizationRule, binarize, minmax, normalize_rows
 
 
 class TestL2Normalize:
@@ -165,75 +162,63 @@ class TestBinarizationRule:
             with pytest.raises(ValidationError):
                 BinarizationRule(alpha=bad)
 
-    def test_scope_values(self):
-        assert SCOPES == ("per-class", "global")
-        assert BinarizationRule(0.5, "global").scope == "global"
-        assert BinarizationRule(0.5).scope == "per-class"
-        for bad in ("per-matrix", "Global", None, 1, ("global",)):
-            with pytest.raises(ValidationError, match="scope must be one of"):
-                BinarizationRule(0.5, scope=bad)
+    def test_alpha_is_the_only_field(self):
+        # one binarization rule: the training rows' min/max cut every row, so no scope
+        assert [f.name for f in dataclasses.fields(BinarizationRule)] == ["alpha"]
+        assert not hasattr(preprocess, "SCOPES") and not hasattr(preprocess, "binarize_dataset")
+        assert "minmax" in spectral_rbm.__all__ and len(spectral_rbm.__all__) == 32
+        with pytest.raises(TypeError):
+            BinarizationRule(0.5, "global")
+
+
+def _binarize_rows(matrix, rule):
+    """The library's preprocessing pipeline on one matrix: normalize, minmax, binarize."""
+    normalized = normalize_rows(matrix)
+    lo, hi = minmax(normalized)
+    return binarize(normalized, rule, lo, hi), (lo, hi)
 
 
 class TestPreprocessPipeline:
-    """normalize_rows then binarize_dataset, the library's preprocessing pipeline."""
+    """normalize_rows, then binarize against minmax of the normalized rows."""
 
     def test_two_entry_row(self):
         # [3, 4] normalizes to [0.6, 0.8]; threshold 0.7 cuts between them
-        got, pooled = binarize_dataset(normalize_rows([[3.0, 4.0]]), [0], BinarizationRule(0.5))
+        got, pooled = _binarize_rows([[3.0, 4.0]], BinarizationRule(0.5))
         np.testing.assert_array_equal(got, [[0.0, 1.0]])
         assert pooled == (0.6, 0.8)
 
     def test_alpha_near_one_keeps_the_maximum(self):
         rng = np.random.default_rng(9)
-        labels = np.array([0, 1, 0, 1, 0, 1])
         for trial in range(10):
             matrix = rng.random((6, 7)) + 0.01
-            for scope in SCOPES:
-                got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(0.99, scope))
-                assert got.sum() >= 1.0
-            # per class, each class block keeps its own maximum
-            got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(0.99))
-            assert got[labels == 0].sum() >= 1.0 and got[labels == 1].sum() >= 1.0
+            got, _ = _binarize_rows(matrix, BinarizationRule(0.99))
+            assert got.ravel()[normalize_rows(matrix).argmax()] == 1.0
 
     def test_propagates_zero_row_error(self):
         matrix = np.ones((3, 4))
         matrix[1] = 0.0
         with pytest.raises(ValidationError, match="all-zero row 1"):
-            binarize_dataset(normalize_rows(matrix), [0, 1, 0], BinarizationRule(0.5))
+            _binarize_rows(matrix, BinarizationRule(0.5))
 
     def test_output_binary(self):
         rng = np.random.default_rng(10)
         matrix = rng.random((12, 9)) + 0.01
-        labels = np.arange(12) % 3
-        for scope in SCOPES:
-            got, _ = binarize_dataset(normalize_rows(matrix), labels, BinarizationRule(2.0 / 5.0, scope))
-            assert np.all((got == 0.0) | (got == 1.0))
+        got, _ = _binarize_rows(matrix, BinarizationRule(2.0 / 5.0))
+        assert np.all((got == 0.0) | (got == 1.0))
 
 
 class TestBinarizeDataset:
-    def test_per_matrix_cuts_each_class_against_its_own_statistics(self):
-        rng = np.random.default_rng(11)
-        matrix = rng.random((10, 4))
-        matrix[1::2] *= 3.0
-        labels = np.arange(10) % 2
-        rule = BinarizationRule(0.4)
-        got, pooled = binarize_dataset(matrix, labels, rule)
-        for c in (0, 1):
-            lo, hi = minmax(matrix[labels == c])
-            np.testing.assert_array_equal(got[labels == c], binarize(matrix[labels == c], rule, lo, hi))
-        # the pooled pair, not a class's, is what test rows are cut with
-        assert pooled == minmax(matrix) != minmax(matrix[labels == 0])
+    """A labeled dataset is binarized by the one rule: labels play no part in the cut."""
 
     def test_global_cuts_every_row_against_the_pooled_statistics(self):
         rng = np.random.default_rng(12)
         matrix = rng.random((9, 5))
-        labels = np.arange(9) % 3
-        rule = BinarizationRule(0.6, "global")
+        matrix[1::3] *= 3.0
+        rule = BinarizationRule(0.6)
         lo, hi = minmax(matrix)
-        got, pooled = binarize_dataset(matrix, labels, rule)
-        np.testing.assert_array_equal(got, binarize(matrix, rule, lo, hi))
-        assert pooled == (lo, hi)
-
-    def test_rejects_label_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            binarize_dataset(np.ones((3, 2)), [0, 1], BinarizationRule(0.5))
+        got = binarize(matrix, rule, lo, hi)
+        for row, expected in zip(matrix, got):
+            np.testing.assert_array_equal(binarize([row], rule, lo, hi)[0], expected)
+        # a class's own pair would cut differently: the pooled pair is not any class's
+        assert minmax(matrix[1::3]) != (lo, hi) != minmax(matrix[0::3])
+        np.testing.assert_array_equal(got, np.where(matrix - lo < 0.6 * (hi - lo), 0.0, 1.0))

@@ -18,7 +18,7 @@ from spectral_rbm.errors import ValidationError
 from spectral_rbm.markov import SeededRng
 from spectral_rbm.metrics import evaluate
 from spectral_rbm.preprocess import (
-    BinarizationRule, binarize, binarize_dataset, minmax, normalize_rows,
+    BinarizationRule, binarize, minmax, normalize_rows,
 )
 from spectral_rbm.rbm import (
     RbmParams, TrainConfig, cd1, energy, exact_log_likelihood, free_energy_batch, hidden_probs,
@@ -121,8 +121,6 @@ ARRAY_ARGUMENTS = {
     "normalize_rows": (ROWS, normalize_rows),
     "minmax": (ROWS, minmax),
     "binarize": (ROWS, lambda x: binarize(x, RULE, 0.0, 1.0)),
-    "binarize_dataset.normalized": (ROWS, lambda x: binarize_dataset(x, LABELS, RULE)),
-    "binarize_dataset.labels": (LABELS, lambda x: binarize_dataset(ROWS, x, RULE)),
     "evaluate.predicted": (LABELS, lambda x: evaluate(x, LABELS)),
     "evaluate.truth": (LABELS, lambda x: evaluate(LABELS, x)),
 }
