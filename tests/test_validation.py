@@ -121,6 +121,9 @@ ARRAY_ARGUMENTS = {
     "normalize_rows": (ROWS, normalize_rows),
     "minmax": (ROWS, minmax),
     "binarize": (ROWS, lambda x: binarize(x, RULE, 0.0, 1.0)),
+    # the dataset-level cut that replaced preprocess.binarize_dataset: the rows'
+    # own minmax, then binarize with that pair (the id keeps the old name)
+    "binarize_dataset.normalized": (ROWS, lambda x: binarize(x, RULE, *minmax(x))),
     "evaluate.predicted": (LABELS, lambda x: evaluate(x, LABELS)),
     "evaluate.truth": (LABELS, lambda x: evaluate(LABELS, x)),
 }
