@@ -67,10 +67,10 @@ class OffsetFitConfig:
     The fit returns once the infinity-norm of the mean log-likelihood's
     gradient is at most tolerance. Newton converges quadratically, so the
     step size and the step budget are fixed inside fit_offsets rather
-    than being options. The gradient is only computed to its rounding
-    floor (about 1e-16 on small tables), so a tolerance near machine
-    epsilon is met or missed by rounding: the same kind of data can then
-    converge or raise ConvergenceError.
+    than being options. train_ensemble, and so the CLI, always fits to the
+    default; a direct fit_offsets call may pass another. The gradient is
+    only computed to its rounding floor (about 1e-16 on small tables), so a
+    tolerance near machine epsilon is met or missed by rounding.
     """
 
     tolerance: float = 1e-8
@@ -228,7 +228,7 @@ def fit_offsets(free_energy_table, labels, fit=None):
     )
 
 
-def train_ensemble(datasets, config, fit=None):
+def train_ensemble(datasets, config):
     """Train one RBM per class and fit the soft-max offsets.
 
     datasets maps class id -> binary row matrix. Each class's RBM is
@@ -242,8 +242,9 @@ def train_ensemble(datasets, config, fit=None):
     last_iterate for non-finite parameters, a NaN probability included;
     its message starts with "class <id>: ". A failing group costs up to
     twice its training work. The offsets are then fitted on the pooled
-    training rows; a model that gives one of them a non-finite free
-    energy raises ConvergenceError naming the first such class.
+    training rows to OffsetFitConfig's default tolerance; a model that
+    gives one of them a non-finite free energy raises ConvergenceError
+    naming the first such class.
     """
     if len(datasets) < 2:
         raise ValidationError(f"need at least 2 classes, got {len(datasets)}")
@@ -261,7 +262,7 @@ def train_ensemble(datasets, config, fit=None):
 
     column_labels = np.repeat(np.arange(len(classes), dtype=np.int64), counts)
     table = _free_energy_table(pooled, classes, models, ConvergenceError)
-    offsets = fit_offsets(table, column_labels, fit)
+    offsets = fit_offsets(table, column_labels)
     return ClassEnsemble(classes=classes, models=models, offsets=offsets, config=config)
 
 

@@ -36,13 +36,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .classifier import (
-    OffsetFitConfig,
-    load_ensemble,
-    predict_label_batch,
-    save_ensemble,
-    train_ensemble,
-)
+from .classifier import load_ensemble, predict_label_batch, save_ensemble, train_ensemble
 from .dataset import (
     LabeledDataset, SplitSpec, SynthSpec, load_csv, save_csv, split_indices, synth_generate,
 )
@@ -71,7 +65,6 @@ _CLI_DEFAULTS = {
 
 # Option keys that differ from their dataclass field's name.
 _OPTION_KEYS = {
-    OffsetFitConfig: {"tolerance": "fit_tolerance"},
     SynthSpec: {"samples_per_class": "per_class"},
     SplitSpec: {"seed": "split_seed"},
 }
@@ -259,12 +252,11 @@ def _read_sidecar(path):
 
 
 def _normalized(ds, path):
-    """ds's rows scaled to unit length; an all-zero row is named by path and its data row from 1."""
-    zero = ~ds.features.any(axis=1)
-    if zero.any():
-        raise ValidationError(f"{path}: data row {int(zero.argmax()) + 1} is all zero and "
-                              "cannot be normalized")
-    return normalize_rows(ds.features)
+    """ds's rows scaled to unit length; a row normalize_rows refuses is named with path."""
+    try:
+        return normalize_rows(ds.features)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _require_binary_features(ds, source):
@@ -292,8 +284,8 @@ def _cmd_synth(args, opts):
 def _cmd_preprocess(args, opts):
     label_column = opts.get("label_column")
     if args.reuse_stats:
-        if args.alpha is not None or args.sidecar is not None:
-            raise ValidationError("--alpha/--sidecar do not apply: --reuse-stats reads its "
+        if args.alpha is not None:
+            raise ValidationError("--alpha does not apply: --reuse-stats reads its "
                                   "statistics from the given sidecar and writes none")
         opts.finish([("dataset", args.input), ("sidecar", args.reuse_stats)],
                     [("dataset", args.out)])
@@ -301,7 +293,7 @@ def _cmd_preprocess(args, opts):
         opts.effective.update({"alpha": rule.alpha, "min": lo, "max": hi})
     else:
         rule = BinarizationRule(_parse_alpha(opts.get("alpha")))
-        sidecar_path = args.sidecar or f"{args.out}.sidecar"
+        sidecar_path = f"{args.out}.sidecar"
         opts.finish([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)])
         opts.effective["alpha"] = rule.alpha
 
@@ -323,13 +315,12 @@ def _cmd_preprocess(args, opts):
 def _cmd_train(args, opts):
     label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
-    fit = opts.build(OffsetFitConfig)
     opts.finish([("dataset", args.input)], [("model", args.out)])
     ds = load_csv(args.input, label_column)
     _require_binary_features(ds, args.input)
     class_rows = ds.class_matrices()
     del ds  # training needs only the per-class copies
-    ensemble = train_ensemble(class_rows, config, fit)
+    ensemble = train_ensemble(class_rows, config)
     save_ensemble(args.out, ensemble)
     print(
         f"trained {len(ensemble.classes)} class models "
@@ -363,7 +354,6 @@ def _cmd_sweep_alpha(args, opts):
         raise ValidationError("no alpha values to sweep")
     rules = [BinarizationRule(_parse_alpha(token)) for token in tokens]
     config = opts.build(TrainConfig)
-    fit = opts.build(OffsetFitConfig)
     split_spec = opts.build(SplitSpec)
     opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
     ds = load_csv(args.input, label_column)
@@ -373,7 +363,7 @@ def _cmd_sweep_alpha(args, opts):
     # the split depends only on the labels and the seed, so every alpha shares one draw
     train_idx, test_idx = split_indices(labels, split_spec)
     results = [
-        (token, *_sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config, fit))
+        (token, *_sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config))
         for token, rule in zip(tokens, rules)
     ]
 
@@ -383,7 +373,7 @@ def _cmd_sweep_alpha(args, opts):
         Path(args.out).write_text(table + "\n", encoding="utf-8")
 
 
-def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config, fit):
+def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config):
     """(accuracy, per-class recalls) of one alpha: train on train_idx, test on test_idx.
 
     This is the preprocess -> train -> preprocess --reuse-stats -> evaluate
@@ -400,7 +390,7 @@ def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, confi
     class_rows = {c: binary[train_labels == c] for c in class_ids}
     del binary
     test_rows = binarize(normalized[test_idx], rule, lo, hi)
-    ensemble = train_ensemble(class_rows, config, fit)
+    ensemble = train_ensemble(class_rows, config)
     predictions = predict_label_batch(test_rows, ensemble)
     # the split leaves every class a test row and the ensemble predicts only training
     # classes, so the report's classes are every class id and every recall is defined
@@ -449,11 +439,10 @@ def build_parser():
     pre = sub.add_parser("preprocess", parents=[labeled],
                          help="l2-normalize rows and binarize features")
     pre.add_argument("input", help="labeled CSV of raw features")
-    pre.add_argument("--out", required=True, help="output CSV path")
+    pre.add_argument("--out", required=True, help="output CSV path; the sidecar goes to "
+                                                  "<out>.sidecar")
     pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b "
                                      f"(default {_CLI_DEFAULTS['alpha']})")
-    pre.add_argument("--sidecar", help="where to write the statistics sidecar "
-                                       "(default <out>.sidecar)")
     pre.add_argument("--reuse-stats", dest="reuse_stats",
                      help="binarize with the training min/max from an existing sidecar "
                           "instead of computing new ones (test-time mode)")
@@ -463,7 +452,7 @@ def build_parser():
                            help="train one RBM per class plus soft-max offsets")
     train.add_argument("input", help="labeled CSV of binarized features")
     train.add_argument("--out", required=True, help="output model path")
-    _add_dataclass_options(train, TrainConfig, OffsetFitConfig)
+    _add_dataclass_options(train, TrainConfig)
     train.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("evaluate", parents=[labeled],
@@ -479,7 +468,7 @@ def build_parser():
     sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
                                         f"(default {_CLI_DEFAULTS['alphas']})")
     sweep.add_argument("--out", help="also write the result table here")
-    _add_dataclass_options(sweep, SplitSpec, TrainConfig, OffsetFitConfig)
+    _add_dataclass_options(sweep, SplitSpec, TrainConfig)
     sweep.set_defaults(func=_cmd_sweep_alpha)
 
     return parser

@@ -1,7 +1,7 @@
 """The package's three exception types, one per way a run can fail.
 
 ValidationError is a bad input: an argument outside its documented range,
-an all-zero row to normalize, a model too large to enumerate exactly.
+a row of norm 0 to normalize, a model too large to enumerate exactly.
 Its subclass FormatError is a malformed file: a CSV, model, sidecar or
 config file that does not parse or breaks an invariant; its message
 names the file and, for a CSV cell, the row and the column. The CLI

@@ -32,14 +32,16 @@ class BinarizationRule:
 def normalize_rows(matrix):
     """Scale every row of a 2-d array to unit Euclidean length.
 
-    Raises ValidationError naming the first all-zero row, whose direction
-    is undefined.
+    A row cannot be normalized when its norm is 0: a row of zeros, or one
+    whose squared entries all underflow (every |entry| below about 1.6e-162).
+    Raises ValidationError naming the first such row as a data row counted
+    from 1.
     """
     matrix = check_rows("matrix", matrix)
     norms = np.sqrt((matrix * matrix).sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValidationError(f"cannot normalize all-zero row {int(zero[0])}")
+        raise ValidationError(f"data row {int(zero[0]) + 1} has norm 0 and cannot be normalized")
     return matrix / norms[:, None]
 
 

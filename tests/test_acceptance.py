@@ -14,7 +14,6 @@ from nan_faults import random_params, spectra, write_raw_csv_text
 
 from spectral_rbm.classifier import (
     ClassEnsemble,
-    OffsetFitConfig,
     fit_offsets,
     predict_label_batch,
     predict_proba_batch,
@@ -206,8 +205,7 @@ class TestAcceptance:
             ds = synth_generate(SynthSpec(classes=2, samples_per_class=200, dim=100,
                                           separation=1.0, noise=0.05, seed=seed))
             train_ds, test_ds = split(ds, SplitSpec(train_fraction=0.5, seed=seed))
-            ensemble = train_ensemble(train_ds.class_matrices(),
-                                      TrainConfig(seed=seed), OffsetFitConfig())
+            ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=seed))
             report = evaluate(predict_label_batch(test_ds.features, ensemble),
                               test_ds.labels)
             ok = report.accuracy >= 0.99 and bool(

@@ -29,7 +29,7 @@ TRAIN = ("--hidden-units", "2", "--epochs", "1", "--seed", "0")
 FORMATS = {
     "raw csv": ("raw.csv", ("preprocess", "{input}", "--out", "{out}/bin.csv")),
     "binary csv": ("bin.csv", ("train", "{input}", "--out", "{out}/m.rbme", *TRAIN)),
-    "sidecar": ("stats.sidecar", ("preprocess", "{base}/raw.csv", "--out", "{out}/bin.csv",
+    "sidecar": ("bin.csv.sidecar", ("preprocess", "{base}/raw.csv", "--out", "{out}/bin.csv",
                                   "--reuse-stats", "{input}")),
     "config": ("train.cfg", ("train", "{base}/bin.csv", "--out", "{out}/m.rbme",
                              "--config", "{input}")),
@@ -46,8 +46,7 @@ def base(tmp_path_factory):
     features = (rng.random((24, 5)) + 0.1) * (1.0 + labels[:, None])
     save_csv(LabeledDataset(features, labels, tuple(f"w{i}" for i in range(5))), base / "raw.csv",
              label_column="label")
-    assert cli.main(["preprocess", str(base / "raw.csv"), "--out", str(base / "bin.csv"),
-                     "--sidecar", str(base / "stats.sidecar")]) == 0
+    assert cli.main(["preprocess", str(base / "raw.csv"), "--out", str(base / "bin.csv")]) == 0
     (base / "train.cfg").write_text("hidden_units=2\nepochs=1\nlearning_rate=0.1\nseed=3\n")
     assert cli.main(["train", str(base / "bin.csv"), "--out", str(base / "model.rbme"),
                      *TRAIN]) == 0

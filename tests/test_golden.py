@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from spectral_rbm import cli
-from spectral_rbm.classifier import (
-    OffsetFitConfig, ensemble_from_bytes, ensemble_to_bytes, train_ensemble,
-)
+from spectral_rbm.classifier import ensemble_from_bytes, ensemble_to_bytes, train_ensemble
 from spectral_rbm.dataset import SplitSpec, SynthSpec, split, synth_generate
 from spectral_rbm.rbm import TrainConfig
 
@@ -77,7 +75,7 @@ def test_reference_point_ensemble_bytes():
     ds = synth_generate(SynthSpec(classes=2, samples_per_class=200, dim=100,
                                   separation=1.0, noise=0.05, seed=0))
     train_ds, _ = split(ds, SplitSpec(train_fraction=0.5, seed=0))
-    ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=0), OffsetFitConfig())
+    ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=0))
     assert digest(ensemble) == REFERENCE_DIGEST, determinism_domain()
 
 

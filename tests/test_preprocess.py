@@ -45,7 +45,8 @@ class TestL2Normalize:
         np.testing.assert_allclose(out * np.linalg.norm(matrix, axis=1)[:, None], matrix, atol=1e-12)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ValidationError, match="cannot normalize all-zero row 0"):
+        message = "^data row 1 has norm 0 and cannot be normalized$"
+        with pytest.raises(ValidationError, match=message):
             normalize_rows(np.zeros((1, 5)))
 
     def test_bad_shapes_rejected(self):
@@ -64,9 +65,13 @@ class TestNormalizeRows:
             np.testing.assert_allclose(got[i], row / np.sqrt(row @ row), atol=1e-15)
 
     def test_names_the_zero_row(self):
+        # counted from 1; a row whose squares underflow has norm 0 as well
         matrix = np.ones((4, 3))
         matrix[2] = 0.0
-        with pytest.raises(ValidationError, match="row 2"):
+        with pytest.raises(ValidationError, match="data row 3 has"):
+            normalize_rows(matrix)
+        matrix[1] = 1e-200
+        with pytest.raises(ValidationError, match="data row 2 has"):
             normalize_rows(matrix)
 
 
@@ -197,7 +202,7 @@ class TestPreprocessPipeline:
     def test_propagates_zero_row_error(self):
         matrix = np.ones((3, 4))
         matrix[1] = 0.0
-        with pytest.raises(ValidationError, match="all-zero row 1"):
+        with pytest.raises(ValidationError, match="data row 2 has norm 0"):
             _binarize_rows(matrix, BinarizationRule(0.5))
 
     def test_output_binary(self):
