@@ -298,18 +298,21 @@ def _cmd_preprocess(args, opts):
         opts.effective["alpha"] = rule.alpha
 
     ds = load_csv(args.input, label_column)
+    labels, names = ds.labels, ds.feature_names
     normalized = _normalized(ds, args.input)
+    del ds  # each matrix is freed once its successor exists
     if not args.reuse_stats:
         lo, hi = minmax(normalized)
     binary = binarize(normalized, rule, lo, hi)
-    save_csv(LabeledDataset(binary, ds.labels, ds.feature_names), args.out, label_column)
+    del normalized
+    save_csv(LabeledDataset(binary, labels, names), args.out, label_column)
 
     if args.reuse_stats:
-        print(f"binarized {ds.sample_count} rows using stored statistics -> {args.out}")
+        print(f"binarized {labels.size} rows using stored statistics -> {args.out}")
         return
 
     _write_kv_file(sidecar_path, zip(_SIDECAR_KEYS, (_SIDECAR_VERSION, rule.alpha, lo, hi)))
-    print(f"binarized {ds.sample_count} rows (alpha={rule.alpha:g}) -> {args.out}")
+    print(f"binarized {labels.size} rows (alpha={rule.alpha:g}) -> {args.out}")
 
 
 def _cmd_train(args, opts):
@@ -379,8 +382,9 @@ def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, confi
     This is the preprocess -> train -> preprocess --reuse-stats -> evaluate
     chain on one split: the training rows are cut with their own min/max,
     and the held-out rows with that same pair, so no held-out row shapes
-    the threshold. Only the gathered rows outlive the binarized training
-    matrix, and nothing of this alpha, its ensemble included, outlives the call.
+    the threshold. Only the per-class training rows are alive while the
+    ensemble trains; the held-out rows are cut after it returns, and nothing
+    of this alpha, its ensemble included, outlives the call.
     """
     train_rows = normalized[train_idx]
     lo, hi = minmax(train_rows)
@@ -389,8 +393,9 @@ def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, confi
     train_labels = labels[train_idx]
     class_rows = {c: binary[train_labels == c] for c in class_ids}
     del binary
-    test_rows = binarize(normalized[test_idx], rule, lo, hi)
     ensemble = train_ensemble(class_rows, config)
+    del class_rows
+    test_rows = binarize(normalized[test_idx], rule, lo, hi)
     predictions = predict_label_batch(test_rows, ensemble)
     # the split leaves every class a test row and the ensemble predicts only training
     # classes, so the report's classes are every class id and every recall is defined

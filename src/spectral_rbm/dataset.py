@@ -70,7 +70,7 @@ class LabeledDataset:
 
     def class_ids(self):
         """Sorted distinct labels present."""
-        return sorted(int(c) for c in np.unique(self.labels))
+        return _distinct(self.labels)
 
     def class_matrices(self):
         """Rows grouped by class id, original order preserved within a class."""
@@ -373,6 +373,18 @@ def save_csv(ds, path, label_column="label"):
             fh.writelines(_real_lines(ds.features, label_ends))
 
 
+def _distinct(labels):
+    """Sorted distinct values of an int64 label vector, as Python ints.
+
+    np.unique is not used: with no return_* option numpy 2 asks
+    np.ma.is_masked, which imports numpy.ma (about 1.25 MB resident).
+    """
+    ordered = np.sort(labels)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first].tolist()
+
+
 def split(ds, spec):
     """Partition a dataset into train and test halves, class by class.
 
@@ -399,7 +411,7 @@ def split_indices(labels, spec):
         raise ValidationError("cannot split an empty dataset")
     rng = SeededRng(spec.seed)
     picked = []
-    for c in np.unique(labels):
+    for c in _distinct(labels):
         idx = np.flatnonzero(labels == c)
         if idx.size < 2:
             raise ValidationError(

@@ -233,16 +233,15 @@ class TestPreprocess:
         assert float(manifest["config.alpha"]) == 0.3
         assert "input.sidecar.sha256" in manifest
 
-    def test_reuse_stats_forbids_alpha_and_scope(self, tmp_path):
+    def test_reuse_stats_forbids_alpha(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         bin_out = tmp_path / "bin.csv"
         assert run("preprocess", str(raw), "--out", str(bin_out)) == 0
         sidecar = str(tmp_path / "bin.csv.sidecar")
-        for extra in (("--alpha", "0.5"), ("--scope", "global")):
-            code = run("preprocess", str(raw), "--out", str(tmp_path / "x.csv"),
-                       "--reuse-stats", sidecar, *extra)
-            assert code == 2
+        code = run("preprocess", str(raw), "--out", str(tmp_path / "x.csv"),
+                   "--reuse-stats", sidecar, "--alpha", "0.5")
+        assert code == 2
 
     def test_reuse_stats_rejects_incomplete_sidecar(self, tmp_path, capsys, monkeypatch):
         # a sidecar holds exactly the four keys --reuse-stats reads, checked before the CSV
@@ -287,22 +286,20 @@ class TestPreprocess:
         assert "'min' repeated" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reuse_stats_refuses_alpha_and_scope_config_keys(self, tmp_path, capsys):
-        # the same rule as the --alpha flag: the sidecar supplies the statistics, and
-        # scope= is read by no command
+    def test_reuse_stats_refuses_the_alpha_config_key(self, tmp_path, capsys):
+        # the same rule as the --alpha flag: the sidecar supplies the statistics
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
         assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
         sidecar = str(tmp_path / "bin.csv.sidecar")
         config = tmp_path / "run.conf"
         out = tmp_path / "o.csv"
-        for line in ("alpha=1/2", "scope=global"):
-            config.write_text(f"label_column=label\n{line}\n")
-            code = run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
-                       "--config", str(config))
-            assert code == 2
-            assert f"key '{line.partition('=')[0]}'" in capsys.readouterr().err
-            assert not out.exists()
+        config.write_text("label_column=label\nalpha=1/2\n")
+        code = run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
+                   "--config", str(config))
+        assert code == 2
+        assert "key 'alpha'" in capsys.readouterr().err
+        assert not out.exists()
         config.write_text("label_column=label\n")
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
                    "--config", str(config)) == 0
@@ -338,18 +335,6 @@ class TestPreprocess:
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert called == [] and not out.exists()
-
-    def test_reuse_stats_rejects_sidecar(self, tmp_path, capsys):
-        # --sidecar is no option, so argparse refuses it with --reuse-stats too
-        raw = tmp_path / "raw.csv"
-        write_raw_csv(raw)
-        assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
-        other = tmp_path / "other.sidecar"
-        code = run("preprocess", str(raw), "--out", str(tmp_path / "x.csv"),
-                   "--reuse-stats", str(tmp_path / "bin.csv.sidecar"), "--sidecar", str(other))
-        assert code == 2
-        assert "--sidecar" in capsys.readouterr().err
-        assert not other.exists() and not (tmp_path / "x.csv").exists()
 
 
 class TestTrain:
@@ -912,7 +897,7 @@ def test_key_value_outputs_read_back_through_the_cli_reader(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, key", [
     ("synth", "out"),
-    ("preprocess", "sidecar"),
+    ("preprocess", "epochs"),
     ("train", "split_seed"),
     ("evaluate", "epochs"),
     ("sweep-alpha", "alpha"),
@@ -1074,19 +1059,20 @@ class TestTracedPeak:
 
     8 classes x 200 rows x 200 features with 8 hidden units, a shape where
     the data, not the model, sets the peak. Each bound sits between the peak
-    with every matrix held once (about 2.85x for sweep-alpha, 2.4x for train)
-    and the peak with one more matrix alive through training: for
-    sweep-alpha, the binarized training rows, half the features' size
-    (3.35x); for train, a full-size copy (3.4x). numpy.ma is imported before
-    tracing: np.unique imports it on first use, which would add about 0.45x
-    to whichever test runs first in a process.
+    with every matrix held once and the peak with one more matrix kept
+    alive: preprocess holds each matrix only until its successor exists
+    (about 2.2x; keeping the raw or the normalized features reads 3.1x);
+    sweep-alpha cuts the held-out rows after training and drops the
+    training rows first (2.3x; keeping the training rows reads 2.6x, and
+    cutting the held-out rows before training 2.8x); train holds the
+    per-class rows alone (2.4x; keeping the loaded dataset reads 3.4x);
+    evaluate holds the loaded rows (1.35x; a full-size copy of them reads 2.2x).
     """
 
     ROWS, DIM, CLASSES = 1600, 200, 8
     FEATURE_BYTES = ROWS * DIM * 8
 
     def traced_peak(self, *argv):
-        import numpy.ma  # np.unique imports it on first use; keep that out of the peak
         tracemalloc.start()
         try:
             assert run(*argv) == 0
@@ -1099,11 +1085,21 @@ class TestTracedPeak:
         write_raw_csv(raw, rows=self.ROWS, dim=self.DIM, classes=self.CLASSES)
         return raw
 
+    @pytest.mark.parametrize("reuse_stats", [False, True], ids=["fit", "reuse-stats"])
+    def test_preprocess_frees_each_matrix_once_its_successor_exists(self, tmp_path, reuse_stats):
+        raw = self.raw_csv(tmp_path)
+        argv = ("preprocess", str(raw), "--out", str(tmp_path / "bin.csv"))
+        if reuse_stats:
+            assert run(*argv) == 0
+            argv = ("preprocess", str(raw), "--out", str(tmp_path / "test.csv"),
+                    "--reuse-stats", str(tmp_path / "bin.csv.sidecar"))
+        assert self.traced_peak(*argv) <= 2.6 * self.FEATURE_BYTES
+
     def test_sweep_alpha_holds_each_matrix_once(self, tmp_path):
         # one split for every alpha, and no alpha's matrices or ensemble outlive it
         peak = self.traced_peak("sweep-alpha", str(self.raw_csv(tmp_path)), "--alphas", "1/3,1/2",
                                 "--hidden-units", "8", "--epochs", "1")
-        assert peak <= 3.1 * self.FEATURE_BYTES
+        assert peak <= 2.5 * self.FEATURE_BYTES
 
     def test_train_releases_the_loaded_dataset(self, tmp_path):
         binary = tmp_path / "bin.csv"
@@ -1111,3 +1107,10 @@ class TestTracedPeak:
         peak = self.traced_peak("train", str(binary), "--out", str(tmp_path / "m.rbme"),
                                 "--hidden-units", "8", "--epochs", "1")
         assert peak <= 3.0 * self.FEATURE_BYTES
+
+    def test_evaluate_holds_the_test_rows_once(self, tmp_path):
+        binary, model = tmp_path / "bin.csv", tmp_path / "m.rbme"
+        assert run("preprocess", str(self.raw_csv(tmp_path)), "--out", str(binary)) == 0
+        assert run("train", str(binary), "--out", str(model), "--hidden-units", "8",
+                   "--epochs", "1") == 0
+        assert self.traced_peak("evaluate", str(model), str(binary)) <= 1.6 * self.FEATURE_BYTES

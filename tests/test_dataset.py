@@ -23,6 +23,16 @@ from spectral_rbm.dataset import (
 from spectral_rbm.errors import FormatError, ValidationError
 
 
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# unsorted, negative and int64-extreme labels, each class with 2 or more rows
+AWKWARD_LABELS = [
+    [3, -1, 3, 0, -1, 0, 3],
+    [-5, -7, -5, -7, -6, -6],
+    [INT64_MAX, INT64_MIN, 0, INT64_MAX, INT64_MIN, 0, INT64_MIN],
+    [INT64_MIN + 1, INT64_MAX - 1, INT64_MAX - 1, INT64_MIN + 1],
+]
+
+
 def tiny_dataset():
     features = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
     labels = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -541,6 +551,29 @@ class TestSplit:
             with pytest.raises(ValidationError):
                 SplitSpec(train_fraction=bad, seed=0)
 
+    @pytest.mark.parametrize("labels", AWKWARD_LABELS)
+    def test_draws_are_np_unique_order_draws(self, monkeypatch, labels):
+        # classes are visited in sorted order, as np.unique gave them, so the rng's
+        # draws go to the same class and every split is the one np.unique's loop made
+        labels = np.array(labels, dtype=np.int64)
+        spec = SplitSpec(train_fraction=0.5, seed=4)
+        got = dataset.split_indices(labels, spec)
+        monkeypatch.setattr(dataset, "_distinct", np.unique)
+        for part, want in zip(got, dataset.split_indices(labels, spec)):
+            np.testing.assert_array_equal(part, want)
+
+    @pytest.mark.parametrize("labels, fraction, message", [
+        ([INT64_MAX, INT64_MIN, INT64_MAX], 0.5,
+         f"stratified split needs >= 2 samples per class, class {INT64_MIN} has 1"),
+        ([-3, 5, -3, 5, 5, 5], 0.3,
+         "train_fraction 0.3 leaves class -3 no training rows (it has 2)"),
+    ])
+    def test_a_refused_class_is_named_by_its_label(self, labels, fraction, message):
+        with pytest.raises(ValidationError) as got:
+            dataset.split_indices(np.array(labels, dtype=np.int64),
+                                  SplitSpec(train_fraction=fraction, seed=0))
+        assert str(got.value) == message
+
 
 class TestSynthGenerate:
     def test_zero_noise_reproduces_templates(self):
@@ -627,6 +660,13 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(ds.class_ids(), [0, 1])
         np.testing.assert_array_equal(ds.class_matrices()[1],
                                       [[1.0, 0.0], [0.25, 0.75]])
+
+    @pytest.mark.parametrize("labels", AWKWARD_LABELS + [[], [INT64_MIN]])
+    def test_class_ids_are_sorted_distinct_python_ints(self, labels):
+        ds = LabeledDataset(np.ones((len(labels), 1)), np.array(labels, dtype=np.int64))
+        ids = ds.class_ids()
+        assert ids == sorted(set(labels))
+        assert all(type(c) is int for c in ids)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,13 @@
 """Package surface: __all__ matches the top-level names, errors.py defines and __all__
 exports three exception types, README's library example runs, numpy is the only
 third-party import, the model file and the sidecar each have one reader and writer,
-every function and method has a caller in the package, and the names the benchmark's
-tests bind exist."""
+every function and method has a caller in the package, the names the benchmark's
+tests bind exist, and no command imports numpy.ma."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -63,6 +65,38 @@ def test_numpy_is_the_only_runtime_dependency():
         if name.split(".")[0] not in allowed
     ]
     assert third_party == []
+
+
+# every command, then split, in one fresh process: np.unique with no return_* option
+# imports numpy.ma (about 1.25 MB resident), which no package path needs
+NO_NUMPY_MA = """
+import sys
+from spectral_rbm import cli, dataset
+
+out = sys.argv[1] + "/"
+tiny = ["--hidden-units", "4", "--epochs", "2"]
+for argv in (
+    ["synth", "--out", out + "raw.csv", "--per-class", "20", "--dim", "10"],
+    ["preprocess", out + "raw.csv", "--out", out + "bin.csv"],
+    ["preprocess", out + "raw.csv", "--out", out + "test.csv", "--reuse-stats", out + "bin.csv.sidecar"],
+    ["train", out + "bin.csv", "--out", out + "m.rbme", *tiny],
+    ["evaluate", out + "m.rbme", out + "test.csv"],
+    ["sweep-alpha", out + "raw.csv", "--alphas", "1/3,1/2", *tiny],
+):
+    assert cli.main(argv) == 0, argv
+dataset.split(dataset.load_csv(out + "raw.csv"), dataset.SplitSpec())
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    package_root = str(Path(spectral_rbm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_only_classifier_handles_the_model_file():
