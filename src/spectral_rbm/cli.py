@@ -8,13 +8,11 @@ Subcommands:
 * ``evaluate``    score a trained ensemble on a labeled test CSV
 * ``sweep-alpha`` split once, then run preprocess/train/evaluate across alpha values
 
-Every option can also come from a ``--config`` key=value file; explicit
-flags win over the file, the file wins over built-in defaults, and a key
-the command does not read is refused like an unknown flag, and so is an
-output that names the same file as an input or another output. A command
-that writes files names what it reads and writes before it reads any
-input, and ``main`` records that in ``<first output>.manifest`` with the
-exact command and the effective configuration. Manifests carry a
+Options come from flags only, and an option not given takes its built-in
+default. An output that names the same file as an input or another output
+is refused. A command that writes files names what it reads and writes
+before it reads any input; ``main`` records that in ``<first output>.manifest``
+with the exact command and the effective configuration. Manifests carry a
 timestamp; all data outputs themselves are byte-deterministic given the
 same inputs and seeds.
 
@@ -90,7 +88,7 @@ def _parse_alpha(token):
 
 
 def _read_kv_file(path):
-    """Flat key=value file; blank lines and # comments ignored, a repeated key refused."""
+    """Sidecar reader: key=value lines; skips a BOM, blank and # lines; refuses a repeated key."""
     pairs = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -115,12 +113,12 @@ def _write_kv_file(path, pairs):
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in pairs), encoding="utf-8")
 
 
-def _parse(kind, text, path, key):
-    """text from a key=value file as int, float or str; FormatError names the key."""
+def _parse(text, path, key):
+    """text from a key=value file as a float; FormatError names the key."""
     try:
-        return kind(text)
+        return float(text)
     except ValueError:
-        raise FormatError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
+        raise FormatError(f"{path}: {key}={text!r} is not a valid float") from None
 
 
 def _dataclass_options(cls):
@@ -140,50 +138,40 @@ def _add_dataclass_options(parser, *classes):
 
 
 class _Options:
-    """Flag > config file > default resolution, remembering what was used."""
+    """Each option from its flag or its default, kept in effective; the path check; the record."""
 
     def __init__(self, args):
         self._args = args
-        self._config_path = getattr(args, "config", None)
-        self._file = _read_kv_file(self._config_path) if self._config_path else {}
         self.effective = {}
         self.record = None
 
-    def _resolve(self, key, kind, default):
-        value = getattr(self._args, key, None)
-        if value is None and key in self._file:
-            value = _parse(kind, self._file[key], self._config_path, key)
+    def _resolve(self, key, default):
+        value = getattr(self._args, key)
         self.effective[key] = default if value is None else value
         return self.effective[key]
 
     def get(self, key):
         """A string option that belongs to no config dataclass."""
-        return self._resolve(key, str, _CLI_DEFAULTS[key])
+        return self._resolve(key, _CLI_DEFAULTS[key])
 
     def build(self, cls):
-        """The config dataclass cls, each option resolved with its field's type and default."""
-        return cls(**{
-            f.name: self._resolve(key, kind, f.default) for key, f, kind in _dataclass_options(cls)
-        })
+        """The config dataclass cls, each option resolved with its field's default."""
+        fields = _dataclass_options(cls)
+        return cls(**{f.name: self._resolve(key, f.default) for key, f, _ in fields})
 
     def finish(self, inputs, outputs):
-        """Refuse unread config keys and colliding paths; keep the manifest record.
+        """Refuse colliding paths and keep the manifest record.
 
         Runs before any input is read. An output may not name the same file (see _file_key)
-        as an input, the config file, another output or the manifest beside the first output.
-        With outputs, self.record becomes (inputs, outputs) for the manifest main writes;
-        without, it stays None.
+        as an input, another output or the manifest beside the first output. With outputs,
+        self.record becomes (inputs, outputs) for the manifest main writes; without, it
+        stays None.
         """
-        unread = [key for key in self._file if key not in self.effective]
-        if unread:
-            raise FormatError(f"{self._config_path}: key {unread[0]!r} is not an option this "
-                              "command reads")
         if not outputs:
             return
-        config = [("config file", self._config_path)] if self._config_path else []
         seen = {}
-        for role, path in config + [(f"{name} input", path) for name, path in inputs]:
-            seen.setdefault(_file_key(path), f"{role} {path}")
+        for name, path in inputs:
+            seen.setdefault(_file_key(path), f"{name} input {path}")
         written = [(f"{name} output", path) for name, path in outputs]
         for role, path in written + [("manifest", f"{outputs[0][1]}.manifest")]:
             key = _file_key(path)
@@ -239,7 +227,7 @@ def _read_sidecar(path):
     unknown = [key for key in stats if key not in _SIDECAR_KEYS]
     if unknown:
         raise FormatError(f"{path}: unknown sidecar key {unknown[0]!r}")
-    alpha, lo, hi = (_parse(float, stats[key], path, key) for key in _SIDECAR_KEYS[1:])
+    alpha, lo, hi = (_parse(stats[key], path, key) for key in _SIDECAR_KEYS[1:])
     try:
         rule = BinarizationRule(alpha)
         check_real("min", lo)
@@ -429,14 +417,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file supplying option values (flags win)")
-    labeled = argparse.ArgumentParser(add_help=False, parents=[common])
+    labeled = argparse.ArgumentParser(add_help=False)
     labeled.add_argument("--label-column", dest="label_column",
                          help=f"name of the label column (default {_CLI_DEFAULTS['label_column']})")
 
-    synth = sub.add_parser("synth", parents=[common],
-                           help="generate a synthetic labeled binary dataset")
+    synth = sub.add_parser("synth", help="generate a synthetic labeled binary dataset")
     synth.add_argument("--out", required=True, help="output CSV path")
     _add_dataclass_options(synth, SynthSpec)
     synth.set_defaults(func=_cmd_synth)

@@ -2,8 +2,8 @@
 
 ValidationError is a bad input: an argument outside its documented range,
 a row of norm 0 to normalize, a model too large to enumerate exactly.
-Its subclass FormatError is a malformed file: a CSV, model, sidecar or
-config file that does not parse or breaks an invariant; its message
+Its subclass FormatError is a malformed file: a CSV, model or sidecar
+file that does not parse or breaks an invariant; its message
 names the file and, for a CSV cell, the row and the column. The CLI
 exits 2 on either. ConvergenceError is the odd one out (exit 4): the
 inputs were fine, the iteration just ran out of road.
@@ -30,7 +30,7 @@ class ValidationError(ValueError):
 
 
 class FormatError(ValidationError):
-    """A CSV, model, sidecar or config file is malformed."""
+    """A CSV, model or sidecar file is malformed."""
 
 
 class ConvergenceError(RuntimeError):

@@ -132,32 +132,33 @@ class TestPreprocess:
         sidecar = kv(tmp_path / "bin.csv.sidecar")
         assert not any(key.startswith("class.") or key == "scope" for key in sidecar)
 
-    @pytest.mark.parametrize("command", ["preprocess", "train", "sweep-alpha"])
-    def test_removed_flags_and_config_keys_are_gone(self, tmp_path, capsys, monkeypatch,
-                                                    command):
-        # one binarization rule, one offset-fit tolerance and the sidecar at <out>.sidecar:
-        # each removed flag is unknown to argparse and each config key unread, and both are
-        # refused before any input is read
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "evaluate",
+                                         "sweep-alpha"])
+    def test_removed_flags_and_config_keys_are_gone(self, tmp_path, capsys, monkeypatch, command):
+        # options come from flags only, with one binarization rule, one offset-fit tolerance and
+        # the sidecar at <out>.sidecar: argparse refuses --config and each removed flag before
+        # any input is read or any file written
         raw, out = tmp_path / "raw.csv", tmp_path / "o.txt"
         write_raw_csv(raw)
         config = tmp_path / "run.conf"
+        config.write_text("")
         called = []
         monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
-        scope = [("scope", "global"), ("scope", "per-class")]
-        options, removed = {
-            "preprocess": ((), [*scope, ("sidecar", str(tmp_path / "stats.sidecar"))]),
-            "train": (TINY_TRAIN, [("fit_tolerance", "1e-6")]),
-            "sweep-alpha": (("--alphas", "1/2", *TINY_TRAIN), [*scope, ("fit_tolerance", "1e-6")]),
+        scope = [("--scope", "global"), ("--scope", "per-class")]
+        argv, removed = {
+            "synth": (("synth",), []),
+            "preprocess": (("preprocess", str(raw)),
+                           [*scope, ("--sidecar", str(tmp_path / "stats.sidecar"))]),
+            "train": (("train", str(raw), *TINY_TRAIN), [("--fit-tolerance", "1e-6")]),
+            "evaluate": (("evaluate", str(tmp_path / "model.rbme"), str(raw)), []),
+            "sweep-alpha": (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN),
+                            [*scope, ("--fit-tolerance", "1e-6")]),
         }[command]
-        argv = (command, str(raw), "--out", str(out), *options)
-        for key, value in removed:
-            config.write_text(f"{key}={value}\n")
-            for extra in ((f"--{key.replace('_', '-')}", value), ("--config", str(config))):
-                assert run(*argv, *extra) == 2
-                assert called == []
-                assert sorted(tmp_path.iterdir()) == sorted([raw, config])
-            assert f"{config}: key '{key}' is not an option this command reads" in \
-                capsys.readouterr().err
+        for flag, value in [*removed, ("--config", str(config))]:
+            assert run(*argv, "--out", str(out), flag, value) == 2
+            assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+            assert called == []
+            assert sorted(tmp_path.iterdir()) == sorted([raw, config])
 
     @pytest.mark.parametrize("command", ["preprocess", "sweep-alpha"])
     def test_an_all_zero_row_is_named_by_file_and_data_row(self, tmp_path, capsys, command):
@@ -204,16 +205,19 @@ class TestPreprocess:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("options", [
-        ("--alpha", "bogus"),
-        ("--reuse-stats", "side.sidecar", "--alpha", "1/2"),
-    ])
-    def test_options_are_checked_before_the_input_is_read(self, tmp_path, capsys, options):
+    @pytest.mark.parametrize("options, message", [
+        (("--alpha", "bogus"), "cannot parse threshold fraction 'bogus'"),
+        (("--reuse-stats", "side.sidecar", "--alpha", "1/2"),
+         "--alpha does not apply: --reuse-stats reads its statistics from the given sidecar "
+         "and writes none"),
+    ], ids=["options0", "options1"])
+    def test_options_are_checked_before_the_input_is_read(self, tmp_path, capsys, options,
+                                                          message):
         # the input does not exist: reading it first would exit 3, not 2
         code = run("preprocess", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv"),
                    *options)
         assert code == 2
-        assert "missing.csv" not in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_reuse_stats_applies_training_minmax(self, tmp_path):
         train_raw = tmp_path / "train.csv"
@@ -232,16 +236,6 @@ class TestPreprocess:
         manifest = kv(tmp_path / "test_bin.csv.manifest")
         assert float(manifest["config.alpha"]) == 0.3
         assert "input.sidecar.sha256" in manifest
-
-    def test_reuse_stats_forbids_alpha(self, tmp_path):
-        raw = tmp_path / "raw.csv"
-        write_raw_csv(raw)
-        bin_out = tmp_path / "bin.csv"
-        assert run("preprocess", str(raw), "--out", str(bin_out)) == 0
-        sidecar = str(tmp_path / "bin.csv.sidecar")
-        code = run("preprocess", str(raw), "--out", str(tmp_path / "x.csv"),
-                   "--reuse-stats", sidecar, "--alpha", "0.5")
-        assert code == 2
 
     def test_reuse_stats_rejects_incomplete_sidecar(self, tmp_path, capsys, monkeypatch):
         # a sidecar holds exactly the four keys --reuse-stats reads, checked before the CSV
@@ -286,23 +280,32 @@ class TestPreprocess:
         assert "'min' repeated" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reuse_stats_refuses_the_alpha_config_key(self, tmp_path, capsys):
-        # the same rule as the --alpha flag: the sidecar supplies the statistics
+    def test_reuse_stats_sidecar_may_start_with_a_byte_order_mark(self, tmp_path):
+        train_raw, test_raw = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_raw_csv(train_raw, seed=1)
+        write_raw_csv(test_raw, seed=2)
+        assert run("preprocess", str(train_raw), "--out", str(tmp_path / "bin.csv")) == 0
+        sidecar, bom = tmp_path / "bin.csv.sidecar", tmp_path / "bom.sidecar"
+        bom.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+        plain_out, bom_out = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert run("preprocess", str(test_raw), "--out", str(plain_out),
+                   "--reuse-stats", str(sidecar)) == 0
+        assert run("preprocess", str(test_raw), "--out", str(bom_out),
+                   "--reuse-stats", str(bom)) == 0
+        assert bom_out.read_bytes() == plain_out.read_bytes()
+
+    def test_reuse_stats_rejects_a_sidecar_line_without_equals(self, tmp_path, capsys,
+                                                               monkeypatch):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        assert run("preprocess", str(raw), "--out", str(tmp_path / "bin.csv")) == 0
-        sidecar = str(tmp_path / "bin.csv.sidecar")
-        config = tmp_path / "run.conf"
-        out = tmp_path / "o.csv"
-        config.write_text("label_column=label\nalpha=1/2\n")
-        code = run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
-                   "--config", str(config))
-        assert code == 2
-        assert "key 'alpha'" in capsys.readouterr().err
-        assert not out.exists()
-        config.write_text("label_column=label\n")
-        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", sidecar,
-                   "--config", str(config)) == 0
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        bad, out = tmp_path / "bad.sidecar", tmp_path / "o.csv"
+        bad.write_text("sidecar_version=2\nalpha=0.5\nmin 0.1\nmax=0.9\n")
+        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: expected key=value, got 'min 0.1'\n")
+        assert called == [] and not out.exists()
 
     def test_reuse_stats_rejects_unknown_sidecar_version(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
@@ -456,17 +459,6 @@ class TestTrain:
         synth_small(data)
         assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), flag, "10") == 2
 
-    @pytest.mark.parametrize("key", ["fit_learning_rate", "fit_iterations"])
-    def test_deleted_fit_config_keys_are_usage_errors(self, tmp_path, capsys, key):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "run.conf"
-        config.write_text(f"{key}=10\n")
-        model = tmp_path / "m.rbme"
-        assert run("train", str(data), "--out", str(model), "--config", str(config)) == 2
-        assert f"key '{key}'" in capsys.readouterr().err
-        assert not model.exists()
-
     def test_flag_aliases(self, tmp_path):
         data = tmp_path / "data.csv"
         synth_small(data)
@@ -475,77 +467,6 @@ class TestTrain:
                    "--hidden", "4", "--lr", "0.1", "--epochs", "2")
         assert code == 0
         assert kv(tmp_path / "m.rbme.manifest")["config.hidden_units"] == "4"
-
-    def test_config_file_supplies_values_and_flags_win(self, tmp_path):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "run.conf"
-        config.write_text("# training setup\nhidden_units=4\nepochs=3\nseed=9\n")
-        model_a = tmp_path / "a.rbme"
-        assert run("train", str(data), "--out", str(model_a),
-                   "--config", str(config)) == 0
-        manifest_a = kv(tmp_path / "a.rbme.manifest")
-        assert manifest_a["config.hidden_units"] == "4"
-        assert manifest_a["config.epochs"] == "3"
-        assert manifest_a["config.seed"] == "9"
-        # explicit flag beats the file
-        model_b = tmp_path / "b.rbme"
-        assert run("train", str(data), "--out", str(model_b),
-                   "--config", str(config), "--epochs", "2") == 0
-        assert kv(tmp_path / "b.rbme.manifest")["config.epochs"] == "2"
-
-    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "run.conf"
-        config.write_bytes(b"\xef\xbb\xbfepochs=2\nhidden_units=4\n")
-        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"),
-                   "--config", str(config)) == 0
-        assert kv(tmp_path / "m.rbme.manifest")["config.epochs"] == "2"
-
-    def test_malformed_config_file(self, tmp_path):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "bad.conf"
-        config.write_text("this is not a pair\n")
-        code = run("train", str(data), "--out", str(tmp_path / "m.rbme"),
-                   "--config", str(config))
-        assert code == 2
-
-
-    def test_config_value_that_does_not_parse_is_usage_error(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "bad.conf"
-        config.write_text("epochs=abc\n")
-        code = run("train", str(data), "--out", str(tmp_path / "m.rbme"),
-                   "--config", str(config))
-        assert code == 2
-        assert "epochs" in capsys.readouterr().err
-
-    def test_config_key_no_option_reads_is_usage_error(self, tmp_path, capsys):
-        # "epoch" and "hidden" are misspellings; skipping them would train 50 epochs
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "run.conf"
-        config.write_text("epoch=2\nhidden=3\nhidden_units=5\n")
-        model = tmp_path / "m.rbme"
-        code = run("train", str(data), "--out", str(model), "--config", str(config))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "key 'epoch'" in err and str(config) in err
-        assert not model.exists()
-
-    def test_config_key_repeated_is_usage_error(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        synth_small(data)
-        config = tmp_path / "run.conf"
-        config.write_text("epochs=2\nhidden_units=4\nhidden_units=5\n")
-        model = tmp_path / "m.rbme"
-        code = run("train", str(data), "--out", str(model), "--config", str(config))
-        assert code == 2
-        assert "line 3: key 'hidden_units' repeated" in capsys.readouterr().err
-        assert not model.exists()
 
 
 class TestEvaluate:
@@ -786,8 +707,8 @@ def same_value(a, b):
 def test_readme_defaults_table_matches_the_cli(tmp_path):
     """Run every subcommand with no options and compare the manifests' config lines.
 
-    The flags whose key is no config line, --config and --help aside, are the
-    ones README's "flags only" sentence names.
+    The flags whose key is no config line, --help aside, are the ones README's
+    "no default" sentence names.
     """
     raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
     write_raw_csv(raw, rows=16, dim=5)
@@ -816,9 +737,9 @@ def test_readme_defaults_table_matches_the_cli(tmp_path):
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags_only = {
         flag for sub in subparsers.choices.values() for action in sub._actions
-        if action.dest not in {*resolved, "config", "help"} for flag in action.option_strings
+        if action.dest not in {*resolved, "help"} for flag in action.option_strings
     }
-    sentence = re.search(r"options are flags only: ([^.]*)\.", readme_text()).group(1)
+    sentence = re.search(r"options with no default are ([^.]*)\.", readme_text()).group(1)
     assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == flags_only
 
 
@@ -895,36 +816,6 @@ def test_key_value_outputs_read_back_through_the_cli_reader(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, key", [
-    ("synth", "out"),
-    ("preprocess", "epochs"),
-    ("train", "split_seed"),
-    ("evaluate", "epochs"),
-    ("sweep-alpha", "alpha"),
-])
-def test_every_command_refuses_a_config_key_it_does_not_read(tmp_path, capsys, command, key):
-    raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
-    write_raw_csv(raw, rows=16, dim=5)
-    assert run("preprocess", str(raw), "--out", str(binary)) == 0
-    model = tmp_path / "model.rbme"
-    assert run("train", str(binary), "--out", str(model), *TINY_TRAIN) == 0
-    out = tmp_path / "out.txt"
-    argv = {
-        "synth": ("synth",),
-        "preprocess": ("preprocess", str(raw)),
-        "train": ("train", str(binary), *TINY_TRAIN),
-        "evaluate": ("evaluate", str(model), str(binary)),
-        "sweep-alpha": ("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN),
-    }[command]
-    config = tmp_path / "run.conf"
-    config.write_text(f"{key}=1\n")
-    capsys.readouterr()
-    assert run(*argv, "--out", str(out), "--config", str(config)) == 2
-    captured = capsys.readouterr()
-    assert f"key '{key}'" in captured.err and captured.out == ""
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "sweep-alpha"])
 def test_header_only_csv_is_usage_error_and_writes_nothing(tmp_path, capsys, command):
     header_only = tmp_path / "empty.csv"
@@ -942,7 +833,7 @@ def test_header_only_csv_is_usage_error_and_writes_nothing(tmp_path, capsys, com
     assert set(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("kind", ["dataset", "config", "sidecar"])
+@pytest.mark.parametrize("kind", ["dataset", "sidecar"])
 def test_non_utf8_file_is_usage_error_naming_it(tmp_path, capsys, kind):
     data = tmp_path / "data.csv"
     synth_small(data)
@@ -950,9 +841,6 @@ def test_non_utf8_file_is_usage_error_naming_it(tmp_path, capsys, kind):
     if kind == "dataset":
         bad.write_bytes(b"f1,label\n0.5,1\n\xe9,0\n")
         argv = ("preprocess", str(bad))
-    elif kind == "config":
-        bad.write_bytes(b"epochs=1\n\xe9=2\n")
-        argv = ("train", str(data), *TINY_TRAIN[:2], "--config", str(bad))
     else:
         bad.write_bytes(b"sidecar_version=2\nalpha=0.5\nmin=0\xe9\nmax=1\n")
         argv = ("preprocess", str(data), "--reuse-stats", str(bad))
@@ -983,12 +871,8 @@ COLLISIONS = {
                                  "dataset output", "sidecar input"),
     "absent-input": (("preprocess", "{d}/absent.csv", "--out", "{d}/absent.csv"),
                      "dataset output", "dataset input"),
-    "synth-on-config": (("synth", "--out", "{d}/seed.txt", "--config", "{d}/seed.txt"),
-                        "dataset output", "config file"),
     "model-on-dataset": (("train", "{d}/bin.csv", "--out", "{d}/./bin.csv", *TINY_TRAIN),
                          "model output", "dataset input"),
-    "model-on-config": (("train", "{d}/bin.csv", "--out", "{d}/seed.txt",
-                         "--config", "{d}/seed.txt", *TINY_TRAIN), "model output", "config file"),
     "model-through-a-link": (("train", "{d}/bin.csv", "--out", "{d}/link.rbme", *TINY_TRAIN),
                              "model output", "dataset input"),
     "report-on-model": (("evaluate", "{d}/model.rbme", "{d}/bin.csv", "--out", "{d}/model.rbme"),
@@ -1008,7 +892,6 @@ def test_an_output_on_an_input_or_another_output_exits_2_and_writes_nothing(tmp_
     assert run("train", str(tmp_path / "bin.csv"), "--out", str(tmp_path / "model.rbme"),
                *TINY_TRAIN) == 0
     assert run("preprocess", str(tmp_path / "raw.csv"), "--out", str(tmp_path / "stats")) == 0
-    (tmp_path / "seed.txt").write_text("seed=1\n")
     (tmp_path / "q.csv.manifest").write_text("")
     for link, target in [("link.rbme", "bin.csv"), ("bin.csv.sidecar", "bin.csv"),
                          ("p.csv.sidecar", "raw.csv"), ("q.csv.sidecar", "q.csv.manifest")]:
