@@ -12,7 +12,8 @@ Options come from flags only, and an option not given takes its built-in
 default. An output that names the same file as an input or another output
 is refused. A command that writes files names what it reads and writes
 before it reads any input; ``main`` records that in ``<first output>.manifest``
-with the exact command and the effective configuration. Manifests carry a
+with the exact command and the effective configuration, so it first
+refuses an argument that is not one line of UTF-8 text. Manifests carry a
 timestamp; all data outputs themselves are byte-deterministic given the
 same inputs and seeds.
 
@@ -58,17 +59,14 @@ DEFAULT_ALPHA_GRID = ("1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4
 _CLI_DEFAULTS = {
     "alpha": "1/2",
     "alphas": ",".join(DEFAULT_ALPHA_GRID),
-    "label_column": "label",
 }
 
 # Option keys that differ from their dataclass field's name.
 _OPTION_KEYS = {
     SynthSpec: {"samples_per_class": "per_class"},
     SplitSpec: {"seed": "split_seed"},
+    TrainConfig: {"hidden_units": "hidden"},
 }
-
-# Extra flag spellings, by option key.
-_ALIASES = {"learning_rate": "--lr", "hidden_units": "--hidden"}
 
 # The sidecar holds exactly these keys, in this order, and no others.
 _SIDECAR_KEYS = ("sidecar_version", "alpha", "min", "max")
@@ -132,8 +130,7 @@ def _dataclass_options(cls):
 def _add_dataclass_options(parser, *classes):
     for cls in classes:
         for key, f, kind in _dataclass_options(cls):
-            flags = [f"--{key.replace('_', '-')}"] + ([_ALIASES[key]] if key in _ALIASES else [])
-            parser.add_argument(*flags, dest=key, type=kind,
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
                                 help=f"{cls.__name__}.{f.name} (default {f.default!r})")
 
 
@@ -196,6 +193,13 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _check_argv(argv):
+    """Refuse a line break or a lone surrogate (bytes not UTF-8): no manifest line holds it."""
+    for position, arg in enumerate(argv, start=1):
+        if re.search("[\n\r\ud800-\udfff]", arg):
+            raise ValidationError(f"argument {position} {arg!r} is not one line of UTF-8 text")
 
 
 def _write_manifest(command, argv, effective, inputs, outputs):
@@ -270,7 +274,6 @@ def _cmd_synth(args, opts):
 
 
 def _cmd_preprocess(args, opts):
-    label_column = opts.get("label_column")
     if args.reuse_stats:
         if args.alpha is not None:
             raise ValidationError("--alpha does not apply: --reuse-stats reads its "
@@ -285,7 +288,7 @@ def _cmd_preprocess(args, opts):
         opts.finish([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)])
         opts.effective["alpha"] = rule.alpha
 
-    ds = load_csv(args.input, label_column)
+    ds = load_csv(args.input)
     labels, names = ds.labels, ds.feature_names
     normalized = _normalized(ds, args.input)
     del ds  # each matrix is freed once its successor exists
@@ -293,7 +296,7 @@ def _cmd_preprocess(args, opts):
         lo, hi = minmax(normalized)
     binary = binarize(normalized, rule, lo, hi)
     del normalized
-    save_csv(LabeledDataset(binary, labels, names), args.out, label_column)
+    save_csv(LabeledDataset(binary, labels, names), args.out)
 
     if args.reuse_stats:
         print(f"binarized {labels.size} rows using stored statistics -> {args.out}")
@@ -304,10 +307,9 @@ def _cmd_preprocess(args, opts):
 
 
 def _cmd_train(args, opts):
-    label_column = opts.get("label_column")
     config = opts.build(TrainConfig)
     opts.finish([("dataset", args.input)], [("model", args.out)])
-    ds = load_csv(args.input, label_column)
+    ds = load_csv(args.input)
     _require_binary_features(ds, args.input)
     class_rows = ds.class_matrices()
     del ds  # training needs only the per-class copies
@@ -321,11 +323,10 @@ def _cmd_train(args, opts):
 
 
 def _cmd_evaluate(args, opts):
-    label_column = opts.get("label_column")
     opts.finish([("model", args.model), ("dataset", args.test)],
                 [("report", args.out)] if args.out else [])
     ensemble = load_ensemble(args.model)
-    ds = load_csv(args.test, label_column)
+    ds = load_csv(args.test)
     _require_binary_features(ds, args.test)
     if ds.dim != ensemble.num_visible:
         raise ValidationError(
@@ -339,7 +340,6 @@ def _cmd_evaluate(args, opts):
 
 
 def _cmd_sweep_alpha(args, opts):
-    label_column = opts.get("label_column")
     tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
     if not tokens:
         raise ValidationError("no alpha values to sweep")
@@ -347,7 +347,7 @@ def _cmd_sweep_alpha(args, opts):
     config = opts.build(TrainConfig)
     split_spec = opts.build(SplitSpec)
     opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
-    ds = load_csv(args.input, label_column)
+    ds = load_csv(args.input)
     labels, class_ids = ds.labels, ds.class_ids()
     normalized = _normalized(ds, args.input)
     del ds  # the raw features are not needed again
@@ -417,17 +417,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    labeled = argparse.ArgumentParser(add_help=False)
-    labeled.add_argument("--label-column", dest="label_column",
-                         help=f"name of the label column (default {_CLI_DEFAULTS['label_column']})")
-
     synth = sub.add_parser("synth", help="generate a synthetic labeled binary dataset")
     synth.add_argument("--out", required=True, help="output CSV path")
     _add_dataclass_options(synth, SynthSpec)
     synth.set_defaults(func=_cmd_synth)
 
-    pre = sub.add_parser("preprocess", parents=[labeled],
-                         help="l2-normalize rows and binarize features")
+    pre = sub.add_parser("preprocess", help="l2-normalize rows and binarize features")
     pre.add_argument("input", help="labeled CSV of raw features")
     pre.add_argument("--out", required=True, help="output CSV path; the sidecar goes to "
                                                   "<out>.sidecar")
@@ -438,21 +433,19 @@ def build_parser():
                           "instead of computing new ones (test-time mode)")
     pre.set_defaults(func=_cmd_preprocess)
 
-    train = sub.add_parser("train", parents=[labeled],
-                           help="train one RBM per class plus soft-max offsets")
+    train = sub.add_parser("train", help="train one RBM per class plus soft-max offsets")
     train.add_argument("input", help="labeled CSV of binarized features")
     train.add_argument("--out", required=True, help="output model path")
     _add_dataclass_options(train, TrainConfig)
     train.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("evaluate", parents=[labeled],
-                        help="evaluate a trained ensemble on labeled binary data")
+    ev = sub.add_parser("evaluate", help="evaluate a trained ensemble on labeled binary data")
     ev.add_argument("model", help="RBME1 model file from `train`")
     ev.add_argument("test", help="labeled CSV of binarized test features")
     ev.add_argument("--out", help="also write a machine-readable report here")
     ev.set_defaults(func=_cmd_evaluate)
 
-    sweep = sub.add_parser("sweep-alpha", parents=[labeled],
+    sweep = sub.add_parser("sweep-alpha",
                            help="split, binarize, train, evaluate across alpha values")
     sweep.add_argument("input", help="labeled CSV of raw features")
     sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
@@ -475,6 +468,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits for --help/--version/usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        _check_argv(argv)
         opts = _Options(args)
         args.func(args, opts)
         if opts.record is not None:

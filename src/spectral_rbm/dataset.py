@@ -1,7 +1,7 @@
 """Labeled datasets: CSV round trips, stratified splitting, synthetic generation.
 
-CSV layout is a header row naming every column once, one column holding
-integer class labels (named "label" unless told otherwise), every other
+CSV layout is a header row naming every column once, one column named
+"label" holding integer class labels, in any position, and every other
 column a finite real feature. Values are written with shortest-round-trip
 float formatting, so save followed by load reproduces the array exactly;
 whole numbers are written without a decimal point.
@@ -100,17 +100,15 @@ class SplitSpec:
 class SynthSpec:
     """Synthetic binary dataset: block templates per class plus bit-flip noise.
 
-    The first ceil(separation * dim) dimensions form the signal region,
-    divided into one contiguous block per class; class c's template is 1
-    exactly on its own block. Each sample copies its class template and
-    flips every bit independently with probability noise. separation = 1
-    with two classes makes the templates complementary halves.
+    The dim dimensions are divided into one contiguous block per class;
+    class c's template is 1 exactly on its own block, so two classes make
+    the templates complementary halves. Each sample copies its class
+    template and flips every bit independently with probability noise.
     """
 
     classes: int = 2
     samples_per_class: int = 200
     dim: int = 100
-    separation: float = 1.0
     noise: float = 0.05
     seed: int = 0
 
@@ -118,15 +116,11 @@ class SynthSpec:
         check_int("classes", self.classes, 2)
         check_int("samples_per_class", self.samples_per_class, 1)
         check_int("dim", self.dim, 1)
-        check_real("separation", self.separation, 0.0, 1.0, lo_open=True)
         check_real("noise", self.noise, 0.0, 1.0)
         check_int("seed", self.seed, 0, MAX_SEED)
-        # every class needs at least one dimension of its own block
-        if math.ceil(self.separation * self.dim) < self.classes:
-            raise ValidationError(
-                f"separation {self.separation} over dim {self.dim} leaves fewer "
-                f"structured dimensions than classes ({self.classes})"
-            )
+        if self.dim < self.classes:
+            raise ValidationError(f"dim {self.dim} is fewer than classes ({self.classes}): "
+                                  "every class needs a dimension of its own")
 
 
 # Bytes a body may hold for a fast path. Quotes, letters other than the
@@ -236,12 +230,12 @@ def _fast_body(path, header_lines, label_idx, width):
     return features, labels
 
 
-def load_csv(path, label_column="label"):
+def load_csv(path):
     """Read a labeled CSV.
 
     Raises FileNotFoundError for a missing file, and FormatError for a
     file that is not UTF-8, a header that names a column twice or lacks
-    the label column, and any cell that does not parse or is longer than
+    a "label" column, and any cell that does not parse or is longer than
     csv.field_size_limit(), a non-finite feature or a label outside int64;
     a cell's message names the 1-based file line where its record starts,
     and its column.
@@ -258,9 +252,9 @@ def load_csv(path, label_column="label"):
             if len(set(header)) < len(header):
                 name = next(name for i, name in enumerate(header) if name in header[:i])
                 raise FormatError(f"{path}: header names column {name!r} more than once")
-            if label_column not in header:
-                raise FormatError(f"{path}: label column {label_column!r} not in header {header}")
-            label_idx = header.index(label_column)
+            if "label" not in header:
+                raise FormatError(f"{path}: label column 'label' not in header {header}")
+            label_idx = header.index("label")
             feature_names = [name for i, name in enumerate(header) if i != label_idx]
             fast = _fast_body(path, reader.line_num, label_idx, len(header))
             if fast is None:
@@ -292,7 +286,6 @@ def _records(path, reader):
 
 def _read_body(path, records, header, label_idx):
     """(features, labels) from the csv.reader loop, the one place that names a bad cell."""
-    label_column = header[label_idx]
     rows = []
     labels = []
     for line_no, row in records:
@@ -310,7 +303,7 @@ def _read_body(path, records, header, label_idx):
             unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
             integer = re.fullmatch(r"\d+(_\d+)*", unsigned) is not None
             raise FormatError(
-                f"{path}: row {line_no}, column {label_column!r}: label {row[label_idx]!r} "
+                f"{path}: row {line_no}, column 'label': label {row[label_idx]!r} "
                 + ("does not fit in int64" if integer else "is not an integer")
             )
         labels.append(label)
@@ -355,18 +348,18 @@ def _real_lines(features, label_ends):
         yield ",".join([*cells, end])
 
 
-def save_csv(ds, path, label_column="label"):
+def save_csv(ds, path):
     """Write a labeled CSV that load_csv restores exactly.
 
     Whole values are written as integers (-0.0 as 0), every other value as
     its shortest round-trip repr.
     """
     names = ds.feature_names or [f"f{i + 1}" for i in range(ds.dim)]
-    if label_column in names:
-        raise ValidationError(f"label column name {label_column!r} collides with a feature name")
+    if "label" in names:
+        raise ValidationError("label column name 'label' collides with a feature name")
     label_ends = [f"{label}\n" for label in ds.labels.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([*names, label_column])
+        csv.writer(fh, lineterminator="\n").writerow([*names, "label"])
         if is_binary(ds.features):
             fh.write(_binary_body(ds.features, label_ends))
         else:
@@ -429,16 +422,6 @@ def split_indices(labels, spec):
     return train_idx, np.flatnonzero(~mask)
 
 
-def _templates(spec):
-    length = math.ceil(spec.separation * spec.dim)
-    templates = np.zeros((spec.classes, spec.dim))
-    for c in range(spec.classes):
-        lo = c * length // spec.classes
-        hi = (c + 1) * length // spec.classes
-        templates[c, lo:hi] = 1.0
-    return templates
-
-
 def synth_generate(spec):
     """Generate the synthetic dataset described by a SynthSpec.
 
@@ -449,7 +432,10 @@ def synth_generate(spec):
     """
     rng = SeededRng(spec.seed)
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.samples_per_class)
-    templates = _templates(spec)[labels]
+    # class c's block is the columns from c * dim // classes up to (c + 1) * dim // classes
+    edges = np.arange(1, spec.classes) * spec.dim // spec.classes
+    block = np.searchsorted(edges, np.arange(spec.dim), side="right")
+    templates = (block == labels[:, None]).astype(float)
     flips = rng.uniforms(templates.size).reshape(templates.shape) < spec.noise
     rows = np.where(flips, 1.0 - templates, templates)
     names = [f"f{i + 1}" for i in range(spec.dim)]

@@ -203,7 +203,7 @@ class TestAcceptance:
         details = []
         for seed in range(10):
             ds = synth_generate(SynthSpec(classes=2, samples_per_class=200, dim=100,
-                                          separation=1.0, noise=0.05, seed=seed))
+                                          noise=0.05, seed=seed))
             train_ds, test_ds = split(ds, SplitSpec(train_fraction=0.5, seed=seed))
             ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=seed))
             report = evaluate(predict_label_batch(test_ds.features, ensemble),
@@ -334,7 +334,7 @@ class TestAcceptance:
             assert cli.main(["preprocess", str(raw), "--out", str(bins),
                              "--alpha", "2/5"]) == 0
             assert cli.main(["train", str(bins), "--out", str(model),
-                             "--hidden-units", "4", "--epochs", "4",
+                             "--hidden", "4", "--epochs", "4",
                              "--seed", "2"]) == 0
             assert cli.main(["evaluate", str(model), str(bins),
                              "--out", str(report)]) == 0

@@ -352,8 +352,7 @@ class TestPredictLabel:
 
 class TestTrainEnsemble:
     def test_separable_classes_classify_training_data(self):
-        spec = SynthSpec(classes=2, samples_per_class=40, dim=30, separation=1.0,
-                         noise=0.03, seed=5)
+        spec = SynthSpec(classes=2, samples_per_class=40, dim=30, noise=0.03, seed=5)
         ds = synth_generate(spec)
         config = TrainConfig(epochs=15, hidden_units=12, seed=1, init_weight_scale=0.01)
         ensemble = train_ensemble(ds.class_matrices(), config)
@@ -363,7 +362,7 @@ class TestTrainEnsemble:
 
     def test_separable_classes_generalize_to_held_out_half(self):
         ds = synth_generate(SynthSpec(classes=2, samples_per_class=60, dim=24,
-                                      separation=1.0, noise=0.05, seed=6))
+                                      noise=0.05, seed=6))
         train_ds, test_ds = split(ds, SplitSpec(train_fraction=0.5, seed=3))
         config = TrainConfig(epochs=20, hidden_units=10, seed=2, init_weight_scale=0.01)
         ensemble = train_ensemble(train_ds.class_matrices(), config)

@@ -43,7 +43,7 @@ def write_raw_csv(path, rows=24, dim=6, classes=2, seed=0):
     # give each class a crude scale difference so binarization is not noise
     features[labels == 1] *= 2.0
     ds = LabeledDataset(features, labels, tuple(f"f{i + 1}" for i in range(dim)))
-    save_csv(ds, path, label_column="label")
+    save_csv(ds, path)
 
 
 def synth_small(path, per_class=12, dim=8, seed=0):
@@ -53,7 +53,7 @@ def synth_small(path, per_class=12, dim=8, seed=0):
     assert code == 0
 
 
-TINY_TRAIN = ("--hidden-units", "4", "--epochs", "3", "--seed", "0")
+TINY_TRAIN = ("--hidden", "4", "--epochs", "3", "--seed", "0")
 
 
 class TestSynth:
@@ -63,7 +63,7 @@ class TestSynth:
                    "--per-class", "200", "--dim", "100", "--noise", "0.05",
                    "--seed", "7")
         assert code == 0
-        ds = load_csv(out, "label")
+        ds = load_csv(out)
         assert ds.sample_count == 400
         assert ds.dim == 100
         assert np.all((ds.features == 0.0) | (ds.features == 1.0))
@@ -100,7 +100,7 @@ class TestSynth:
     def test_defaults_give_400_rows(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run("synth", "--out", str(out)) == 0
-        assert load_csv(out, "label").sample_count == 400
+        assert load_csv(out).sample_count == 400
 
 
 class TestPreprocess:
@@ -108,10 +108,10 @@ class TestPreprocess:
         # the sidecar holds the rows' min/max alone: it is all --reuse-stats cuts test rows with
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw)
-        lo, hi = minmax(normalize_rows(load_csv(raw, "label").features))
+        lo, hi = minmax(normalize_rows(load_csv(raw).features))
         out = tmp_path / "bin.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4") == 0
-        ds = load_csv(out, "label")
+        ds = load_csv(out)
         assert np.all((ds.features == 0.0) | (ds.features == 1.0))
         assert Path(f"{out}.sidecar").read_text() == (
             f"sidecar_version=2\nalpha=0.4\nmin={lo!r}\nmax={hi!r}\n"
@@ -124,10 +124,10 @@ class TestPreprocess:
         write_raw_csv(raw)
         out = tmp_path / "bin.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--alpha", "0.4") == 0
-        normalized = normalize_rows(load_csv(raw, "label").features)
+        normalized = normalize_rows(load_csv(raw).features)
         expected = np.where(normalized - normalized.min()
                             < 0.4 * (normalized.max() - normalized.min()), 0.0, 1.0)
-        np.testing.assert_array_equal(load_csv(out, "label").features, expected)
+        np.testing.assert_array_equal(load_csv(out).features, expected)
         assert "config.scope" not in kv(tmp_path / "bin.csv.manifest")
         sidecar = kv(tmp_path / "bin.csv.sidecar")
         assert not any(key.startswith("class.") or key == "scope" for key in sidecar)
@@ -135,9 +135,10 @@ class TestPreprocess:
     @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "evaluate",
                                          "sweep-alpha"])
     def test_removed_flags_and_config_keys_are_gone(self, tmp_path, capsys, monkeypatch, command):
-        # options come from flags only, with one binarization rule, one offset-fit tolerance and
-        # the sidecar at <out>.sidecar: argparse refuses --config and each removed flag before
-        # any input is read or any file written
+        # options come from flags only, each with one spelling, with one binarization rule, one
+        # offset-fit tolerance, the sidecar at <out>.sidecar, the label column named "label" and
+        # synth's class blocks over every dimension: argparse refuses --config and each removed
+        # flag before any input is read or any file written
         raw, out = tmp_path / "raw.csv", tmp_path / "o.txt"
         write_raw_csv(raw)
         config = tmp_path / "run.conf"
@@ -154,7 +155,9 @@ class TestPreprocess:
             "sweep-alpha": (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN),
                             [*scope, ("--fit-tolerance", "1e-6")]),
         }[command]
-        for flag, value in [*removed, ("--config", str(config))]:
+        gone = [("--config", str(config)), ("--label-column", "label"), ("--separation", "0.5"),
+                ("--lr", "0.1"), ("--hidden-units", "4")]
+        for flag, value in [*removed, *gone]:
             assert run(*argv, "--out", str(out), flag, value) == 2
             assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
             assert called == []
@@ -231,7 +234,7 @@ class TestPreprocess:
         code = run("preprocess", str(test_raw), "--out", str(test_bin),
                    "--reuse-stats", str(tmp_path / "train_bin.csv.sidecar"))
         assert code == 0
-        ds = load_csv(test_bin, "label")
+        ds = load_csv(test_bin)
         assert np.all((ds.features == 0.0) | (ds.features == 1.0))
         manifest = kv(tmp_path / "test_bin.csv.manifest")
         assert float(manifest["config.alpha"]) == 0.3
@@ -351,7 +354,7 @@ class TestTrain:
         assert ensemble.classes == [0, 1]
         assert "trained 2 class models" in capsys.readouterr().out
         manifest = kv(tmp_path / "model.rbme.manifest")
-        assert manifest["config.hidden_units"] == "4"
+        assert manifest["config.hidden"] == "4"
         assert manifest["config.learning_rate"] == "0.1"
         assert "input.dataset.sha256" in manifest
 
@@ -395,13 +398,13 @@ class TestTrain:
         data = tmp_path / "data.csv"
         synth_small(data)
         code = run("train", str(data), "--out", str(tmp_path / "m.rbme"),
-                   "--hidden-units", "4", "--epochs", "50",
+                   "--hidden", "4", "--epochs", "50",
                    "--learning-rate", "1e300")
         assert code == 4
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("options, code, message", [
-        (("--lr", "1e308", "--hidden-units", "3", "--epochs", "2"), 4,
+        (("--learning-rate", "1e308", "--hidden", "3", "--epochs", "2"), 4,
          "error: class 0: training diverged to non-finite parameters"),
         (("--init-weight-scale", "1e308"), 2, "error: class 0: weights must have finite entries"),
     ])
@@ -420,11 +423,10 @@ class TestTrain:
         features = np.vstack([datasets[c] for c in sorted(datasets)])
         labels = np.repeat(sorted(datasets), [len(datasets[c]) for c in sorted(datasets)])
         data = tmp_path / "data.csv"
-        save_csv(LabeledDataset(features, labels, tuple(f"f{i + 1}" for i in range(5))), data,
-                 label_column="label")
+        save_csv(LabeledDataset(features, labels, tuple(f"f{i + 1}" for i in range(5))), data)
         with nan_on_all_ones_rows(conditional):
             code = run("train", str(data), "--out", str(tmp_path / "m.rbme"), "--momentum", "0.9",
-                       "--epochs", "2", "--hidden-units", "4", "--seed", "7",
+                       "--epochs", "2", "--hidden", "4", "--seed", "7",
                        "--init-weight-scale", "0.1")
         assert code == 4
         assert capsys.readouterr().err == "error: class 1: training diverged to non-finite parameters\n"
@@ -434,7 +436,7 @@ class TestTrain:
         assert run("synth", "--out", str(data), "--classes", "3", "--per-class", "10",
                    "--dim", "100", "--seed", "1") == 0
         capsys.readouterr()
-        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), "--hidden-units", "50",
+        assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), "--hidden", "50",
                    "--epochs", "3", "--init-weight-scale", "1e306") == 4
         assert capsys.readouterr().err.strip() == (
             "error: class 1: the model gives 3 of 30 rows a non-finite free energy")
@@ -447,7 +449,7 @@ class TestTrain:
                    "--dim", "6") == 0
         capsys.readouterr()
         model = tmp_path / "m.rbme"
-        assert run("train", str(data), "--out", str(model), "--hidden-units", "50",
+        assert run("train", str(data), "--out", str(model), "--hidden", "50",
                    "--epochs", "3", "--init-weight-scale", "1e306") == 4
         assert capsys.readouterr().err == (
             "error: offset fit stopped after 100 steps at gradient 0.1, above tolerance 1e-08\n")
@@ -459,14 +461,16 @@ class TestTrain:
         synth_small(data)
         assert run("train", str(data), "--out", str(tmp_path / "m.rbme"), flag, "10") == 2
 
-    def test_flag_aliases(self, tmp_path):
+    def test_hidden_flag_sets_hidden_units(self, tmp_path):
         data = tmp_path / "data.csv"
         synth_small(data)
         model = tmp_path / "m.rbme"
         code = run("train", str(data), "--out", str(model),
-                   "--hidden", "4", "--lr", "0.1", "--epochs", "2")
+                   "--hidden", "4", "--learning-rate", "0.2", "--epochs", "2")
         assert code == 0
-        assert kv(tmp_path / "m.rbme.manifest")["config.hidden_units"] == "4"
+        assert load_ensemble(model).config.hidden_units == 4
+        manifest = kv(tmp_path / "m.rbme.manifest")
+        assert (manifest["config.hidden"], manifest["config.learning_rate"]) == ("4", "0.2")
 
 
 class TestEvaluate:
@@ -474,7 +478,7 @@ class TestEvaluate:
         data = tmp_path / "data.csv"
         synth_small(data, per_class=20)
         model = tmp_path / "model.rbme"
-        assert run("train", str(data), "--out", str(model), "--hidden-units", "6",
+        assert run("train", str(data), "--out", str(model), "--hidden", "6",
                    "--epochs", "10", "--seed", "0") == 0
         return data, model
 
@@ -500,14 +504,12 @@ class TestEvaluate:
 
     def test_missing_truth_column_is_usage_error(self, tmp_path, capsys):
         data, model = self.fitted_model(tmp_path)
-        ds = load_csv(data, "label")
         bad = tmp_path / "unlabeled.csv"
-        save_csv(LabeledDataset(ds.features, ds.labels,
-                                tuple(f"f{i}" for i in range(ds.dim))),
-                 bad, label_column="outcome")
+        bad.write_text(data.read_text().replace(",label\n", ",outcome\n", 1))
+        capsys.readouterr()
         code = run("evaluate", str(model), str(bad))
         assert code == 2
-        assert "label" in capsys.readouterr().err
+        assert "label column 'label' not in header" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         data, model = self.fitted_model(tmp_path)
@@ -595,7 +597,7 @@ class TestSweepAlpha:
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw, rows=24, dim=6)
         code = run("sweep-alpha", str(raw), "--alphas", "1/4,1/2",
-                   "--hidden-units", "3", "--epochs", "2",
+                   "--hidden", "3", "--epochs", "2",
                    "--train-fraction", "0.5")
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -607,7 +609,7 @@ class TestSweepAlpha:
     def test_default_grid_is_nine_rows(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw, rows=16, dim=5)
-        code = run("sweep-alpha", str(raw), "--hidden-units", "2",
+        code = run("sweep-alpha", str(raw), "--hidden", "2",
                    "--epochs", "1")
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -618,7 +620,7 @@ class TestSweepAlpha:
         write_raw_csv(raw, rows=24, dim=6)
         table_path = tmp_path / "table.txt"
         code = run("sweep-alpha", str(raw), "--alphas", "1/2",
-                   "--hidden-units", "3", "--epochs", "2",
+                   "--hidden", "3", "--epochs", "2",
                    "--out", str(table_path))
         assert code == 0
         assert table_path.read_text().strip() == capsys.readouterr().out.strip()
@@ -635,7 +637,7 @@ class TestSweepAlpha:
         monkeypatch.setattr(cli, "train_ensemble", lambda *a: called.append("train_ensemble"))
         for alphas in ("1/2,banana", "1/5,1/4,bogus", "1/5,1.5"):
             assert run("sweep-alpha", str(raw), "--alphas", alphas,
-                       "--hidden-units", "2", "--epochs", "1") == 2
+                       "--hidden", "2", "--epochs", "1") == 2
         assert called == []
 
     def test_class_without_training_rows_is_usage_error(self, tmp_path, capsys):
@@ -645,7 +647,7 @@ class TestSweepAlpha:
         labels = np.repeat(np.array([0, 1, 2], dtype=np.int64), [10, 10, 4])
         save_csv(LabeledDataset(rng.random((24, 5)) + 0.1, labels), raw)
         code = run("sweep-alpha", str(raw), "--train-fraction", "0.2", "--alphas", "1/2",
-                   "--hidden-units", "2", "--epochs", "1")
+                   "--hidden", "2", "--epochs", "1")
         assert code == 2
         captured = capsys.readouterr()
         assert "class 2" in captured.err and captured.out == ""
@@ -657,7 +659,7 @@ class TestSweepAlpha:
         features, labels = spectra(3, 4, 36, 30, 0.4)
         raw = tmp_path / "raw.csv"
         write_raw_csv_text(raw, features, labels)
-        training = ("--hidden-units", "8", "--epochs", "2", "--seed", "5")
+        training = ("--hidden", "8", "--epochs", "2", "--seed", "5")
         assert run("sweep-alpha", str(raw), "--alphas", "2/5", "--split-seed", "1", *training) == 0
         sweep_line = capsys.readouterr().out.splitlines()[1].split()
         for name, rows in zip(("train", "test"), split_indices(labels, SplitSpec(seed=1))):
@@ -678,7 +680,7 @@ class TestSweepAlpha:
     def test_deterministic_table(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         write_raw_csv(raw, rows=24, dim=6)
-        args = ("sweep-alpha", str(raw), "--alphas", "1/3", "--hidden-units", "3",
+        args = ("sweep-alpha", str(raw), "--alphas", "1/3", "--hidden", "3",
                 "--epochs", "2", "--seed", "4", "--split-seed", "1")
         assert run(*args) == 0
         first = capsys.readouterr().out
@@ -743,8 +745,8 @@ def test_readme_defaults_table_matches_the_cli(tmp_path):
     assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == flags_only
 
 
-TRAIN_KEYS = ("epochs", "hidden_units", "init_weight_scale", "label_column", "learning_rate",
-              "momentum", "seed", "weight_decay")
+TRAIN_KEYS = ("epochs", "hidden", "init_weight_scale", "learning_rate", "momentum", "seed",
+              "weight_decay")
 
 
 def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
@@ -760,20 +762,20 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
     wrote = lambda name, path: [(f"output.{name}", str(path)), (f"output.{name}.sha256", sha(path))]
     cases = [
         (("synth", "--out", str(data), "--per-class", "8", "--dim", "5"),
-         ("classes", "dim", "noise", "per_class", "seed", "separation"),
+         ("classes", "dim", "noise", "per_class", "seed"),
          lambda: wrote("dataset", data)),
         (("preprocess", str(raw), "--out", str(binary)),
-         ("alpha", "label_column"),
+         ("alpha",),
          lambda: [*read("dataset", raw), *wrote("dataset", binary), *wrote("sidecar", sidecar)]),
         (("preprocess", str(test_raw), "--out", str(test_binary), "--reuse-stats", str(sidecar)),
-         ("alpha", "label_column", "max", "min"),
+         ("alpha", "max", "min"),
          lambda: [*read("dataset", test_raw), *read("sidecar", sidecar),
                   *wrote("dataset", test_binary)]),
         (("train", str(binary), "--out", str(model), *TINY_TRAIN),
          TRAIN_KEYS,
          lambda: [*read("dataset", binary), *wrote("model", model)]),
         (("evaluate", str(model), str(test_binary), "--out", str(report)),
-         ("label_column",),
+         (),
          lambda: [*read("model", model), *read("dataset", test_binary),
                   *wrote("report", report)]),
         (("sweep-alpha", str(raw), "--alphas", "1/2", *TINY_TRAIN, "--out", str(table)),
@@ -911,15 +913,13 @@ def test_option_renaming_tables_name_live_options():
     # a stale entry in either table would otherwise be silently dead
     for cls, keys in cli._OPTION_KEYS.items():
         assert set(keys) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    # every option has one spelling: no flag of a subcommand but --help has an alias
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        (flag, action.dest)
-        for sub in subparsers.choices.values() for action in sub._actions
-        for flag in action.option_strings
-    }
-    for key, alias in cli._ALIASES.items():
-        assert (alias, key) in flags, alias
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                assert len(action.option_strings) == 1, (name, action.option_strings)
 
 
 class TestMainPlumbing:
@@ -935,6 +935,27 @@ class TestMainPlumbing:
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         assert "spectral-rbm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["line-break-in-out", "line-break-in-alphas", "not-utf8-out"])
+    def test_an_argument_a_manifest_cannot_hold_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, case):
+        # the manifest records every argument on a key=value line, read back as UTF-8 text
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        not_utf8 = b"\xff.csv".decode("utf-8", "surrogateescape")  # as Python reads such a name
+        argv, position = {
+            "line-break-in-out": (("synth", "--out", str(tmp_path / "a\nb.csv")), 3),
+            "line-break-in-alphas": (("sweep-alpha", str(raw), "--alphas", "1/3\r1/2",
+                                      "--out", str(tmp_path / "t.txt")), 4),
+            "not-utf8-out": (("synth", "--out", str(tmp_path / not_utf8)), 3),
+        }[case]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {position} {argv[position - 1]!r} is not one line of UTF-8 text\n")
+        assert called == []
+        assert list(tmp_path.iterdir()) == [raw]
 
 
 class TestTracedPeak:
@@ -981,19 +1002,19 @@ class TestTracedPeak:
     def test_sweep_alpha_holds_each_matrix_once(self, tmp_path):
         # one split for every alpha, and no alpha's matrices or ensemble outlive it
         peak = self.traced_peak("sweep-alpha", str(self.raw_csv(tmp_path)), "--alphas", "1/3,1/2",
-                                "--hidden-units", "8", "--epochs", "1")
+                                "--hidden", "8", "--epochs", "1")
         assert peak <= 2.5 * self.FEATURE_BYTES
 
     def test_train_releases_the_loaded_dataset(self, tmp_path):
         binary = tmp_path / "bin.csv"
         assert run("preprocess", str(self.raw_csv(tmp_path)), "--out", str(binary)) == 0
         peak = self.traced_peak("train", str(binary), "--out", str(tmp_path / "m.rbme"),
-                                "--hidden-units", "8", "--epochs", "1")
+                                "--hidden", "8", "--epochs", "1")
         assert peak <= 3.0 * self.FEATURE_BYTES
 
     def test_evaluate_holds_the_test_rows_once(self, tmp_path):
         binary, model = tmp_path / "bin.csv", tmp_path / "m.rbme"
         assert run("preprocess", str(self.raw_csv(tmp_path)), "--out", str(binary)) == 0
-        assert run("train", str(binary), "--out", str(model), "--hidden-units", "8",
+        assert run("train", str(binary), "--out", str(model), "--hidden", "8",
                    "--epochs", "1") == 0
         assert self.traced_peak("evaluate", str(model), str(binary)) <= 1.6 * self.FEATURE_BYTES

@@ -43,7 +43,7 @@ class TestLoadCsv:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n0.5,1.0,0\n0.25,0.125,1\n")
-        ds = load_csv(path, label_column="label")
+        ds = load_csv(path)
         np.testing.assert_array_equal(ds.features, [[0.5, 1.0], [0.25, 0.125]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
         assert ds.feature_names == ("f1", "f2")
@@ -51,7 +51,7 @@ class TestLoadCsv:
     def test_label_column_position_is_free(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,f1,f2\n1,0.5,1.0\n")
-        ds = load_csv(path, label_column="label")
+        ds = load_csv(path)
         np.testing.assert_array_equal(ds.features, [[0.5, 1.0]])
         assert ds.labels[0] == 1
 
@@ -59,14 +59,14 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n0.5,1.0,0\nnope,0.5,1\n")
         with pytest.raises(FormatError, match="row 3, column 'f1': 'nope' is not a number"):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_bad_label_reported(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,zero\n")
         message = "row 2, column 'label': label 'zero' is not an integer"
         with pytest.raises(FormatError, match=message):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     @pytest.mark.parametrize("text, line", [
         ('"f\n1",label\n0.5,x\n', 3),  # the header spans lines 1 and 2
@@ -76,7 +76,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(FormatError, match=f"row {line}, column 'label'"):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     @pytest.mark.parametrize("text, line", [
         ("f1,label\n0.5,1\n0." + "0" * 200_000 + "1,3\n", 3),
@@ -86,19 +86,19 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(FormatError, match=f"row {line}: field larger than field limit"):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,1.5\n")
         with pytest.raises(FormatError):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2\n0.5,1.0\n")
         with pytest.raises(FormatError, match="label column 'label' not in header"):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_repeated_header_name_rejected(self, tmp_path):
         # a second "label" would otherwise be read as a feature column
@@ -106,29 +106,29 @@ class TestLoadCsv:
         for header, name in (("a,label,label", "label"), ("a,b,a,label", "a")):
             path.write_text(f"{header}\n" + ",".join(["0"] * header.count(",")) + ",1\n")
             with pytest.raises(FormatError, match=f"column '{name}' more than once"):
-                load_csv(path, label_column="label")
+                load_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "absent.csv", label_column="label")
+            load_csv(tmp_path / "absent.csv")
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n0.5,1.0,0\n0.25,1\n")
         with pytest.raises(FormatError, match="row 3 has 2 cells, expected 3"):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\ninf,0\n")
         with pytest.raises(FormatError):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n")
         with pytest.raises(FormatError):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     @pytest.mark.parametrize("label", ["99999999999999999999", "9223372036854775808",
                                        "-9223372036854775809",
@@ -141,12 +141,12 @@ class TestLoadCsv:
         path.write_text(f"f1,label\n0.5,1\n0.5,{label}\n", encoding="utf-8")
         message = "row 3, column 'label': label '.*' does not fit in int64"
         with pytest.raises(FormatError, match=message):
-            load_csv(path, label_column="label")
+            load_csv(path)
 
     def test_int64_extreme_labels_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n0.5,9223372036854775807\n0.5,-9223372036854775808\n")
-        labels = load_csv(path, label_column="label").labels
+        labels = load_csv(path).labels
         assert labels.tolist() == [2**63 - 1, -(2**63)]
 
     @pytest.mark.parametrize("content", [b"f\xe9,label\n0.5,1\n", b"f1,label\n0.5,1\n0.\xff,1\n"])
@@ -154,14 +154,14 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_bytes(content)
         with pytest.raises(FormatError, match="not UTF-8") as info:
-            load_csv(path, label_column="label")
+            load_csv(path)
         assert str(path) in str(info.value)
 
 
 def _outcome(path):
     """What load_csv makes of path: the arrays' bytes, or the exception's type and message."""
     try:
-        ds = load_csv(path, label_column="label")
+        ds = load_csv(path)
     except Exception as exc:  # noqa: BLE001 - the comparison is over any outcome
         return type(exc), str(exc)
     return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tobytes(),
@@ -290,7 +290,7 @@ class TestFastLoad:
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
         with mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
-            ds = load_csv(path, label_column="label")
+            ds = load_csv(path)
         assert ds.labels.tolist() == labels
 
     @pytest.mark.parametrize("text, features", [
@@ -308,7 +308,7 @@ class TestFastLoad:
         else:
             patch = mock.patch.object(dataset, "_fast_body", return_value=None)
         with patch:
-            ds = load_csv(path, label_column="label")
+            ds = load_csv(path)
         assert ds.feature_names == ("f1", "f2")
         assert ds.features.tolist() == features
         assert ds.labels.tolist() == [3, 4]
@@ -318,11 +318,11 @@ class TestFastLoad:
         rng = np.random.default_rng(0)
         ds = LabeledDataset((rng.random((40, 7)) < 0.5).astype(float), rng.integers(-3, 300, 40))
         path = tmp_path / "b.csv"
-        save_csv(ds, path, label_column="label")
+        save_csv(ds, path)
         path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
         with mock.patch.object(dataset.np, "loadtxt", side_effect=AssertionError("loadtxt")), \
                 mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
-            back = load_csv(path, label_column="label")
+            back = load_csv(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tolist() == ds.labels.tolist()
 
@@ -335,7 +335,7 @@ class TestFastLoad:
         path.write_text(text)
         with mock.patch.object(dataset.np, "loadtxt", wraps=dataset.np.loadtxt) as loadtxt, \
                 mock.patch.object(dataset, "_read_body", side_effect=AssertionError("slow path")):
-            ds = load_csv(path, label_column="label")
+            ds = load_csv(path)
         assert loadtxt.call_count == 1
         assert ds.labels.tolist() == [3, -4]
 
@@ -377,8 +377,8 @@ class TestSaveCsv:
     def test_round_trip_exact(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "out.csv"
-        save_csv(ds, path, label_column="label")
-        back = load_csv(path, label_column="label")
+        save_csv(ds, path)
+        back = load_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.feature_names == ds.feature_names
@@ -389,22 +389,22 @@ class TestSaveCsv:
         labels = rng.integers(0, 3, 30)
         ds = LabeledDataset(features, labels, tuple(f"f{i}" for i in range(1, 11)))
         path = tmp_path / "b.csv"
-        save_csv(ds, path, label_column="label")
-        back = load_csv(path, label_column="label")
+        save_csv(ds, path)
+        back = load_csv(path)
         np.testing.assert_array_equal(back.features, features)
 
     def test_awkward_floats_round_trip(self, tmp_path):
         features = np.array([[0.1 + 0.2, 1e-300], [5e-324, 1.0 / 3.0]])
         ds = LabeledDataset(features, np.array([0, 1]), ("a", "b"))
         path = tmp_path / "f.csv"
-        save_csv(ds, path, label_column="label")
-        back = load_csv(path, label_column="label")
+        save_csv(ds, path)
+        back = load_csv(path)
         assert back.features.tobytes() == features.tobytes()
 
     def test_integral_floats_written_without_point(self, tmp_path):
         ds = LabeledDataset(np.array([[0.0, 1.0]]), np.array([0]), ("a", "b"))
         path = tmp_path / "i.csv"
-        save_csv(ds, path, label_column="label")
+        save_csv(ds, path)
         assert path.read_text() == "a,b,label\n0,1,0\n"
 
     @pytest.mark.parametrize("value, text", [
@@ -422,7 +422,7 @@ class TestSaveCsv:
     def test_golden_value_text(self, tmp_path, value, text):
         ds = LabeledDataset(np.array([[value], [0.5]]), np.array([1, 0]), ("a",))
         path = tmp_path / "v.csv"
-        save_csv(ds, path, label_column="label")
+        save_csv(ds, path)
         assert path.read_text() == f"a,label\n{text},1\n0.5,0\n"
 
     @pytest.mark.parametrize("write_path", ["binary", "real"])
@@ -439,16 +439,16 @@ class TestSaveCsv:
             monkeypatch.setattr(dataset, "is_binary", lambda features: False)
         ds = LabeledDataset(np.array(features, dtype=float), np.array(labels, dtype=np.int64))
         path = tmp_path / "b.csv"
-        save_csv(ds, path, label_column="label")
+        save_csv(ds, path)
         assert path.read_text() == text
-        back = load_csv(path, label_column="label")
+        back = load_csv(path)
         assert back.features.tobytes() == (ds.features + 0.0).tobytes()
         assert back.labels.tolist() == labels
 
     def test_label_name_collision_rejected(self, tmp_path):
         ds = LabeledDataset(np.array([[1.0]]), np.array([0]), ("label",))
         with pytest.raises(ValidationError):
-            save_csv(ds, tmp_path / "c.csv", label_column="label")
+            save_csv(ds, tmp_path / "c.csv")
 
 
 class TestSplit:
@@ -577,8 +577,7 @@ class TestSplit:
 
 class TestSynthGenerate:
     def test_zero_noise_reproduces_templates(self):
-        spec = SynthSpec(classes=2, samples_per_class=5, dim=8, separation=1.0,
-                         noise=0.0, seed=0)
+        spec = SynthSpec(classes=2, samples_per_class=5, dim=8, noise=0.0, seed=0)
         ds = synth_generate(spec)
         assert ds.sample_count == 10
         class0 = ds.features[ds.labels == 0]
@@ -592,25 +591,17 @@ class TestSynthGenerate:
     def test_full_separation_templates_are_complementary(self):
         for dim in (6, 10, 17):
             spec = SynthSpec(classes=2, samples_per_class=1, dim=dim,
-                             separation=1.0, noise=0.0, seed=0)
+                             noise=0.0, seed=0)
             ds = synth_generate(spec)
             a = ds.features[ds.labels == 0][0]
             b = ds.features[ds.labels == 1][0]
             assert int(np.abs(a - b).sum()) == dim
 
-    def test_partial_separation_leaves_tail_zero(self):
-        spec = SynthSpec(classes=2, samples_per_class=1, dim=10, separation=0.5,
-                         noise=0.0, seed=0)
-        ds = synth_generate(spec)
-        # only the first ceil(0.5 * 10) = 5 dims carry class structure
-        assert np.all(ds.features[:, 5:] == 0.0)
-
     def test_noise_flip_rate_within_three_sigma(self):
-        spec = SynthSpec(classes=2, samples_per_class=400, dim=50, separation=1.0,
-                         noise=0.1, seed=42)
+        spec = SynthSpec(classes=2, samples_per_class=400, dim=50, noise=0.1, seed=42)
         ds = synth_generate(spec)
         clean = synth_generate(SynthSpec(classes=2, samples_per_class=1, dim=50,
-                                         separation=1.0, noise=0.0, seed=0))
+                                         noise=0.0, seed=0))
         total_flips = 0
         for c in (0, 1):
             template = clean.features[clean.labels == c][0]
@@ -622,19 +613,17 @@ class TestSynthGenerate:
         assert abs(rate - 0.1) <= 3.0 * sigma
 
     def test_deterministic_per_seed(self):
-        spec = SynthSpec(classes=3, samples_per_class=20, dim=15, separation=0.8,
-                         noise=0.2, seed=17)
+        spec = SynthSpec(classes=3, samples_per_class=20, dim=15, noise=0.2, seed=17)
         a = synth_generate(spec)
         b = synth_generate(spec)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-        c = synth_generate(SynthSpec(classes=3, samples_per_class=20, dim=15,
-                                     separation=0.8, noise=0.2, seed=18))
+        c = synth_generate(SynthSpec(classes=3, samples_per_class=20, dim=15, noise=0.2,
+                                     seed=18))
         assert not np.array_equal(a.features, c.features)
 
     def test_labels_class_major_and_names_sequential(self):
-        spec = SynthSpec(classes=3, samples_per_class=2, dim=4, separation=1.0,
-                         noise=0.0, seed=0)
+        spec = SynthSpec(classes=3, samples_per_class=2, dim=4, noise=0.0, seed=0)
         ds = synth_generate(spec)
         np.testing.assert_array_equal(ds.labels, [0, 0, 1, 1, 2, 2])
         assert ds.feature_names == ("f1", "f2", "f3", "f4")
@@ -647,11 +636,11 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError):
             SynthSpec(classes=2, samples_per_class=5, dim=0)
         with pytest.raises(ValidationError):
-            SynthSpec(classes=2, samples_per_class=5, dim=4, separation=0.0)
-        with pytest.raises(ValidationError):
             SynthSpec(classes=2, samples_per_class=5, dim=4, noise=1.5)
-        with pytest.raises(ValidationError):
-            SynthSpec(classes=5, samples_per_class=5, dim=3, separation=1.0)
+        with pytest.raises(ValidationError) as got:
+            SynthSpec(classes=5, samples_per_class=5, dim=3)
+        assert str(got.value) == ("dim 3 is fewer than classes (5): "
+                                  "every class needs a dimension of its own")
 
 
 class TestLabeledDataset:

@@ -24,7 +24,7 @@ from spectral_rbm.dataset import LabeledDataset, save_csv
 from spectral_rbm.errors import ValidationError
 
 CASES = 60  # per format, seeds 0-59
-TRAIN = ("--hidden-units", "2", "--epochs", "1", "--seed", "0")
+TRAIN = ("--hidden", "2", "--epochs", "1", "--seed", "0")
 
 # format -> (seed tag, the input it mutates, the command that reads it); {input} is the
 # mutated file, {out} an empty output directory and {base} the directory of working inputs
@@ -45,8 +45,7 @@ def base(tmp_path_factory):
     rng = np.random.default_rng(0)
     labels = np.arange(24, dtype=np.int64) % 2
     features = (rng.random((24, 5)) + 0.1) * (1.0 + labels[:, None])
-    save_csv(LabeledDataset(features, labels, tuple(f"w{i}" for i in range(5))), base / "raw.csv",
-             label_column="label")
+    save_csv(LabeledDataset(features, labels, tuple(f"w{i}" for i in range(5))), base / "raw.csv")
     assert cli.main(["preprocess", str(base / "raw.csv"), "--out", str(base / "bin.csv")]) == 0
     assert cli.main(["train", str(base / "bin.csv"), "--out", str(base / "model.rbme"),
                      *TRAIN]) == 0

@@ -73,7 +73,7 @@ def test_small_ensemble_bytes(seed):
 
 def test_reference_point_ensemble_bytes():
     ds = synth_generate(SynthSpec(classes=2, samples_per_class=200, dim=100,
-                                  separation=1.0, noise=0.05, seed=0))
+                                  noise=0.05, seed=0))
     train_ds, _ = split(ds, SplitSpec(train_fraction=0.5, seed=0))
     ensemble = train_ensemble(train_ds.class_matrices(), TrainConfig(seed=0))
     assert digest(ensemble) == REFERENCE_DIGEST, determinism_domain()
@@ -132,7 +132,7 @@ def test_cli_chain_output_bytes(tmp_path, capsys):
                 "--noise", "0.3", "--seed", seed)
     run_cli("preprocess", train, "--out", tmp_path / "train.bin.csv", "--alpha", "2/5")
     run_cli("train", tmp_path / "train.bin.csv", "--out", tmp_path / "model.rbme",
-            "--hidden-units", "6", "--epochs", "4", "--seed", "3")
+            "--hidden", "6", "--epochs", "4", "--seed", "3")
     run_cli("preprocess", test, "--out", tmp_path / "test.bin.csv",
             "--reuse-stats", tmp_path / "train.bin.csv.sidecar")
     run_cli("evaluate", tmp_path / "model.rbme", tmp_path / "test.bin.csv",
@@ -154,6 +154,6 @@ def test_sweep_alpha_table_bytes(tmp_path, capsys):
               for row, label in zip(features, labels)]
     data = tmp_path / "spectra.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    run_cli("sweep-alpha", data, "--alphas", "1/4,1/2,3/4", "--hidden-units", "4",
+    run_cli("sweep-alpha", data, "--alphas", "1/4,1/2,3/4", "--hidden", "4",
             "--epochs", "3", "--seed", "2", "--out", tmp_path / "sweep.txt")
     assert file_digest(tmp_path / "sweep.txt") == SWEEP_DIGEST, determinism_domain()

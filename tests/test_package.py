@@ -74,7 +74,7 @@ import sys
 from spectral_rbm import cli, dataset
 
 out = sys.argv[1] + "/"
-tiny = ["--hidden-units", "4", "--epochs", "2"]
+tiny = ["--hidden", "4", "--epochs", "2"]
 for argv in (
     ["synth", "--out", out + "raw.csv", "--per-class", "20", "--dim", "10"],
     ["preprocess", out + "raw.csv", "--out", out + "bin.csv"],
