@@ -8,12 +8,13 @@ Subcommands:
 * ``evaluate``    score a trained ensemble on a labeled test CSV
 * ``sweep-alpha`` split once, then run preprocess/train/evaluate across alpha values
 
-Options come from flags only, and an option not given takes its built-in
-default. An output that names the same file as an input or another output
-is refused. A command that writes files names what it reads and writes
-before it reads any input; ``main`` records that in ``<first output>.manifest``
-with the exact command and the effective configuration, so it first
-refuses an argument that is not one line of UTF-8 text. Manifests carry a
+Options come from flags only, each spelled in full, and the parser holds
+every default and refuses --alpha with --reuse-stats. An output that names
+the same file as an input or another output is refused. A command that
+writes files names what it reads and writes before it reads any input, and
+returns them with its effective configuration; ``main`` records that in
+``<first output>.manifest`` with the exact command, so it first refuses an
+argument that is not one line of UTF-8 text. Manifests carry a
 timestamp; all data outputs themselves are byte-deterministic given the
 same inputs and seeds.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import re
@@ -54,13 +56,6 @@ EXIT_CONVERGENCE = 4
 # Threshold fractions swept by default, lowest to highest.
 DEFAULT_ALPHA_GRID = ("1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4/5")
 
-# Defaults of the options that belong to no config dataclass; every other
-# option takes its default from its dataclass field.
-_CLI_DEFAULTS = {
-    "alpha": "1/2",
-    "alphas": ",".join(DEFAULT_ALPHA_GRID),
-}
-
 # Option keys that differ from their dataclass field's name.
 _OPTION_KEYS = {
     SynthSpec: {"samples_per_class": "per_class"},
@@ -85,38 +80,9 @@ def _parse_alpha(token):
         raise ValidationError(f"cannot parse threshold fraction {token!r}") from None
 
 
-def _read_kv_file(path):
-    """Sidecar reader: key=value lines; skips a BOM, blank and # lines; refuses a repeated key."""
-    pairs = {}
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"{path}: line {line_no}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in pairs:
-                    raise FormatError(f"{path}: line {line_no}: key {key!r} repeated")
-                pairs[key] = value.strip()
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    return pairs
-
-
 def _write_kv_file(path, pairs):
-    """Write (key, value) pairs as key=value lines, the layout _read_kv_file reads."""
+    """Write (key, value) pairs as key=value lines: a sidecar, a manifest or a report."""
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in pairs), encoding="utf-8")
-
-
-def _parse(text, path, key):
-    """text from a key=value file as a float; FormatError names the key."""
-    try:
-        return float(text)
-    except ValueError:
-        raise FormatError(f"{path}: {key}={text!r} is not a valid float") from None
 
 
 def _dataclass_options(cls):
@@ -130,52 +96,32 @@ def _dataclass_options(cls):
 def _add_dataclass_options(parser, *classes):
     for cls in classes:
         for key, f, kind in _dataclass_options(cls):
-            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
-                                help=f"{cls.__name__}.{f.name} (default {f.default!r})")
+            parser.add_argument(f"--{key.replace('_', '-')}", type=kind, default=f.default,
+                                help=f"{cls.__name__}.{f.name} (default %(default)r)")
 
 
-class _Options:
-    """Each option from its flag or its default, kept in effective; the path check; the record."""
+def _build(args, cls):
+    """The config dataclass cls from its options."""
+    return cls(**{f.name: getattr(args, key) for key, f, _ in _dataclass_options(cls)})
 
-    def __init__(self, args):
-        self._args = args
-        self.effective = {}
-        self.record = None
 
-    def _resolve(self, key, default):
-        value = getattr(self._args, key)
-        self.effective[key] = default if value is None else value
-        return self.effective[key]
+def _config(args, *classes):
+    """The manifest's config pairs of the options of classes."""
+    return {key: getattr(args, key) for cls in classes for key, _, _ in _dataclass_options(cls)}
 
-    def get(self, key):
-        """A string option that belongs to no config dataclass."""
-        return self._resolve(key, _CLI_DEFAULTS[key])
 
-    def build(self, cls):
-        """The config dataclass cls, each option resolved with its field's default."""
-        fields = _dataclass_options(cls)
-        return cls(**{f.name: self._resolve(key, f.default) for key, f, _ in fields})
-
-    def finish(self, inputs, outputs):
-        """Refuse colliding paths and keep the manifest record.
-
-        Runs before any input is read. An output may not name the same file (see _file_key)
-        as an input, another output or the manifest beside the first output. With outputs,
-        self.record becomes (inputs, outputs) for the manifest main writes; without, it
-        stays None.
-        """
-        if not outputs:
-            return
-        seen = {}
-        for name, path in inputs:
-            seen.setdefault(_file_key(path), f"{name} input {path}")
-        written = [(f"{name} output", path) for name, path in outputs]
-        for role, path in written + [("manifest", f"{outputs[0][1]}.manifest")]:
-            key = _file_key(path)
-            if key in seen:
-                raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
-            seen[key] = f"{role} {path}"
-        self.record = inputs, outputs
+def _check_paths(inputs, outputs):
+    """Before any input is read: no output names the same file (see _file_key) as an input,
+    another output or the manifest beside the first output."""
+    seen = {}
+    for name, path in inputs:
+        seen.setdefault(_file_key(path), f"{name} input {path}")
+    written = [(f"{name} output", path) for name, path in outputs]
+    for role, path in written + [("manifest", f"{path}.manifest") for _, path in outputs[:1]]:
+        key = _file_key(path)
+        if key in seen:
+            raise ValidationError(f"the {role} {path} is the same file as the {seen[key]}")
+        seen[key] = f"{role} {path}"
 
 
 def _file_key(path):
@@ -202,7 +148,7 @@ def _check_argv(argv):
             raise ValidationError(f"argument {position} {arg!r} is not one line of UTF-8 text")
 
 
-def _write_manifest(command, argv, effective, inputs, outputs):
+def _write_manifest(command, argv, config, inputs, outputs):
     """Write <first output>.manifest: the command, its effective config, every file's digest."""
     pairs = [
         ("manifest_version", 1),
@@ -211,7 +157,7 @@ def _write_manifest(command, argv, effective, inputs, outputs):
         ("argv", shlex.join(argv)),
         ("timestamp_utc", datetime.now(timezone.utc).isoformat()),
     ]
-    pairs.extend((f"config.{key}", effective[key]) for key in sorted(effective))
+    pairs.extend((f"config.{key}", config[key]) for key in sorted(config))
     for name, path in inputs:
         pairs += [(f"input.{name}.path", path), (f"input.{name}.sha256", _sha256(path))]
     for name, path in outputs:
@@ -220,18 +166,33 @@ def _write_manifest(command, argv, effective, inputs, outputs):
 
 
 def _read_sidecar(path):
-    """(rule, lo, hi) from a sidecar holding exactly _SIDECAR_KEYS, its version checked first."""
-    stats = _read_kv_file(path)
-    if stats.get("sidecar_version", _SIDECAR_VERSION) != _SIDECAR_VERSION:
-        raise FormatError(f"{path}: sidecar_version={stats['sidecar_version']} is not supported, "
-                          f"expected {_SIDECAR_VERSION}")
-    missing = [key for key in _SIDECAR_KEYS if key not in stats]
-    if missing:
-        raise FormatError(f"{path}: missing sidecar key {missing[0]!r}")
-    unknown = [key for key in stats if key not in _SIDECAR_KEYS]
-    if unknown:
-        raise FormatError(f"{path}: unknown sidecar key {unknown[0]!r}")
-    alpha, lo, hi = (_parse(stats[key], path, key) for key in _SIDECAR_KEYS[1:])
+    """(rule, lo, hi) from a sidecar exactly as preprocess writes it: a key=value line for each
+    of _SIDECAR_KEYS, in order, each ended by "\n", and no more; the version checked first."""
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    values = []
+    for line_no, (key, line) in enumerate(zip((*_SIDECAR_KEYS, None), lines), start=1):
+        ended = line_no < len(lines)  # the last of lines is the text after the last "\n"
+        if key is None and not (ended or line):
+            break
+        match = key and ended and re.fullmatch(rf"{key}=(\S*)", line)
+        if not match:
+            got = (repr(line) if ended else f"{line!r} and no line break" if line
+                   else "the end of the file")
+            raise FormatError(f"{path}: line {line_no}: expected "
+                              f"{f'{key}=...' if key else 'the end of the file'}, got {got}")
+        if key == "sidecar_version":
+            if match[1] != _SIDECAR_VERSION:
+                raise FormatError(f"{path}: sidecar_version={match[1]} is not supported, "
+                                  f"expected {_SIDECAR_VERSION}")
+        else:
+            try:
+                values.append(float(match[1]))
+            except ValueError:
+                raise FormatError(f"{path}: {key}={match[1]!r} is not a valid float") from None
+    alpha, lo, hi = values
     try:
         rule = BinarizationRule(alpha)
         check_real("min", lo)
@@ -260,33 +221,34 @@ def _require_binary_features(ds, source):
 
 # --- subcommands ------------------------------------------------------------
 #
-# Each command takes the parsed arguments and the options resolver, and
-# calls opts.finish before it reads any input; main writes the manifest
-# from the record that leaves on opts.
+# Each command takes the parsed arguments, calls _check_paths before it
+# reads any input, and returns (inputs, outputs, config); main writes the
+# manifest from that when there are outputs.
 
 
-def _cmd_synth(args, opts):
-    spec = opts.build(SynthSpec)
-    opts.finish([], [("dataset", args.out)])
+def _cmd_synth(args):
+    spec = _build(args, SynthSpec)
+    inputs, outputs = [], [("dataset", args.out)]
+    _check_paths(inputs, outputs)
     ds = synth_generate(spec)
     save_csv(ds, args.out)
     print(f"wrote {ds.sample_count} rows x {ds.dim} features to {args.out}")
+    return inputs, outputs, _config(args, SynthSpec)
 
 
-def _cmd_preprocess(args, opts):
+def _cmd_preprocess(args):
+    inputs, outputs = [("dataset", args.input)], [("dataset", args.out)]
     if args.reuse_stats:
-        if args.alpha is not None:
-            raise ValidationError("--alpha does not apply: --reuse-stats reads its "
-                                  "statistics from the given sidecar and writes none")
-        opts.finish([("dataset", args.input), ("sidecar", args.reuse_stats)],
-                    [("dataset", args.out)])
+        inputs.append(("sidecar", args.reuse_stats))
+        _check_paths(inputs, outputs)
         rule, lo, hi = _read_sidecar(args.reuse_stats)
-        opts.effective.update({"alpha": rule.alpha, "min": lo, "max": hi})
+        config = {"alpha": rule.alpha, "min": lo, "max": hi}
     else:
-        rule = BinarizationRule(_parse_alpha(opts.get("alpha")))
+        rule = BinarizationRule(_parse_alpha(args.alpha))
         sidecar_path = f"{args.out}.sidecar"
-        opts.finish([("dataset", args.input)], [("dataset", args.out), ("sidecar", sidecar_path)])
-        opts.effective["alpha"] = rule.alpha
+        outputs.append(("sidecar", sidecar_path))
+        _check_paths(inputs, outputs)
+        config = {"alpha": rule.alpha}
 
     ds = load_csv(args.input)
     labels, names = ds.labels, ds.feature_names
@@ -300,15 +262,16 @@ def _cmd_preprocess(args, opts):
 
     if args.reuse_stats:
         print(f"binarized {labels.size} rows using stored statistics -> {args.out}")
-        return
+    else:
+        _write_kv_file(sidecar_path, zip(_SIDECAR_KEYS, (_SIDECAR_VERSION, rule.alpha, lo, hi)))
+        print(f"binarized {labels.size} rows (alpha={rule.alpha:g}) -> {args.out}")
+    return inputs, outputs, config
 
-    _write_kv_file(sidecar_path, zip(_SIDECAR_KEYS, (_SIDECAR_VERSION, rule.alpha, lo, hi)))
-    print(f"binarized {labels.size} rows (alpha={rule.alpha:g}) -> {args.out}")
 
-
-def _cmd_train(args, opts):
-    config = opts.build(TrainConfig)
-    opts.finish([("dataset", args.input)], [("model", args.out)])
+def _cmd_train(args):
+    config = _build(args, TrainConfig)
+    inputs, outputs = [("dataset", args.input)], [("model", args.out)]
+    _check_paths(inputs, outputs)
     ds = load_csv(args.input)
     _require_binary_features(ds, args.input)
     class_rows = ds.class_matrices()
@@ -320,11 +283,13 @@ def _cmd_train(args, opts):
         f"({ensemble.num_visible} visible x {config.hidden_units} hidden, "
         f"{config.epochs} epochs) -> {args.out}"
     )
+    return inputs, outputs, _config(args, TrainConfig)
 
 
-def _cmd_evaluate(args, opts):
-    opts.finish([("model", args.model), ("dataset", args.test)],
-                [("report", args.out)] if args.out else [])
+def _cmd_evaluate(args):
+    inputs = [("model", args.model), ("dataset", args.test)]
+    outputs = [("report", args.out)] if args.out else []
+    _check_paths(inputs, outputs)
     ensemble = load_ensemble(args.model)
     ds = load_csv(args.test)
     _require_binary_features(ds, args.test)
@@ -337,16 +302,18 @@ def _cmd_evaluate(args, opts):
     print(report.to_text())
     if args.out:
         _write_kv_file(args.out, report.to_flat())
+    return inputs, outputs, {}
 
 
-def _cmd_sweep_alpha(args, opts):
-    tokens = [t for t in re.split(r"[,\s]+", opts.get("alphas")) if t]
+def _cmd_sweep_alpha(args):
+    tokens = [t for t in re.split(r"[,\s]+", args.alphas) if t]
     if not tokens:
         raise ValidationError("no alpha values to sweep")
     rules = [BinarizationRule(_parse_alpha(token)) for token in tokens]
-    config = opts.build(TrainConfig)
-    split_spec = opts.build(SplitSpec)
-    opts.finish([("dataset", args.input)], [("table", args.out)] if args.out else [])
+    config = _build(args, TrainConfig)
+    split_spec = _build(args, SplitSpec)
+    inputs, outputs = [("dataset", args.input)], [("table", args.out)] if args.out else []
+    _check_paths(inputs, outputs)
     ds = load_csv(args.input)
     labels, class_ids = ds.labels, ds.class_ids()
     normalized = _normalized(ds, args.input)
@@ -362,6 +329,7 @@ def _cmd_sweep_alpha(args, opts):
     print(table)
     if args.out:
         Path(args.out).write_text(table + "\n", encoding="utf-8")
+    return inputs, outputs, {"alphas": args.alphas, **_config(args, SplitSpec, TrainConfig)}
 
 
 def _sweep_point(normalized, labels, class_ids, train_idx, test_idx, rule, config):
@@ -413,43 +381,45 @@ def build_parser():
         prog="spectral-rbm",
         description="Per-class binary RBMs with a free-energy soft-max readout.",
         epilog="exit codes: 0 success, 2 usage/validation, 3 i/o, 4 convergence",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)  # no option prefixes
 
-    synth = sub.add_parser("synth", help="generate a synthetic labeled binary dataset")
+    synth = add_parser("synth", help="generate a synthetic labeled binary dataset")
     synth.add_argument("--out", required=True, help="output CSV path")
     _add_dataclass_options(synth, SynthSpec)
     synth.set_defaults(func=_cmd_synth)
 
-    pre = sub.add_parser("preprocess", help="l2-normalize rows and binarize features")
+    pre = add_parser("preprocess", help="l2-normalize rows and binarize features")
     pre.add_argument("input", help="labeled CSV of raw features")
     pre.add_argument("--out", required=True, help="output CSV path; the sidecar goes to "
                                                   "<out>.sidecar")
-    pre.add_argument("--alpha", help="threshold fraction in (0, 1), decimal or a/b "
-                                     f"(default {_CLI_DEFAULTS['alpha']})")
-    pre.add_argument("--reuse-stats", dest="reuse_stats",
-                     help="binarize with the training min/max from an existing sidecar "
-                          "instead of computing new ones (test-time mode)")
+    stats = pre.add_mutually_exclusive_group()
+    stats.add_argument("--alpha", default="1/2",
+                       help="threshold fraction in (0, 1), decimal or a/b (default %(default)s)")
+    stats.add_argument("--reuse-stats",
+                       help="binarize with the training min/max from an existing sidecar "
+                            "instead of computing new ones (test-time mode)")
     pre.set_defaults(func=_cmd_preprocess)
 
-    train = sub.add_parser("train", help="train one RBM per class plus soft-max offsets")
+    train = add_parser("train", help="train one RBM per class plus soft-max offsets")
     train.add_argument("input", help="labeled CSV of binarized features")
     train.add_argument("--out", required=True, help="output model path")
     _add_dataclass_options(train, TrainConfig)
     train.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("evaluate", help="evaluate a trained ensemble on labeled binary data")
+    ev = add_parser("evaluate", help="evaluate a trained ensemble on labeled binary data")
     ev.add_argument("model", help="RBME1 model file from `train`")
     ev.add_argument("test", help="labeled CSV of binarized test features")
     ev.add_argument("--out", help="also write a machine-readable report here")
     ev.set_defaults(func=_cmd_evaluate)
 
-    sweep = sub.add_parser("sweep-alpha",
-                           help="split, binarize, train, evaluate across alpha values")
+    sweep = add_parser("sweep-alpha", help="split, binarize, train, evaluate across alpha values")
     sweep.add_argument("input", help="labeled CSV of raw features")
-    sweep.add_argument("--alphas", help="comma/space separated threshold fractions "
-                                        f"(default {_CLI_DEFAULTS['alphas']})")
+    sweep.add_argument("--alphas", default=",".join(DEFAULT_ALPHA_GRID),
+                       help="comma/space separated threshold fractions (default %(default)s)")
     sweep.add_argument("--out", help="also write the result table here")
     _add_dataclass_options(sweep, SplitSpec, TrainConfig)
     sweep.set_defaults(func=_cmd_sweep_alpha)
@@ -469,10 +439,9 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _check_argv(argv)
-        opts = _Options(args)
-        args.func(args, opts)
-        if opts.record is not None:
-            _write_manifest(args.command, argv, opts.effective, *opts.record)
+        inputs, outputs, config = args.func(args)
+        if outputs:
+            _write_manifest(args.command, argv, config, inputs, outputs)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -352,14 +352,19 @@ def save_csv(ds, path):
     """Write a labeled CSV that load_csv restores exactly.
 
     Whole values are written as integers (-0.0 as 0), every other value as
-    its shortest round-trip repr.
+    its shortest round-trip repr. A header name that load_csv would refuse
+    or change is refused before path is opened.
     """
-    names = ds.feature_names or [f"f{i + 1}" for i in range(ds.dim)]
-    if "label" in names:
-        raise ValidationError("label column name 'label' collides with a feature name")
+    header = [*(ds.feature_names or [f"f{i + 1}" for i in range(ds.dim)]), "label"]
+    seen = set()
+    for name in header:
+        # load_csv strips each name, drops a byte-order mark before the first and refuses a repeat
+        if name != name.strip() or name in seen or (not seen and name.startswith("\ufeff")):
+            raise ValidationError(f"header name {name!r} would not read back as written")
+        seen.add(name)
     label_ends = [f"{label}\n" for label in ds.labels.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([*names, "label"])
+        csv.writer(fh, lineterminator="\n").writerow(header)
         if is_binary(ds.features):
             fh.write(_binary_body(ds.features, label_ends))
         else:

@@ -209,18 +209,25 @@ class TestPreprocess:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("options, message", [
-        (("--alpha", "bogus"), "cannot parse threshold fraction 'bogus'"),
+        (("--alpha", "bogus"), "error: cannot parse threshold fraction 'bogus'\n"),
+        # --reuse-stats reads its statistics from the sidecar, so argparse refuses --alpha
+        # beside it in either order, after its usage lines
         (("--reuse-stats", "side.sidecar", "--alpha", "1/2"),
-         "--alpha does not apply: --reuse-stats reads its statistics from the given sidecar "
-         "and writes none"),
-    ], ids=["options0", "options1"])
+         "spectral-rbm preprocess: error: argument --alpha: not allowed with argument "
+         "--reuse-stats\n"),
+        (("--alpha", "1/2", "--reuse-stats", "side.sidecar"),
+         "spectral-rbm preprocess: error: argument --reuse-stats: not allowed with argument "
+         "--alpha\n"),
+    ], ids=["options0", "options1", "options2"])
     def test_options_are_checked_before_the_input_is_read(self, tmp_path, capsys, options,
                                                           message):
         # the input does not exist: reading it first would exit 3, not 2
         code = run("preprocess", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv"),
                    *options)
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        assert err == message or err.startswith("usage: ") and err.endswith(f"\n{message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reuse_stats_applies_training_minmax(self, tmp_path):
         train_raw = tmp_path / "train.csv"
@@ -251,10 +258,10 @@ class TestPreprocess:
         v1 = ("sidecar_version=1\nalpha=0.4\nscope=per-class\ntest_time_stats=pooled-train-minmax\n"
               "min=0.1\nmax=0.9\nclass.0.min=0.1\nclass.0.max=0.8\n")
         for text, message in [
-            ("sidecar_version=2\nalpha=0.5\n", "missing sidecar key 'min'"),
+            ("sidecar_version=2\nalpha=0.5\n", "line 3: expected min=..., got the end of the file"),
             (v1, "sidecar_version=1 is not supported, expected 2"),
             ("sidecar_version=2\nalpha=0.5\nmin=0.1\nmax=0.9\nscope=global\n",
-             "unknown sidecar key 'scope'"),
+             "line 5: expected the end of the file, got 'scope=global'"),
         ]:
             bad.write_text(text)
             assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
@@ -280,22 +287,46 @@ class TestPreprocess:
         bad.write_text("sidecar_version=2\nalpha=0.5\nmin=0.1\nmax=0.9\nmin=0.2\n")
         out = tmp_path / "o.csv"
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
-        assert "'min' repeated" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 5: expected the end of the file, got 'min=0.2'\n")
         assert not out.exists()
 
-    def test_reuse_stats_sidecar_may_start_with_a_byte_order_mark(self, tmp_path):
-        train_raw, test_raw = tmp_path / "train.csv", tmp_path / "test.csv"
-        write_raw_csv(train_raw, seed=1)
-        write_raw_csv(test_raw, seed=2)
-        assert run("preprocess", str(train_raw), "--out", str(tmp_path / "bin.csv")) == 0
-        sidecar, bom = tmp_path / "bin.csv.sidecar", tmp_path / "bom.sidecar"
-        bom.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
-        plain_out, bom_out = tmp_path / "plain.csv", tmp_path / "bom.csv"
-        assert run("preprocess", str(test_raw), "--out", str(plain_out),
-                   "--reuse-stats", str(sidecar)) == 0
-        assert run("preprocess", str(test_raw), "--out", str(bom_out),
-                   "--reuse-stats", str(bom)) == 0
-        assert bom_out.read_bytes() == plain_out.read_bytes()
+    SIDECAR = "sidecar_version=2\nalpha=0.5\nmin=0.1\nmax=0.9\n"
+
+    @pytest.mark.parametrize("text, line, got", [
+        ("\ufeff" + SIDECAR, 1, "expected sidecar_version=..., got '\\ufeffsidecar_version=2'"),
+        ("sidecar_version=2\n\nalpha=0.5\nmin=0.1\nmax=0.9\n", 2, "expected alpha=..., got ''"),
+        ("# stats\n" + SIDECAR, 1, "expected sidecar_version=..., got '# stats'"),
+        (SIDECAR.replace("alpha=", "alpha = "), 2, "expected alpha=..., got 'alpha = 0.5'"),
+        (SIDECAR.replace("min=", "min= "), 3, "expected min=..., got 'min= 0.1'"),
+        ("sidecar_version=2\nmin=0.1\nalpha=0.5\nmax=0.9\n", 2,
+         "expected alpha=..., got 'min=0.1'"),
+        (SIDECAR[:-1], 4, "expected max=..., got 'max=0.9' and no line break"),
+        (SIDECAR.replace("\n", "\r\n"), 1,
+         "expected sidecar_version=..., got 'sidecar_version=2\\r'"),
+        (SIDECAR + "note=x\n", 5, "expected the end of the file, got 'note=x'"),
+        (SIDECAR + "\n", 5, "expected the end of the file, got ''"),
+    ], ids=["byte-order-mark", "blank-line", "comment-line", "spaces-around-equals",
+            "space-after-equals", "reordered-keys", "no-final-line-break", "crlf-line-breaks",
+            "fifth-line", "trailing-blank-line"])
+    def test_reuse_stats_refuses_a_sidecar_not_laid_out_as_written(self, tmp_path, capsys,
+                                                                   monkeypatch, text, line, got):
+        # --reuse-stats reads the four lines preprocess writes, in order, each ended by "\n",
+        # and nothing else; any other line is named before the CSV is read
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw)
+        good, bad, out = tmp_path / "good.sidecar", tmp_path / "bad.sidecar", tmp_path / "o.csv"
+        good.write_text(self.SIDECAR, encoding="utf-8")
+        bad.write_bytes(text.encode("utf-8"))
+        assert run("preprocess", str(raw), "--out", str(tmp_path / "ok.csv"),
+                   "--reuse-stats", str(good)) == 0
+        before = sorted(tmp_path.iterdir())
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        capsys.readouterr()
+        assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: {got}\n"
+        assert called == [] and sorted(tmp_path.iterdir()) == before
 
     def test_reuse_stats_rejects_a_sidecar_line_without_equals(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -307,7 +338,7 @@ class TestPreprocess:
         bad.write_text("sidecar_version=2\nalpha=0.5\nmin 0.1\nmax=0.9\n")
         assert run("preprocess", str(raw), "--out", str(out), "--reuse-stats", str(bad)) == 2
         assert capsys.readouterr().err == (
-            f"error: {bad}: line 3: expected key=value, got 'min 0.1'\n")
+            f"error: {bad}: line 3: expected min=..., got 'min 0.1'\n")
         assert called == [] and not out.exists()
 
     def test_reuse_stats_rejects_unknown_sidecar_version(self, tmp_path, capsys):
@@ -803,18 +834,34 @@ def test_manifest_layout_of_every_writing_path(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_key_value_outputs_read_back_through_the_cli_reader(tmp_path, capsys):
-    """The sidecar, the manifests and evaluate's report: one writer, and _read_kv_file reads
-    each back line for line, with no key repeated or stripped."""
+def test_key_value_outputs_read_back_with_a_plain_split(tmp_path, capsys, monkeypatch):
+    """The sidecar, the manifests and evaluate's report: one writer, and each line splits at
+    its first "=" into the pair written, with nothing stripped."""
     raw, binary = tmp_path / "raw.csv", tmp_path / "bin.csv"
     model, report = tmp_path / "model.rbme", tmp_path / "report.txt"
     write_raw_csv(raw, rows=16, dim=5)
+    written, write = {}, cli._write_kv_file
+
+    def record(path, pairs):
+        pairs = list(pairs)
+        written[str(path)] = [(f"{key}", f"{value}") for key, value in pairs]
+        write(path, pairs)
+
+    monkeypatch.setattr(cli, "_write_kv_file", record)
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", " a.csv ", "--per-class", "4", "--dim", "5") == 0
     assert run("preprocess", str(raw), "--out", str(binary)) == 0
     assert run("train", str(binary), "--out", str(model), *TINY_TRAIN) == 0
     assert run("evaluate", str(model), str(binary), "--out", str(report)) == 0
-    for path in (f"{binary}.sidecar", f"{binary}.manifest", report, f"{report}.manifest"):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        assert list(cli._read_kv_file(path).items()) == [tuple(line.split("=", 1)) for line in lines]
+    paths = [" a.csv .manifest", f"{binary}.sidecar", f"{binary}.manifest", f"{model}.manifest",
+             str(report), f"{report}.manifest"]
+    assert sorted(written) == sorted(paths)
+    for path in paths:
+        text = Path(path).read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert [tuple(line.split("=", 1)) for line in text[:-1].split("\n")] == written[path]
+    # a path with surrounding spaces is recorded as given
+    assert ("output.dataset", " a.csv ") in written[" a.csv .manifest"]
     capsys.readouterr()
 
 
@@ -935,6 +982,41 @@ class TestMainPlumbing:
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         assert "spectral-rbm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "evaluate",
+                                         "sweep-alpha", "top-level"])
+    def test_an_option_prefix_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        # each option has one spelling: argparse takes no prefix of it, so --per is not
+        # --per-class and sweep-alpha's --alpha is not --alphas; every prefix argparse would
+        # otherwise expand, down to the shortest, is tried
+        raw, out = tmp_path / "raw.csv", tmp_path / "o.txt"
+        write_raw_csv(raw)
+        called = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: called.append("load_csv"))
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        argv = {
+            "synth": ("synth",), "preprocess": ("preprocess", str(raw)),
+            "train": ("train", str(raw)), "evaluate": ("evaluate", str(raw), str(raw)),
+            "sweep-alpha": ("sweep-alpha", str(raw)), "top-level": ("synth",),
+        }[command]
+        actions = (parser if command == "top-level" else subparsers.choices[command])._actions
+        flags = {flag: action for action in actions for flag in action.option_strings
+                 if flag.startswith("--")}
+        assert flags
+        prefixes = [(flag[:n], action) for flag, action in flags.items()
+                    for n in range(3, len(flag))
+                    if [f for f in flags if f.startswith(flag[:n])] == [flag]]
+        assert {action for _, action in prefixes} == set(flags.values())
+        for prefix, action in prefixes:
+            given = [prefix] if action.nargs == 0 else [prefix, "1"]
+            full = (*given, *argv) if command == "top-level" else (*argv, *given)
+            assert run(*full, "--out", str(out)) == 2, prefix
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {' '.join(given)}\n" in err, prefix
+            assert called == []
+            assert list(tmp_path.iterdir()) == [raw]
 
     @pytest.mark.parametrize("case", ["line-break-in-out", "line-break-in-alphas", "not-utf8-out"])
     def test_an_argument_a_manifest_cannot_hold_exits_2_and_writes_nothing(

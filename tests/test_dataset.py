@@ -450,6 +450,16 @@ class TestSaveCsv:
         with pytest.raises(ValidationError):
             save_csv(ds, tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("names", [("label ", "f2"), (" a", "a"), ("a", "a"), (" a", "b"),
+                                       ("\ufeffa", "b")],
+                             ids=["label-with-space", "spaced-repeat", "repeat", "spaced", "bom"])
+    def test_a_header_load_csv_would_refuse_or_change_is_refused(self, tmp_path, names):
+        # load_csv strips each header name, drops a byte-order mark before the first and
+        # refuses a repeated one, so save_csv writes only names that read back as given
+        with pytest.raises(ValidationError, match="would not read back as written"):
+            save_csv(LabeledDataset(np.zeros((1, 2)), np.array([0]), names), tmp_path / "h.csv")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSplit:
     def test_even_halves(self):

@@ -52,6 +52,11 @@ def base(tmp_path_factory):
     return base
 
 
+def line_keys(path):
+    """What precedes the first "=" on each line of path, split at "\\n" only."""
+    return [line.partition("=")[0] for line in path.read_text(encoding="utf-8").split("\n")]
+
+
 def mutate(blob, rng):
     """blob after one edit: a byte XOR, an inserted byte, a deleted run or a cut."""
     blob = bytearray(blob)
@@ -87,8 +92,7 @@ def test_mutated_inputs_exit_0_or_2_with_one_error_line(tmp_path, capsys, base, 
         if code == 0:
             accepted += 1
             if kind == "sidecar":
-                keys = list(cli._read_kv_file(case / name))
-                assert keys == list(cli._read_kv_file(base / name)), where
+                assert line_keys(case / name) == line_keys(base / name), where
             continue
         assert re.fullmatch(r"error: [^\n]*\n", err), where
         assert list((case / "out").iterdir()) == [], where

@@ -212,7 +212,9 @@ def test_array_rules_live_only_in_errors():
 
 
 def test_cli_writes_manifests_and_resolves_options_in_one_place():
-    # a second manifest writer or options resolver would drift from main's
+    # a second manifest writer, or a config dataclass made outside _build, would drift
     source = (Path(spectral_rbm.__file__).parent / "cli.py").read_text(encoding="utf-8")
     assert len(re.findall(r"(?<!def )\b_write_manifest\(", source)) == 1
-    assert len(re.findall(r"\b_Options\(", source)) == 1
+    assert re.findall(r"\b(?:SynthSpec|SplitSpec|TrainConfig)\(", source) == []
+    assert len(re.findall(r"\bcls\(", source)) == 1
+    assert len(re.findall(r"^def _build\(args, cls\):$", source, re.M)) == 1
