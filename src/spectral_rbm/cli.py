@@ -167,12 +167,13 @@ def _write_manifest(command, argv, config, inputs, outputs):
 
 def _read_sidecar(path):
     """(rule, lo, hi) from a sidecar exactly as preprocess writes it: a key=value line for each
-    of _SIDECAR_KEYS, in order, each ended by "\n", and no more; the version checked first."""
+    of _SIDECAR_KEYS, in order, each ended by "\n", and no more; the version checked first,
+    then each value as a float in range, then its spelling, which must be its repr."""
     try:
         lines = Path(path).read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
-    values = []
+    values, written = [], []
     for line_no, (key, line) in enumerate(zip((*_SIDECAR_KEYS, None), lines), start=1):
         ended = line_no < len(lines)  # the last of lines is the text after the last "\n"
         if key is None and not (ended or line):
@@ -192,6 +193,7 @@ def _read_sidecar(path):
                 values.append(float(match[1]))
             except ValueError:
                 raise FormatError(f"{path}: {key}={match[1]!r} is not a valid float") from None
+            written.append((line_no, line, f"{key}={values[-1]!r}"))
     alpha, lo, hi = values
     try:
         rule = BinarizationRule(alpha)
@@ -201,6 +203,10 @@ def _read_sidecar(path):
         raise FormatError(f"{path}: sidecar {exc}") from None
     if lo > hi:
         raise FormatError(f"{path}: sidecar min={lo!r} exceeds max={hi!r}")
+    # preprocess writes each value as its repr; any other spelling was not written by it
+    for line_no, line, expected in written:
+        if line != expected:
+            raise FormatError(f"{path}: line {line_no}: expected {expected}, got {line!r}")
     return rule, lo, hi
 
 

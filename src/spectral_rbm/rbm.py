@@ -68,9 +68,10 @@ UINT32_MAX = 2**32 - 1
 _UNIFORM_BLOCK = 2**14
 
 # Bytes of weight-sized arrays that classes trained in lockstep may share,
-# about one core's L2 cache. On a 2-core Xeon VM with 2 MiB of L2 per core,
-# three classes at 500 x 100 (4.8 MB) took 1.28 ms a step together against
-# 0.94 ms one at a time.
+# about one core's L2 cache; each class holds three (weights, velocity and
+# one scratch array). On a 2-core Xeon VM with 2 MiB of L2 per core, three
+# classes at 500 x 100 (3 x 3 x 500 x 100 x 8 bytes = 3.6 MB) took 0.69 ms
+# a step together against 0.48 ms one at a time (one BLAS thread).
 _STACK_BYTES = 2**21
 
 
@@ -255,7 +256,14 @@ def train_rbm(data, config):
         velocity = momentum * velocity + learning_rate * gradient
         params  += velocity
 
-    with L2 weight decay folded into the weight gradient only. The RNG is
+    with L2 weight decay folded into the weight gradient only. The weight
+    velocity is rounded as
+
+        velocity = momentum * velocity + pair - (learning_rate * weight_decay) * w
+        pair     = outer(v1, learning_rate * p1) - outer(v2, learning_rate * p2)
+
+    and each bias velocity as momentum * velocity + difference * learning_rate,
+    with difference v1 - v2 or p1 - p2. The RNG is
     seeded from config.seed and consumed in a fixed order (the init draw,
     then per row n + m uniforms, exactly what cd1 draws), so identical
     inputs give bit-identical parameters. An init draw that overflows
@@ -277,10 +285,10 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     alone: same init draw, same uniforms in the same order, same rounding.
     The classes run in groups, in order, each group stepping together on
     (k, m, n) arrays so that one update pays numpy's per-call cost once
-    for all k classes. A group holds as many classes as fit their four
-    weight-sized arrays (weights, velocity, two scratch buffers) in
-    _STACK_BYTES: past that, each elementwise weight pass streams from a
-    slower cache and costs more than the calls it saves.
+    for all k classes. A group holds as many classes as fit their three
+    weight-sized arrays (weights, velocity, one scratch buffer: 24 bytes a
+    weight) in _STACK_BYTES: past that, each elementwise weight pass streams
+    from a slower cache and costs more than the calls it saves.
 
     Each group is trained unchecked, which finds a failure by the end of
     the block it happens in: ValidationError for an init draw that
@@ -293,7 +301,7 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     Given classes (the class id of each span), the error raised names its
     class: "class <id>: " leads its message.
     """
-    group = max(1, _STACK_BYTES // (32 * rows.shape[1] * config.hidden_units))
+    group = max(1, _STACK_BYTES // (24 * rows.shape[1] * config.hidden_units))
     models = []
     for lo in range(0, len(seeds), group):
         try:
@@ -326,6 +334,14 @@ def _lockstep_group(rows, spans, seeds, config, checked):
     draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
     and the blocks grow as classes leave.
 
+    An update makes five passes over the (k, m, n) arrays besides the pair
+    product, which writes the scratch array d_w: velocity *= momentum,
+    velocity += d_w, d_w = (lr * weight_decay) * w, velocity -= d_w and
+    w += velocity. The learning rate is applied to the 2 x n probability
+    factor of the pair product, not to an m x n array, and the decay is one
+    scalar, so d_w is the only scratch array: three weight-sized arrays a
+    class (see train_rbm for the rounding this gives).
+
     The parameters are checked for finiteness at the end of every block,
     before finished classes leave, and nowhere else. Every failure, a NaN
     probability included (see _chain_step), leaves a parameter non-finite
@@ -346,10 +362,11 @@ def _lockstep_group(rows, spans, seeds, config, checked):
     c, b = np.zeros((k, m)), np.zeros((k, n))
     # refuses an init draw that overflowed; each model views its class's row of w, c and b
     models = [RbmParams(w[j], c[j], b[j]) for j in np.argsort(order)]
-    lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
+    lr, momentum = config.learning_rate, config.momentum
+    lr_decay = lr * config.weight_decay
 
     vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
-    d_w, decay_w = np.empty_like(w), np.empty_like(w)
+    d_w = np.empty_like(w)
     pair_v, pair_p = np.empty((k, m, 2)), np.empty((k, 2, n))
     t = 0  # updates made by every class still running
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,17 +381,18 @@ def _lockstep_group(rows, spans, seeds, config, checked):
                 v1 = rows[row_at[:, s]]
                 p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:])
                 # velocity = momentum * velocity + lr * (gradient - decay * w), rounded
-                # step by step as one class alone; [v1 v2] @ [p1; -p2] is
-                # outer(v1, p1) - outer(v2, p2) bit for bit for 0/1 rows
+                # as momentum * velocity + pair - (lr * decay) * w, step by step as one
+                # class alone; pair = [v1 v2] @ [lr * p1; -lr * p2] is
+                # outer(v1, lr * p1) - outer(v2, lr * p2) bit for bit for 0/1 rows;
+                # d_w holds the pair, then the decay term
                 pair_v[:, :, 0], pair_v[:, :, 1] = v1, v2
-                pair_p[:, 0] = p1
-                np.negative(p2, out=pair_p[:, 1])
+                np.multiply(p1, lr, out=pair_p[:, 0])
+                np.multiply(p2, -lr, out=pair_p[:, 1])
                 np.matmul(pair_v, pair_p, out=d_w)
-                np.multiply(decay, w, out=decay_w)
-                d_w -= decay_w
-                d_w *= lr
                 vel_w *= momentum
                 vel_w += d_w
+                np.multiply(w, lr_decay, out=d_w)
+                vel_w -= d_w
                 vel_c *= momentum
                 vel_c += (v1 - v2) * lr
                 vel_b *= momentum
@@ -388,8 +406,8 @@ def _lockstep_group(rows, spans, seeds, config, checked):
                                        last_iterate=models[order[0]])
             t += steps
             k = int(np.count_nonzero(ends > t))
-            w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p = (
-                a[:k] for a in (w, c, b, vel_w, vel_c, vel_b, d_w, decay_w, pair_v, pair_p)
+            w, c, b, vel_w, vel_c, vel_b, d_w, pair_v, pair_p = (
+                a[:k] for a in (w, c, b, vel_w, vel_c, vel_b, d_w, pair_v, pair_p)
             )
     return models
 

@@ -306,9 +306,16 @@ class TestPreprocess:
          "expected sidecar_version=..., got 'sidecar_version=2\\r'"),
         (SIDECAR + "note=x\n", 5, "expected the end of the file, got 'note=x'"),
         (SIDECAR + "\n", 5, "expected the end of the file, got ''"),
+        # each value must be spelled as preprocess writes it, its repr, though float() reads more
+        ("sidecar_version=2\nalpha=0.5_0\nmin=+0\nmax=0.7_0710678118654752\n", 2,
+         "expected alpha=0.5, got 'alpha=0.5_0'"),
+        (SIDECAR.replace("min=0.1", "min=+0.1"), 3, "expected min=0.1, got 'min=+0.1'"),
+        (SIDECAR.replace("min=0.1", "min=1e-1"), 3, "expected min=0.1, got 'min=1e-1'"),
+        (SIDECAR.replace("max=0.9", "max=0.90"), 4, "expected max=0.9, got 'max=0.90'"),
     ], ids=["byte-order-mark", "blank-line", "comment-line", "spaces-around-equals",
             "space-after-equals", "reordered-keys", "no-final-line-break", "crlf-line-breaks",
-            "fifth-line", "trailing-blank-line"])
+            "fifth-line", "trailing-blank-line", "underscores-and-plus-sign", "plus-sign",
+            "exponent", "trailing-zero"])
     def test_reuse_stats_refuses_a_sidecar_not_laid_out_as_written(self, tmp_path, capsys,
                                                                    monkeypatch, text, line, got):
         # --reuse-stats reads the four lines preprocess writes, in order, each ended by "\n",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -493,24 +494,29 @@ class TestTrainConfig:
 
 
 def replay(data, config):
-    """Online CD-1 stepped by hand through public cd1, stopping at the first non-finite update.
+    """Online CD-1 stepped by hand through rbm._chain_step, stopping at the first non-finite update.
 
-    Returns (weights, visible_bias, hidden_bias) after the last update made, and how
-    many updates that was.
+    Draws as training does: the init normals, then per row n hidden and m visible
+    uniforms. The init draw is checked through RbmParams, as training checks it, so one
+    that overflows raises ValidationError. Returns (weights, visible_bias, hidden_bias)
+    after the last update made, and how many updates that was.
     """
+    m, n = data.shape[1], config.hidden_units
     twin = SeededRng(config.seed)
-    weights = twin.normals((data.shape[1], config.hidden_units)) * config.init_weight_scale
-    vbias = np.zeros(data.shape[1])
-    hbias = np.zeros(config.hidden_units)
+    weights = twin.normals((m, n)) * config.init_weight_scale
+    RbmParams(weights, np.zeros(m), np.zeros(n))
+    vbias, hbias = np.zeros(m), np.zeros(n)
     vel_w, vel_c, vel_b = np.zeros_like(weights), np.zeros_like(vbias), np.zeros_like(hbias)
-    lr, mom, wd = config.learning_rate, config.momentum, config.weight_decay
+    lr, mom, lr_decay = config.learning_rate, config.momentum, config.learning_rate * config.weight_decay
     updates = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for row in itertools.chain.from_iterable([data] * config.epochs):
-            grad = cd1(row, RbmParams(weights.copy(), vbias.copy(), hbias.copy()), twin)
-            vel_w = mom * vel_w + lr * (grad.d_weights - wd * weights)
-            vel_c = mom * vel_c + lr * grad.d_visible_bias
-            vel_b = mom * vel_b + lr * grad.d_hidden_bias
+            u_hidden, u_visible = twin.uniforms(n), twin.uniforms(m)
+            p1, v2, p2 = rbm._chain_step(row, weights, vbias, hbias, u_hidden, u_visible)
+            # momentum * velocity + lr * (gradient - decay * w), rounded as training rounds it
+            vel_w = mom * vel_w + (np.outer(row, lr * p1) - np.outer(v2, lr * p2)) - lr_decay * weights
+            vel_c = mom * vel_c + (row - v2) * lr
+            vel_b = mom * vel_b + (p1 - p2) * lr
             weights = weights + vel_w
             vbias = vbias + vel_c
             hbias = hbias + vel_b
@@ -536,11 +542,11 @@ class TestTrainRbm:
 
         twin = SeededRng(99)
         w0 = twin.normals((4, 3)) * 0.01
-        params0 = RbmParams(w0.copy(), np.zeros(4), np.zeros(3))
-        grad = cd1(v, params0, twin)
-        expected_w = w0 + 0.1 * (grad.d_weights - 2e-4 * w0)
-        expected_c = 0.1 * grad.d_visible_bias
-        expected_b = 0.1 * grad.d_hidden_bias
+        p1, v2, p2 = rbm._chain_step(v, w0, np.zeros(4), np.zeros(3), twin.uniforms(3),
+                                     twin.uniforms(4))
+        expected_w = w0 + (np.outer(v, 0.1 * p1) - np.outer(v2, 0.1 * p2) - (0.1 * 2e-4) * w0)
+        expected_c = (v - v2) * 0.1
+        expected_b = (p1 - p2) * 0.1
 
         got = train_rbm(v[None, :], config)
         np.testing.assert_array_equal(got.weights, expected_w)
@@ -568,11 +574,12 @@ class TestTrainRbm:
         vel_b = np.zeros(2)
         for _ in range(2):
             for row in rows:
-                params = RbmParams(weights.copy(), vbias.copy(), hbias.copy())
-                grad = cd1(row, params, twin)
-                vel_w = 0.7 * vel_w + 0.2 * (grad.d_weights - 1e-3 * weights)
-                vel_c = 0.7 * vel_c + 0.2 * grad.d_visible_bias
-                vel_b = 0.7 * vel_b + 0.2 * grad.d_hidden_bias
+                p1, v2, p2 = rbm._chain_step(row, weights, vbias, hbias, twin.uniforms(2),
+                                             twin.uniforms(3))
+                pair = np.outer(row, 0.2 * p1) - np.outer(v2, 0.2 * p2)
+                vel_w = 0.7 * vel_w + pair - (0.2 * 1e-3) * weights
+                vel_c = 0.7 * vel_c + (row - v2) * 0.2
+                vel_b = 0.7 * vel_b + (p1 - p2) * 0.2
                 weights = weights + vel_w
                 vbias = vbias + vel_c
                 hbias = hbias + vel_b
@@ -583,7 +590,7 @@ class TestTrainRbm:
         np.testing.assert_array_equal(got.hidden_bias, hbias)
 
     def test_replay_across_uniform_blocks_is_bit_equal(self):
-        """Step cd1 by hand over more rows than one block of uniforms holds."""
+        """Step the chain by hand over more rows than one block of uniforms holds."""
         m, n = 120, 40
         rows = rbm._UNIFORM_BLOCK // (n + m) + 7
         data = (np.random.default_rng(32).random((rows, m)) < 0.3).astype(float)
@@ -690,7 +697,7 @@ def lockstep_cases(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         init_weight_scale=draw(st.sampled_from([0.01, 1.0, 1e300, 6e307, 1e308])),
     )
-    stack_bytes = draw(st.sampled_from([1, 64 * m * n, 96 * m * n, rbm._STACK_BYTES]))
+    stack_bytes = draw(st.sampled_from([1, 48 * m * n, 72 * m * n, rbm._STACK_BYTES]))
     uniform_block = draw(st.sampled_from([1, 3 * (n + m), rbm._UNIFORM_BLOCK]))
     return datasets, config, stack_bytes, uniform_block
 
@@ -733,7 +740,7 @@ class TestLockstepTraining:
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
                 # a run that succeeds trains each group once: no class is replayed
                 m = next(iter(datasets.values())).shape[1]
-                size = max(1, stack_bytes // (32 * m * config.hidden_units))
+                size = max(1, stack_bytes // (24 * m * config.hidden_units))
                 assert group.call_count == -(-len(datasets) // size)
                 return
             failed_class, first = failed[0]
@@ -961,20 +968,42 @@ class TestLockstepTraining:
             totals[stream] = totals.get(stream, 0) + size
         assert totals == {class_seed(37, c): epochs * r * (n + m) for c, r in sizes.items()}
 
+    def test_a_group_holds_three_weight_sized_arrays_per_class(self):
+        # at 8 classes x 128 visible x 64 hidden every class trains in one group, and the
+        # stacked weights, velocity and one scratch array set the traced peak: about 3.7 of
+        # the group's (k, m, n) float64 arrays with the uniform block and the pooled rows,
+        # where a fourth weight-sized array (a second scratch buffer) reads about 4.7
+        k, m, n = 8, 128, 64
+        rng = np.random.default_rng(43)
+        datasets = {c: (rng.random((10, m)) < 0.5).astype(float) for c in range(k)}
+        config = TrainConfig(epochs=1, hidden_units=n, seed=44, init_weight_scale=0.1)
+        assert rbm._STACK_BYTES // (24 * m * n) >= k
+        tracemalloc.start()
+        try:
+            train_ensemble(datasets, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * k * m * n * 8
+
 
 class TestTrainingInternals:
     def test_pair_product_is_the_outer_product_difference_bit_for_bit(self):
-        # training writes the weight gradient as [v1 v2] @ [p1; -p2], k classes at once
+        # training writes lr times the weight gradient as [v1 v2] @ [lr * p1; -lr * p2],
+        # k classes at once; lr = 1 is the unscaled pair; v2 may hold -0.0 (see _chain_step)
         rng = np.random.default_rng(34)
-        for _ in range(200):
+        for _ in range(1000):
+            lr = rng.choice([1.0, 0.1, 0.37, 1e100, 1e308])
             k = int(rng.integers(1, 4))
             v1, v2 = (rng.random((2, k, 7)) < rng.random()).astype(float)
+            v2[(v2 == 0.0) & (rng.random((k, 7)) < 0.5)] = -0.0
             p1, p2 = rng.random((2, k, 5))
             p1[rng.random((k, 5)) < 0.2] = 0.0
             p2[rng.random((k, 5)) < 0.2] = 1.0
-            got = np.matmul(np.stack([v1, v2], axis=-1), np.stack([p1, -p2], axis=1))
+            pair_p = np.stack([np.multiply(p1, lr), np.multiply(p2, -lr)], axis=1)
+            got = np.matmul(np.stack([v1, v2], axis=-1), pair_p)
             for j in range(k):
-                want = np.outer(v1[j], p1[j]) - np.outer(v2[j], p2[j])
+                want = np.outer(v1[j], lr * p1[j]) - np.outer(v2[j], lr * p2[j])
                 assert got[j].tobytes() == want.tobytes()
 
     def test_pair_product_spreads_a_nan_like_the_outer_product(self):
