@@ -20,10 +20,17 @@ _lockstep_group: the loop that trains k RBMs side by side on stacked
 its classes; train_rbm is its k = 1 case. The RBMs are stacked
 longest-running first, so one that finishes leaves by slicing every
 array to the rows still running, a view of the models' own storage.
+The weights take the heavy-ball form of the momentum update, which
+writes each update's weights over the weights before last, so a class's
+weights are copied into its model once, as it leaves, when they are in
+the other array. The chain takes its conditionals as 1 / (1 + exp(-x)),
+in place (_logistic); sigmoid, the overflow-free two-branch form, is the
+independent formula behind hidden_probs, visible_probs and the exact
+oracles.
 The loop draws its uniforms a block of rows at a time, in the order cd1
 would. It makes no per-update check. Every failure, an overflow or a NaN
 probability (see _chain_step), leaves some parameter non-finite, and an
-update only adds to a parameter, so it stays non-finite: one finiteness
+update keeps a non-finite parameter non-finite: one finiteness
 check at the end of each block finds every failure, as a divergence. A
 group that fails is trained again class by class with every update
 checked, so the error raised is the one training the classes alone in
@@ -67,11 +74,14 @@ UINT32_MAX = 2**32 - 1
 # less memory through training for more draw calls and block-end finiteness checks.
 _UNIFORM_BLOCK = 2**14
 
-# Bytes of weight-sized arrays that classes trained in lockstep may share,
-# about one core's L2 cache; each class holds three (weights, velocity and
-# one scratch array). On a 2-core Xeon VM with 2 MiB of L2 per core, three
-# classes at 500 x 100 (3 x 3 x 500 x 100 x 8 bytes = 3.6 MB) took 0.69 ms
-# a step together against 0.48 ms one at a time (one BLAS thread).
+# Bytes of weight-sized arrays that one group of classes trained in lockstep
+# may share, about one core's L2 cache; each class holds three (weights,
+# previous weights and one scratch array). The bound covers the group's working
+# arrays only: each class that has finished, in this group or an earlier one,
+# holds its own m * n * 8 weight bytes beside them. On a 2-core Xeon VM with
+# 2 MiB of L2 per core, three classes at 500 x 100 (3 x 3 x 500 x 100 x 8
+# bytes = 3.6 MB) took 0.69 ms a step together against 0.48 ms one at a time
+# (one BLAS thread).
 _STACK_BYTES = 2**21
 
 
@@ -195,25 +205,51 @@ def visible_probs(h, params):
     return sigmoid(params.visible_bias + h @ params.weights.T)
 
 
+def _logistic(x):
+    """1 / (1 + exp(-x)) of a float64 array x, computed in x, which it returns.
+
+    One exp and four in-place passes (negate, exp, add 1, reciprocal), for the
+    chain's fresh pre-activations. It is not sigmoid's two-branch form and
+    differs from it in the last bits: this is training's logistic, and sigmoid
+    stays the formula behind the conditionals and the exact oracles. +-inf map
+    to exactly 1 and 0, and NaN to NaN. Below x = -log(DBL_MAX), about -709.78,
+    exp(-x) overflows to inf and raises numpy's overflow flag, and the result
+    is exactly 0; training runs with that flag ignored.
+    """
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
+
+
 def _chain_step(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
     """One CD-1 chain from data row v1, sampling with the given uniforms.
 
     p1 = p(h|v1), h1 = [u_hidden < p1], v2 = [u_visible < p(v|h1)],
     p2 = p(h|v2); returns (p1, v2, p2). Every argument may carry a leading
     axis of k chains, one RBM each; np.matmul then steps them all at once,
-    bit for bit as it steps each alone. A NaN probability (finite
-    parameters can still overflow a pre-activation to inf - inf) is
-    returned, not refused: a NaN in p1 or p2 reaches the hidden bias
-    through p1 - p2. v2 is sampled as ceil(p(v|h1) - u_visible): the
-    values of the comparison, so no model or output byte differs, but
-    -0.0 where p(v|h1) < u_visible, and NaN where p(v|h1) is NaN, so such
-    a NaN reaches the visible bias instead of turning into a 0 bit.
+    bit for bit as it steps each alone. Each conditional adds its bias in
+    place to the fresh matmul output and takes _logistic of it there, so a
+    pre-activation below about -709.78 raises numpy's overflow flag (its
+    probability is exactly 0). A NaN probability (finite parameters can
+    still overflow a pre-activation to inf - inf) is returned, not refused:
+    a NaN in p1 or p2 reaches the hidden bias through p1 - p2. v2 is
+    sampled as ceil(p(v|h1) - u_visible): the values of the comparison, so
+    no model or output byte differs, but -0.0 where p(v|h1) < u_visible,
+    and NaN where p(v|h1) is NaN, so such a NaN reaches the visible bias
+    instead of turning into a 0 bit.
     """
-    p1 = sigmoid(hidden_bias + np.matmul(v1[..., None, :], weights)[..., 0, :])
+    p1 = np.matmul(v1[..., None, :], weights)[..., 0, :]
+    p1 += hidden_bias
+    _logistic(p1)
     h1 = (u_hidden < p1).astype(float)
-    pv = sigmoid(visible_bias + np.matmul(weights, h1[..., None])[..., 0])
+    pv = np.matmul(weights, h1[..., None])[..., 0]
+    pv += visible_bias
+    _logistic(pv)
     v2 = np.ceil(pv - u_visible)
-    p2 = sigmoid(hidden_bias + np.matmul(v2[..., None, :], weights)[..., 0, :])
+    p2 = np.matmul(v2[..., None, :], weights)[..., 0, :]
+    p2 += hidden_bias
+    _logistic(p2)
     return p1, v2, p2
 
 
@@ -228,9 +264,10 @@ def cd1(v1, params, rng):
     v1 = check_vector("visible vector", v1, params.num_visible)
     u_hidden = rng.uniforms(params.num_hidden)
     u_visible = rng.uniforms(params.num_visible)
-    p1, v2, p2 = _chain_step(
-        v1, params.weights, params.visible_bias, params.hidden_bias, u_hidden, u_visible
-    )
+    with np.errstate(over="ignore"):  # a saturated unit's exp(-x) overflows; its p is 0
+        p1, v2, p2 = _chain_step(
+            v1, params.weights, params.visible_bias, params.hidden_bias, u_hidden, u_visible
+        )
     return GradientEstimate(
         d_weights=np.outer(v1, p1) - np.outer(v2, p2),
         d_visible_bias=v1 - v2,
@@ -256,14 +293,19 @@ def train_rbm(data, config):
         velocity = momentum * velocity + learning_rate * gradient
         params  += velocity
 
-    with L2 weight decay folded into the weight gradient only. The weight
-    velocity is rounded as
+    with L2 weight decay folded into the weight gradient only. The chain's
+    conditionals are rounded as 1 / (1 + exp(-x)). The weights take the
+    heavy-ball form of that rule, velocity = w - w_prev, rounded as
 
-        velocity = momentum * velocity + pair - (learning_rate * weight_decay) * w
-        pair     = outer(v1, learning_rate * p1) - outer(v2, learning_rate * p2)
+        w_new = ((-momentum) * w_prev + pair) + keep * w
+        keep  = 1 + momentum - learning_rate * weight_decay
+        pair  = outer(v1, learning_rate * p1) - outer(v2, learning_rate * p2)
 
-    and each bias velocity as momentum * velocity + difference * learning_rate,
-    with difference v1 - v2 or p1 - p2. The RNG is
+    with w_prev = w before the first update, and each bias velocity as
+    momentum * velocity + difference * learning_rate, with difference
+    v1 - v2 or p1 - p2. keep * w overflows once |w| > DBL_MAX / keep, about
+    1.2e308 at the defaults, where the velocity form would still step: an
+    initial weight that large, finite as drawn, diverges at update 1. The RNG is
     seeded from config.seed and consumed in a fixed order (the init draw,
     then per row n + m uniforms, exactly what cd1 draws), so identical
     inputs give bit-identical parameters. An init draw that overflows
@@ -286,9 +328,11 @@ def _train_lockstep(rows, spans, config, seeds, classes=None):
     The classes run in groups, in order, each group stepping together on
     (k, m, n) arrays so that one update pays numpy's per-call cost once
     for all k classes. A group holds as many classes as fit their three
-    weight-sized arrays (weights, velocity, one scratch buffer: 24 bytes a
-    weight) in _STACK_BYTES: past that, each elementwise weight pass streams
-    from a slower cache and costs more than the calls it saves.
+    weight-sized arrays (weights, previous weights, one scratch buffer: 24
+    bytes a weight) in _STACK_BYTES: past that, each elementwise weight pass
+    streams from a slower cache and costs more than the calls it saves. The
+    bound covers one group's working arrays only: the models of the classes
+    already trained keep their m * n * 8 weight bytes each beside them.
 
     Each group is trained unchecked, which finds a failure by the end of
     the block it happens in: ValidationError for an init draw that
@@ -328,19 +372,24 @@ def _lockstep_group(rows, spans, seeds, config, checked):
     classes are stacked by update count, longest first (a stable sort),
     so the classes still running are always the first k: a class leaves
     at the end of the block in which its epochs * count updates are done,
-    when every state array is sliced to its first k rows, a view. So the
-    models view live parameters from the init draw to the last update.
+    when every state array is sliced to its first k rows, a view. The
+    models view the group's biases and the array the init was drawn into,
+    which holds the weights after an even number of updates; after an odd
+    number they are in the other array, and a class's row is copied back
+    once, as it leaves or as it fails first in the stack. So the models
+    hold the parameters after the last update made.
     The k classes hold at most _UNIFORM_BLOCK uniforms between them: each
     draws blocks of max(1, _UNIFORM_BLOCK // (k * (n + m))) rows' worth,
     and the blocks grow as classes leave.
 
-    An update makes five passes over the (k, m, n) arrays besides the pair
-    product, which writes the scratch array d_w: velocity *= momentum,
-    velocity += d_w, d_w = (lr * weight_decay) * w, velocity -= d_w and
-    w += velocity. The learning rate is applied to the 2 x n probability
-    factor of the pair product, not to an m x n array, and the decay is one
-    scalar, so d_w is the only scratch array: three weight-sized arrays a
-    class (see train_rbm for the rounding this gives).
+    An update makes four passes over the (k, m, n) arrays besides the pair
+    product, which writes the scratch array d_w: w_prev *= -momentum,
+    w_prev += d_w, d_w = keep * w and w_prev += d_w, after which w and
+    w_prev swap names. The learning rate is applied to the 2 x n
+    probability factor of the pair product, not to an m x n array, and the
+    decay is folded into the scalar keep = 1 + momentum - lr * weight_decay,
+    so d_w is the only scratch array: three weight-sized arrays a class, w,
+    w_prev and d_w (see train_rbm for the rounding this gives).
 
     The parameters are checked for finiteness at the end of every block,
     before finished classes leave, and nowhere else. Every failure, a NaN
@@ -363,9 +412,14 @@ def _lockstep_group(rows, spans, seeds, config, checked):
     # refuses an init draw that overflowed; each model views its class's row of w, c and b
     models = [RbmParams(w[j], c[j], b[j]) for j in np.argsort(order)]
     lr, momentum = config.learning_rate, config.momentum
-    lr_decay = lr * config.weight_decay
+    keep = 1.0 + momentum - lr * config.weight_decay
 
-    vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
+    # w and w_prev swap arrays every update; weights, the models' own, is w after an even count.
+    # w_prev starts as w, as the velocity starts at 0. It is copied into zeroed memory: at
+    # train-ref's shape, w.copy() left repeated trainings' resident peak about 0.1 MB higher
+    weights, w_prev = w, np.zeros_like(w)
+    np.copyto(w_prev, w)
+    vel_c, vel_b = np.zeros_like(c), np.zeros_like(b)
     d_w = np.empty_like(w)
     pair_v, pair_p = np.empty((k, m, 2)), np.empty((k, 2, n))
     t = 0  # updates made by every class still running
@@ -380,34 +434,38 @@ def _lockstep_group(rows, spans, seeds, config, checked):
             for s in range(steps):
                 v1 = rows[row_at[:, s]]
                 p1, v2, p2 = _chain_step(v1, w, c, b, u[:, s, :n], u[:, s, n:])
-                # velocity = momentum * velocity + lr * (gradient - decay * w), rounded
-                # as momentum * velocity + pair - (lr * decay) * w, step by step as one
-                # class alone; pair = [v1 v2] @ [lr * p1; -lr * p2] is
+                # w_new = w + velocity, velocity = momentum * (w - w_prev) + lr * (gradient -
+                # decay * w), rounded as ((-momentum) * w_prev + pair) + keep * w, step by
+                # step as one class alone; pair = [v1 v2] @ [lr * p1; -lr * p2] is
                 # outer(v1, lr * p1) - outer(v2, lr * p2) bit for bit for 0/1 rows;
-                # d_w holds the pair, then the decay term
+                # d_w holds the pair, then keep * w; w_new is written over w_prev
                 pair_v[:, :, 0], pair_v[:, :, 1] = v1, v2
                 np.multiply(p1, lr, out=pair_p[:, 0])
                 np.multiply(p2, -lr, out=pair_p[:, 1])
                 np.matmul(pair_v, pair_p, out=d_w)
-                vel_w *= momentum
-                vel_w += d_w
-                np.multiply(w, lr_decay, out=d_w)
-                vel_w -= d_w
+                w_prev *= -momentum
+                w_prev += d_w
+                np.multiply(w, keep, out=d_w)
+                w_prev += d_w
+                w, w_prev = w_prev, w
                 vel_c *= momentum
                 vel_c += (v1 - v2) * lr
                 vel_b *= momentum
                 vel_b += (p1 - p2) * lr
-                w += vel_w
                 c += vel_c
                 b += vel_b
+            t += steps
             # a failed update leaves a parameter non-finite for good, so this finds it
             if not _all_finite(w, c, b):
+                if t % 2:  # after an odd count: copy the failed row into its model
+                    weights[0] = w[0]
                 raise ConvergenceError("training diverged to non-finite parameters",
                                        last_iterate=models[order[0]])
-            t += steps
-            k = int(np.count_nonzero(ends > t))
-            w, c, b, vel_w, vel_c, vel_b, d_w, pair_v, pair_p = (
-                a[:k] for a in (w, c, b, vel_w, vel_c, vel_b, d_w, pair_v, pair_p)
+            k, running = int(np.count_nonzero(ends > t)), k
+            if t % 2:  # and the rows that leave, likewise
+                weights[k:running] = w[k:running]
+            w, w_prev, c, b, vel_c, vel_b, d_w, pair_v, pair_p = (
+                a[:k] for a in (w, w_prev, c, b, vel_c, vel_b, d_w, pair_v, pair_p)
             )
     return models
 

@@ -64,11 +64,11 @@ def write_raw_csv_text(path, features, labels):
 def nan_on_all_ones_rows(conditional):
     """Patches rbm so that each chain stepping an all-ones row gets a NaN probability.
 
-    conditional picks the sigmoid call of _chain_step that gives it: 0 for p(h|v1), 1 for
+    conditional picks the _logistic call of _chain_step that gives it: 0 for p(h|v1), 1 for
     p(v|h1), 2 for p(h|v2). The NaN goes to unit 0 of each such chain, whether stepped alone
     or stacked.
     """
-    chain_step, sigmoid = rbm._chain_step, rbm.sigmoid
+    chain_step, logistic = rbm._chain_step, rbm._logistic
     step = {}
 
     def chain(v1, *rest):
@@ -78,12 +78,12 @@ def nan_on_all_ones_rows(conditional):
         finally:
             step.clear()
 
-    def nan_sigmoid(x):
-        out = sigmoid(x)
+    def nan_logistic(x):
+        out = logistic(x)
         if step:
             if step["calls"] == conditional:
                 out.reshape(-1, out.shape[-1])[step["ones"], 0] = np.nan
             step["calls"] += 1
         return out
 
-    return mock.patch.multiple(rbm, _chain_step=chain, sigmoid=nan_sigmoid)
+    return mock.patch.multiple(rbm, _chain_step=chain, _logistic=nan_logistic)

@@ -498,26 +498,28 @@ def replay(data, config):
 
     Draws as training does: the init normals, then per row n hidden and m visible
     uniforms. The init draw is checked through RbmParams, as training checks it, so one
-    that overflows raises ValidationError. Returns (weights, visible_bias, hidden_bias)
-    after the last update made, and how many updates that was.
+    that overflows raises ValidationError. The weights take the heavy-ball form of the
+    momentum update, rounded as training rounds it. Returns (weights, visible_bias,
+    hidden_bias) after the last update made, and how many updates that was.
     """
     m, n = data.shape[1], config.hidden_units
     twin = SeededRng(config.seed)
     weights = twin.normals((m, n)) * config.init_weight_scale
     RbmParams(weights, np.zeros(m), np.zeros(n))
     vbias, hbias = np.zeros(m), np.zeros(n)
-    vel_w, vel_c, vel_b = np.zeros_like(weights), np.zeros_like(vbias), np.zeros_like(hbias)
-    lr, mom, lr_decay = config.learning_rate, config.momentum, config.learning_rate * config.weight_decay
+    w_prev, vel_c, vel_b = weights, np.zeros_like(vbias), np.zeros_like(hbias)
+    lr, mom = config.learning_rate, config.momentum
+    keep = 1.0 + mom - lr * config.weight_decay
     updates = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for row in itertools.chain.from_iterable([data] * config.epochs):
             u_hidden, u_visible = twin.uniforms(n), twin.uniforms(m)
             p1, v2, p2 = rbm._chain_step(row, weights, vbias, hbias, u_hidden, u_visible)
-            # momentum * velocity + lr * (gradient - decay * w), rounded as training rounds it
-            vel_w = mom * vel_w + (np.outer(row, lr * p1) - np.outer(v2, lr * p2)) - lr_decay * weights
+            # w + momentum * (w - w_prev) + lr * (gradient - decay * w), rounded as training does
+            pair = np.outer(row, lr * p1) - np.outer(v2, lr * p2)
+            w_prev, weights = weights, (-mom * w_prev + pair) + keep * weights
             vel_c = mom * vel_c + (row - v2) * lr
             vel_b = mom * vel_b + (p1 - p2) * lr
-            weights = weights + vel_w
             vbias = vbias + vel_c
             hbias = hbias + vel_b
             updates += 1
@@ -544,7 +546,8 @@ class TestTrainRbm:
         w0 = twin.normals((4, 3)) * 0.01
         p1, v2, p2 = rbm._chain_step(v, w0, np.zeros(4), np.zeros(3), twin.uniforms(3),
                                      twin.uniforms(4))
-        expected_w = w0 + (np.outer(v, 0.1 * p1) - np.outer(v2, 0.1 * p2) - (0.1 * 2e-4) * w0)
+        pair = np.outer(v, 0.1 * p1) - np.outer(v2, 0.1 * p2)
+        expected_w = (-0.5 * w0 + pair) + (1.0 + 0.5 - 0.1 * 2e-4) * w0
         expected_c = (v - v2) * 0.1
         expected_b = (p1 - p2) * 0.1
 
@@ -569,18 +572,18 @@ class TestTrainRbm:
         weights = twin.normals((3, 2)) * 0.05
         vbias = np.zeros(3)
         hbias = np.zeros(2)
-        vel_w = np.zeros((3, 2))
+        w_prev = weights
         vel_c = np.zeros(3)
         vel_b = np.zeros(2)
+        keep = 1.0 + 0.7 - 0.2 * 1e-3
         for _ in range(2):
             for row in rows:
                 p1, v2, p2 = rbm._chain_step(row, weights, vbias, hbias, twin.uniforms(2),
                                              twin.uniforms(3))
                 pair = np.outer(row, 0.2 * p1) - np.outer(v2, 0.2 * p2)
-                vel_w = 0.7 * vel_w + pair - (0.2 * 1e-3) * weights
+                w_prev, weights = weights, (-0.7 * w_prev + pair) + keep * weights
                 vel_c = 0.7 * vel_c + (row - v2) * 0.2
                 vel_b = 0.7 * vel_b + (p1 - p2) * 0.2
-                weights = weights + vel_w
                 vbias = vbias + vel_c
                 hbias = hbias + vel_b
 
@@ -613,6 +616,74 @@ class TestTrainRbm:
         assert np.array_equal(got.visible_bias, vbias, equal_nan=True)
         assert np.array_equal(got.hidden_bias, hbias, equal_nan=True)
         assert not np.all(np.isfinite(got.weights))
+
+    def test_float64_training_stays_near_an_extended_precision_replay(self):
+        # the same class stepped in np.longdouble with training's uniforms, from training's
+        # float64 init, by the textbook velocity form and 1 / (1 + exp(-x)): every h1 and v2
+        # sample must match, and the parameters may differ only by float64 rounding
+        m, n = 16, 8
+        data = (np.random.default_rng(45).random((20, m)) < 0.5).astype(float)
+        config = TrainConfig(epochs=2, hidden_units=n, seed=46, init_weight_scale=0.1)
+        chain, samples = rbm._chain_step, []
+
+        def logging(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible):
+            p1, v2, p2 = chain(v1, weights, visible_bias, hidden_bias, u_hidden, u_visible)
+            samples.append(((u_hidden < p1)[0], v2[0] + 0.0))  # a stack of one; v2 may hold -0.0
+            return p1, v2, p2
+
+        with mock.patch.object(rbm, "_chain_step", logging):
+            got = train_rbm(data, config)
+        assert len(samples) == 40
+        ld = np.longdouble
+        lr, mom = ld(config.learning_rate), ld(config.momentum)
+
+        def extended(decay):
+            twin = SeededRng(config.seed)
+            w = (twin.normals((m, n)) * config.init_weight_scale).astype(ld)
+            c, b = np.zeros(m, ld), np.zeros(n, ld)
+            vel_w, vel_c, vel_b = np.zeros_like(w), np.zeros_like(c), np.zeros_like(b)
+            for row, (h1_got, v2_got) in zip(np.concatenate([data, data]).astype(ld), samples):
+                u_hidden, u_visible = twin.uniforms(n), twin.uniforms(m)
+                p1 = 1 / (1 + np.exp(-(b + row @ w)))
+                h1 = (u_hidden < p1).astype(ld)
+                v2 = (u_visible < 1 / (1 + np.exp(-(c + w @ h1)))).astype(ld)
+                p2 = 1 / (1 + np.exp(-(b + v2 @ w)))
+                assert np.array_equal(h1, h1_got) and np.array_equal(v2, v2_got)
+                vel_w = mom * vel_w + lr * (np.outer(row, p1) - np.outer(v2, p2) - decay * w)
+                vel_c = mom * vel_c + lr * (row - v2)
+                vel_b = mom * vel_b + lr * (p1 - p2)
+                w, c, b = w + vel_w, c + vel_c, b + vel_b
+            return w, c, b
+
+        # The weights' gap is 3.5e-15 here (2.4e-16 for the velocity form's rounding). Most of it
+        # comes from rounding keep = 1 + momentum - lr * weight_decay to float64, which acts as a
+        # weight decay 4.6e-12 of itself smaller: replayed with that decay, the gap is 7.3e-16.
+        keep = 1.0 + config.momentum - config.learning_rate * config.weight_decay
+        for decay, bound in ((ld(config.weight_decay), 1e-14), ((1 + mom - ld(keep)) / lr, 2e-15)):
+            w, c, b = extended(decay)
+            assert np.abs(got.weights - w).max() <= bound
+            assert np.abs(got.visible_bias - c).max() <= 1e-15
+            assert np.abs(got.hidden_bias - b).max() <= 1e-15
+
+    def test_a_weight_past_float_max_over_keep_diverges_at_the_first_update(self):
+        # the heavy-ball update takes keep * w, keep = 1 + momentum - lr * weight_decay (about
+        # 1.5 at the defaults), which overflows once |w| > DBL_MAX / keep, about 1.2e308: class
+        # 8's init weight lies past that and diverges at update 1; class 3's, below it, trains
+        datasets = {3: np.array([[1.0], [0.0]]), 8: np.array([[1.0], [0.0]])}
+        config = TrainConfig(epochs=2, hidden_units=1, seed=3, init_weight_scale=1e308)
+        keep = 1.0 + config.momentum - config.learning_rate * config.weight_decay
+        init = {c: abs(SeededRng(class_seed(3, c)).normals((1, 1))[0, 0]) * 1e308 for c in datasets}
+        assert init[3] < np.finfo(float).max / keep < init[8]
+        replays = {c: replay(datasets[c], replace(config, seed=class_seed(3, c))) for c in datasets}
+        assert [updates for _, updates in replays.values()] == [4, 1]
+        assert all(np.isfinite(a).all() for a in replays[3][0])
+        with pytest.raises(ConvergenceError) as info:
+            train_ensemble(datasets, config)
+        assert str(info.value) == "class 8: training diverged to non-finite parameters"
+        got = info.value.last_iterate
+        for a, b in zip((got.weights, got.visible_bias, got.hidden_bias), replays[8][0]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert np.isinf(got.weights).all()
 
     def test_learns_the_all_ones_pattern(self):
         data = np.ones((30, 5))
@@ -707,9 +778,9 @@ class TestLockstepTraining:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(lockstep_cases())
-    # class 2 diverges at update 15, mid-way through the block at whose end it leaves the stack
+    # class 2 diverges at update 14, mid-way through the block at whose end it leaves the stack
     @example(case=(class_rows(20, ((0, 6), (1, 3), (2, 4)), 5),
-                   TrainConfig(learning_rate=1e307, momentum=0.9, epochs=4, hidden_units=4,
+                   TrainConfig(learning_rate=6e306, momentum=0.9, epochs=4, hidden_units=4,
                                weight_decay=0.0, seed=7),
                    rbm._STACK_BYTES, rbm._UNIFORM_BLOCK))
     # class 0 trains; the init draw of class 1 overflows
@@ -770,14 +841,14 @@ class TestLockstepTraining:
         assert not np.all(np.isfinite(got.weights))
 
     def test_a_class_that_diverges_last_in_the_stack_is_caught(self):
-        # class 1 finishes after 12 updates; class 2 then sits behind class 0 and diverges at 15
+        # class 1 finishes after 12 updates; class 2 then sits behind class 0 and diverges at 14
         rng = np.random.default_rng(20)
         datasets = {c: (rng.random((r, 5)) < 0.5).astype(float) for c, r in ((0, 6), (1, 3), (2, 4))}
-        config = TrainConfig(learning_rate=1e307, momentum=0.9, epochs=4, hidden_units=4,
+        config = TrainConfig(learning_rate=6e306, momentum=0.9, epochs=4, hidden_units=4,
                              weight_decay=0.0, seed=7)
         with np.errstate(all="ignore"):
             replays = [replay(datasets[c], replace(config, seed=class_seed(7, c))) for c in range(3)]
-            assert [updates for _, updates in replays] == [24, 12, 15]
+            assert [updates for _, updates in replays] == [24, 12, 14]
             with pytest.raises(ConvergenceError) as info:
                 train_ensemble(datasets, config)
         got = info.value.last_iterate
@@ -970,9 +1041,9 @@ class TestLockstepTraining:
 
     def test_a_group_holds_three_weight_sized_arrays_per_class(self):
         # at 8 classes x 128 visible x 64 hidden every class trains in one group, and the
-        # stacked weights, velocity and one scratch array set the traced peak: about 3.7 of
-        # the group's (k, m, n) float64 arrays with the uniform block and the pooled rows,
-        # where a fourth weight-sized array (a second scratch buffer) reads about 4.7
+        # stacked weights, previous weights and one scratch array set the traced peak: about
+        # 3.7 of the group's (k, m, n) float64 arrays with the uniform block and the pooled
+        # rows, where a fourth weight-sized array (a second scratch buffer) reads about 4.7
         k, m, n = 8, 128, 64
         rng = np.random.default_rng(43)
         datasets = {c: (rng.random((10, m)) < 0.5).astype(float) for c in range(k)}
@@ -1046,6 +1117,27 @@ class TestTrainingInternals:
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan], (u < pv)[~nan].astype(float))
         assert np.array_equal(np.signbit(got[~nan]), (pv < u)[~nan])
+
+    def test_logistic_is_one_over_one_plus_exp_in_place(self):
+        # the chain's logistic: 1 / (1 + exp(-x)) bit for bit, written into x and returned;
+        # sigmoid keeps its two-branch form and agrees with it to rounding
+        rng = np.random.default_rng(47)
+        x = np.concatenate([rng.normal(0.0, 10.0, 10_000), rng.uniform(-800.0, 800.0, 1000),
+                            [0.0, -0.0, 709.78, -709.78, -709.79, -745.2, np.inf, -np.inf, np.nan]])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            y = x.copy()
+            got = rbm._logistic(y)
+        assert got is y
+        assert got.tobytes() == want.tobytes()
+        assert got[-3] == 1.0 and got[-2] == 0.0 and np.isnan(got[-1])
+        assert got[-5] == got[-4] == 0.0
+        np.testing.assert_allclose(got[:-1], sigmoid(x[:-1]), rtol=5e-16, atol=np.finfo(float).tiny)
+        # exp(-x) overflows below -log(DBL_MAX), about -709.78, and raises numpy's overflow flag
+        with np.errstate(over="raise"):
+            assert 0.0 < rbm._logistic(np.array([-709.78]))[0] < 1e-307
+            with pytest.raises(FloatingPointError):
+                rbm._logistic(np.array([-709.79]))
 
     @pytest.mark.parametrize("where", ["weights", "visible_bias", "hidden_bias"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
